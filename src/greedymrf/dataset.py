@@ -2,10 +2,11 @@
 
 A dataset is an immutable n x p matrix of alphabet indices plus the alphabet
 itself. All probability estimation elsewhere in the package reduces to
-counting rows of this matrix, so the counting backend lives here too: joint
-counts over a variable subset are built as a sparse map from bit-packed
-assignment keys to row counts (ceil(log2 |alphabet|) bits per variable),
-which keeps queries feasible when p is large and only the query set is small.
+counting rows of this matrix, so the counting backend lives here too: every
+count, of dataset rows or of exact-table states, is a ``bincount`` over the
+mixed-radix cell codes built by :func:`cell_codes`. Only the queried columns
+are read, which keeps queries feasible when p is large and only the query
+set is small.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Widest bit-packed key we allow; queries beyond this are a usage bug.
-_MAX_KEY_BITS = 62
+# Cell codes are int64; a query with more cells than this cannot be coded.
+_MAX_CODE_CELLS = 1 << 62
 # Dense tables over a query set are capped at this many cells.
 _MAX_DENSE_CELLS = 1 << 24
 
@@ -66,22 +67,37 @@ class Alphabet:
         except KeyError:
             raise UnknownTokenError(f"token {token!r} not in alphabet {self.symbols}") from None
 
-    @property
-    def bits_per_value(self) -> int:
-        """Bits needed to pack one value of this alphabet."""
-        return max(1, int(self.size - 1).bit_length())
-
 
 # Spin convention used by the Ising machinery: index 0 <-> -1, index 1 <-> +1.
 # Tokens are chosen so that sorted-token alphabet inference reproduces them.
 SPIN_ALPHABET = Alphabet(("-1", "1"))
 
 
+def cell_codes(digits: np.ndarray, variables: Sequence[int], q: int) -> np.ndarray:
+    """Mixed-radix cell index of every row over ``variables``.
+
+    ``digits[v]`` is the column of alphabet indices of variable ``v``; the
+    first of ``variables`` is the most significant digit, so sorted
+    variables give the dense-marginal indexing. Raises
+    :class:`CapacityError` before reading any row when q^len(variables)
+    cells do not fit an int64 code.
+    """
+    if q ** len(variables) > _MAX_CODE_CELLS:
+        raise CapacityError(f"query over {len(variables)} variables exceeds the cell-code width")
+    code = np.zeros(digits.shape[1], dtype=np.int64)
+    for v in variables:
+        code *= q
+        code += digits[v]
+    return code
+
+
 class DiscreteDataset:
     """Immutable table of n samples over p named discrete variables.
 
-    ``values[r, c]`` is the alphabet index of variable ``c`` in sample ``r``.
-    Instances are safe for concurrent read access.
+    ``values[r, c]`` is the alphabet index of variable ``c`` in sample ``r``,
+    stored column-major in the smallest unsigned dtype that holds the
+    alphabet, so ``values.T[c]`` is one contiguous column. Instances are safe
+    for concurrent read access.
     """
 
     def __init__(self, names: Sequence[str], alphabet: Alphabet, values: np.ndarray):
@@ -101,7 +117,7 @@ class DiscreteDataset:
             raise DatasetError("value index outside alphabet range")
         self.names = tuple(str(x) for x in names)
         self.alphabet = alphabet
-        self.values = values.astype(np.int64, copy=True)
+        self.values = np.array(values, dtype=np.min_scalar_type(alphabet.size - 1), order="F")
         self.values.setflags(write=False)
 
     @property
@@ -131,34 +147,21 @@ class DiscreteDataset:
                 raise IndexError(f"variable index {v} out of range for p={self.p}")
         return out
 
-    def packed_codes(self, variables: Sequence[int]) -> np.ndarray:
-        """Bit-packed per-row keys for the given variables, in the given order."""
-        variables = self._check_vars(variables)
-        shift = self.alphabet.bits_per_value
-        if shift * len(variables) > _MAX_KEY_BITS:
-            raise CapacityError(f"query over {len(variables)} variables exceeds key width")
-        codes = np.zeros(self.n, dtype=np.int64)
-        for k, v in enumerate(variables):
-            codes |= self.values[:, v] << (shift * k)
-        return codes
-
     def joint_counts(self, variables: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse joint counts over ``variables``: (packed keys, row counts).
+        """Sparse joint counts over ``variables``: (cell codes, row counts).
 
-        Counts are exact integers; they sum to n.
+        Codes follow :func:`cell_codes` in the given variable order. Counts
+        are exact integers; they sum to n.
         """
-        variables = tuple(variables)
-        if not variables:
-            return np.zeros(1, dtype=np.int64), np.array([self.n], dtype=np.int64)
-        codes = self.packed_codes(variables)
-        shift = self.alphabet.bits_per_value
-        span = 1 << (shift * len(variables))
-        if span <= _MAX_DENSE_CELLS:
-            dense = np.bincount(codes, minlength=span)
-            keys = np.nonzero(dense)[0]
-            return keys.astype(np.int64), dense[keys].astype(np.int64)
-        keys, counts = np.unique(codes, return_counts=True)
-        return keys.astype(np.int64), counts.astype(np.int64)
+        variables = self._check_vars(variables)
+        q = self.alphabet.size
+        codes = cell_codes(self.values.T, variables, q)
+        cells = q ** len(variables)
+        if cells > _MAX_DENSE_CELLS:
+            return np.unique(codes, return_counts=True)
+        dense = np.bincount(codes, minlength=cells)
+        keys = np.nonzero(dense)[0]
+        return keys, dense[keys]
 
     def dense_marginal(self, variables: Sequence[int]) -> np.ndarray:
         """Dense empirical marginal over sorted ``variables``.
@@ -171,19 +174,7 @@ class DiscreteDataset:
         cells = q ** len(variables)
         if cells > _MAX_DENSE_CELLS:
             raise CapacityError(f"dense marginal over {len(variables)} variables too large")
-        out = np.zeros(cells, dtype=np.float64)
-        if not variables:
-            out[0] = 1.0
-            return out
-        keys, counts = self.joint_counts(variables)
-        shift = self.alphabet.bits_per_value
-        mask = (1 << shift) - 1
-        idx = np.zeros_like(keys)
-        for k in range(len(variables)):
-            digit = (keys >> (shift * k)) & mask
-            idx += digit * (q ** (len(variables) - 1 - k))
-        out[idx] = counts / self.n
-        return out
+        return np.bincount(cell_codes(self.values.T, variables, q), minlength=cells) / self.n
 
 
 @dataclass(frozen=True)

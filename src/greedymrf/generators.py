@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Edge, IsingModel, MarkovGraph
+from .models import Edge, IsingModel, MarkovGraph, union
 
 _ER_MAX_RETRIES = 1000
 
@@ -152,15 +152,8 @@ def erdos_renyi_graph(p: int, prob: float, seed: int) -> MarkovGraph:
 
 
 def _connected(g: MarkovGraph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.p
+    parent = list(range(g.p))
+    return sum(union(parent, u, v) for u, v in g.edges) == g.p - 1
 
 
 def _assign_weights(g: MarkovGraph, rule: WeightRule) -> dict[Edge, float]:

@@ -15,20 +15,27 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .entropy import DistributionSource, conditional_entropy, mutual_information
-from .models import MarkovGraph
+from .models import MarkovGraph, union
 
 STOP_THRESHOLD = "threshold"
 STOP_CAP = "cap"
 STOP_EXHAUSTED = "exhausted"
 
-TIE_BREAK_LOWEST = "lowest_index"
+#: Relative tolerance for comparing entropies: values within
+#: ``TIE_TOL * max(1, |h|)`` of each other are tied, so ties go to the lowest
+#: index whatever order the counts were summed in, and a gain must clear
+#: epsilon/2 by more than that slack.
+TIE_TOL = 1e-9
+
+
+def _slack(h: float) -> float:
+    return TIE_TOL * max(1.0, abs(h))
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
     epsilon: float
     max_neighborhood: int | None = None
-    tie_break: str = TIE_BREAK_LOWEST
     symmetrization: str = "AND"
 
     def __post_init__(self) -> None:
@@ -36,15 +43,8 @@ class LearnerConfig:
             raise ValueError("epsilon must be positive")
         if self.max_neighborhood is not None and self.max_neighborhood < 1:
             raise ValueError("neighborhood cap must be >= 1 when present")
-        if self.tie_break != TIE_BREAK_LOWEST:
-            raise ValueError(f"unknown tie-break rule {self.tie_break!r}")
         if self.symmetrization not in ("AND", "OR"):
             raise ValueError("symmetrization must be 'AND' or 'OR'")
-
-    @staticmethod
-    def with_degree_hint(epsilon: float, degree_hint: int, **kw) -> "LearnerConfig":
-        """Cap the per-node neighborhood at twice the expected degree."""
-        return LearnerConfig(epsilon, max_neighborhood=2 * degree_hint, **kw)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class LearnResult:
             "config": {
                 "epsilon": self.config.epsilon,
                 "max_neighborhood": self.config.max_neighborhood,
-                "tie_break": self.config.tie_break,
+                "tie_break": "lowest_index",
                 "symmetrization": self.config.symmetrization,
             },
             "num_vars": self.graph.p,
@@ -114,8 +114,8 @@ def greedy_neighborhood(
     """Grow the estimated neighborhood of node ``i`` one argmin pick at a time.
 
     A candidate is accepted only if it lowers the current conditional entropy
-    by strictly more than epsilon/2; ties in the argmin go to the lowest
-    vertex index.
+    by more than epsilon/2 plus the ``TIE_TOL`` slack; candidates within that
+    slack of the minimum are tied, and the lowest vertex index wins.
     """
     if src.p < 2:
         raise ValueError("need at least two variables")
@@ -133,14 +133,10 @@ def greedy_neighborhood(
         if len(chosen) >= cap:
             reason = STOP_CAP
             break
-        best_k = -1
-        best_h = None
-        for k in candidates:
-            h = conditional_entropy(src, i, chosen + [k])
-            if best_h is None or h < best_h:
-                best_h = h
-                best_k = k
-        if best_h < current - cfg.epsilon / 2.0:
+        scores = [(conditional_entropy(src, i, chosen + [k]), k) for k in candidates]
+        low = min(h for h, _ in scores)
+        best_h, best_k = next((h, k) for h, k in scores if h <= low + _slack(low))
+        if current - best_h > cfg.epsilon / 2.0 + _slack(current):
             picks.append(Pick(vertex=best_k, entropy_before=current, entropy_after=best_h))
             chosen.append(best_k)
             current = best_h
@@ -186,8 +182,9 @@ def prune_neighborhood(
     """Drop candidates that stop contributing once the rest are conditioned on.
 
     Each round recomputes, for every member j, the entropy cost of removing it
-    from the conditioning set; the smallest contributor is deleted while its
-    gain is <= epsilon/2, until the set is stable.
+    from the conditioning set; the smallest contributor (lowest index among
+    gains within the ``TIE_TOL`` slack of the minimum) is deleted while its
+    gain is <= epsilon/2 plus that slack, until the set is stable.
     """
     kept = sorted(set(candidate_set))
     for j in kept:
@@ -195,12 +192,14 @@ def prune_neighborhood(
             raise ValueError("candidate set must not contain the node itself")
     while kept:
         h_full = conditional_entropy(src, i, kept)
+        slack = _slack(h_full)
         gains = [
             (conditional_entropy(src, i, [k for k in kept if k != j]) - h_full, j)
             for j in kept
         ]
-        gain, weakest = min(gains)
-        if gain <= cfg.epsilon / 2.0:
+        low = min(g for g, _ in gains)
+        gain, weakest = next((g, j) for g, j in gains if g <= low + slack)
+        if gain <= cfg.epsilon / 2.0 + slack:
             kept.remove(weakest)
         else:
             break
@@ -238,19 +237,5 @@ def chow_liu(src: DistributionSource) -> MarkovGraph:
         ((-mutual_information(src, u, v), u, v) for u in range(p) for v in range(u + 1, p))
     )
     parent = list(range(p))
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    edges = []
-    for _, u, v in scored:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            edges.append((u, v))
-            if len(edges) == p - 1:
-                break
+    edges = [(u, v) for _, u, v in scored if union(parent, u, v)]
     return MarkovGraph(p, edges)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Alphabet, CapacityError, DiscreteDataset, SPIN_ALPHABET
+from .dataset import Alphabet, CapacityError, DiscreteDataset, SPIN_ALPHABET, cell_codes
 
 ENUMERATION_CAP = 24
 _CHUNK = 1 << 20
@@ -211,8 +212,19 @@ class JointDistribution:
             raise ValueError("probability table does not sum to 1")
         self.p = p
         self.alphabet = alphabet
-        self.probs = probs
+        # np.bincount copies read-only weights on every call, so counting
+        # uses this writeable reference; callers see a read-only view.
+        self._weights = probs
+        self.probs = probs.view()
         self.probs.setflags(write=False)
+
+    @cached_property
+    def _digits(self) -> np.ndarray:
+        # digits[v, s] is variable v's value in table state s: p * q^p small
+        # ints, built on the first marginal query and kept for the rest.
+        q = self.alphabet.size
+        shape = (q,) * self.p
+        return np.indices(shape, dtype=np.min_scalar_type(q - 1)).reshape(self.p, -1)
 
     def dense_marginal(self, variables: Sequence[int]) -> np.ndarray:
         """Exact marginal over sorted ``variables`` (same indexing as the table)."""
@@ -221,11 +233,8 @@ class JointDistribution:
             if not 0 <= v < self.p:
                 raise IndexError(f"variable index {v} out of range for p={self.p}")
         q = self.alphabet.size
-        if not variables:
-            return np.array([1.0])
-        drop = tuple(ax for ax in range(self.p) if ax not in variables)
-        shaped = self.probs.reshape((q,) * self.p)
-        return shaped.sum(axis=drop).ravel()
+        codes = cell_codes(self._digits, variables, q)
+        return np.bincount(codes, weights=self._weights, minlength=q ** len(variables))
 
 
 def exact_joint(m: IsingModel) -> JointDistribution:
@@ -317,22 +326,25 @@ def gibbs_sample(m: IsingModel, n: int, cfg: GibbsConfig) -> DiscreteDataset:
     return DiscreteDataset(names, SPIN_ALPHABET, values)
 
 
+def find(parent: list[int], u: int) -> int:
+    """Root of ``u`` in the union-find forest ``parent``, halving the path."""
+    while parent[u] != u:
+        parent[u] = parent[parent[u]]
+        u = parent[u]
+    return u
+
+
+def union(parent: list[int], u: int, v: int) -> bool:
+    """Join the sets of ``u`` and ``v``; False if they were already one set."""
+    ru, rv = find(parent, u), find(parent, v)
+    parent[ru] = rv
+    return ru != rv
+
+
 def is_forest(g: MarkovGraph) -> bool:
     """True iff the graph has no cycle (union-find over the edge set)."""
-    root = list(range(g.p))
-
-    def find(u: int) -> int:
-        while root[u] != u:
-            root[u] = root[root[u]]
-            u = root[u]
-        return u
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        root[ru] = rv
-    return True
+    parent = list(range(g.p))
+    return all(union(parent, u, v) for u, v in g.edges)
 
 
 def tree_spin_posterior(m: IsingModel, target: int, evidence: dict[int, int]) -> float:

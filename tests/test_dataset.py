@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from greedymrf.dataset import (
     Alphabet,
     Assignment,
+    CapacityError,
     DatasetError,
     DiscreteDataset,
     EmptyDatasetError,
@@ -113,6 +114,20 @@ class TestLoadCsv:
         # reload infers the sorted alphabet; pass it explicitly to preserve order
         assert load_csv(f, IngestOptions(alphabet=ds.alphabet.symbols)) == ds
 
+    def test_300_symbol_alphabet_round_trips_and_counts(self, tmp_path):
+        symbols = tuple(f"t{k:03d}" for k in range(300))
+        rows = np.random.default_rng(3).integers(0, 300, size=(500, 3))
+        ds = make_ds(rows, symbols=symbols)
+        assert ds.values.dtype == np.uint16
+        f = tmp_path / "wide.csv"
+        write_csv(ds, f)
+        back = load_csv(f, IngestOptions(alphabet=symbols))
+        assert back == ds
+        expect = np.zeros((300, 300))
+        for row in rows:
+            expect[row[0], row[2]] += 1
+        assert np.array_equal(back.dense_marginal((0, 2)).reshape(300, 300), expect / 500)
+
 
 class TestRemap:
     def test_rename_reinfers_alphabet(self):
@@ -207,6 +222,16 @@ class TestEmpiricalProb:
         pair = sorted(((a_var, a_val), (b_var, b_val)))
         big = Assignment((pair[0][0], pair[1][0]), (pair[0][1], pair[1][1]))
         assert empirical_prob(ds, big) <= empirical_prob(ds, small) + 1e-15
+
+
+@pytest.mark.parametrize("q,widest", [(2, 62), (3, 39)])
+def test_widest_query_fits_int64_cell_codes(q, widest):
+    rows = np.random.default_rng(q).integers(0, q, size=(20, widest + 2))
+    ds = make_ds(rows, symbols=tuple(f"s{k}" for k in range(q)))
+    _, counts = ds.joint_counts(range(widest))
+    assert int(counts.sum()) == ds.n
+    with pytest.raises(CapacityError):
+        ds.joint_counts(range(widest + 1))
 
 
 def test_dense_marginal_matches_direct_count():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from greedymrf.dataset import SPIN_ALPHABET, DiscreteDataset
 from greedymrf.entropy import EmpiricalSource, ExactSource
 from greedymrf.generators import ModelSpec, WeightRule, build
 from greedymrf.learner import (
@@ -13,7 +16,7 @@ from greedymrf.learner import (
     prune_neighborhood,
     prune_result,
 )
-from greedymrf.models import IsingModel, MarkovGraph, exact_joint
+from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint
 from greedymrf.theory import model_gap
 
 from _oracle import greedy_first_pick, ising_table, mutual_information_bits
@@ -78,6 +81,15 @@ class TestGreedyNeighborhood:
                 assert p.entropy_before - p.entropy_after > cfg.epsilon / 2
             befores = [p.entropy_before for p in tr.picks]
             assert befores == sorted(befores, reverse=True)
+
+    def test_symmetric_ties_go_to_lowest_index(self):
+        # neighbours tied by the grid's symmetry must not be split by float
+        # summation order
+        model, src = exact_source(ModelSpec.grid(3, WeightRule.constant(0.5)))
+        table = ising_table(9, model.theta)
+        cfg = LearnerConfig(epsilon=0.02, max_neighborhood=1)
+        for i in range(9):
+            assert greedy_neighborhood(src, i, cfg).picked == (greedy_first_pick(table, i, 9),)
 
     def test_cap_stops_and_reports(self):
         _, src = exact_source(ModelSpec.grid(3, WeightRule.constant(0.5)))
@@ -248,6 +260,32 @@ class TestSuperNeighborhood:
                     if undiscovered:
                         assert pick.vertex in nbrs
                         undiscovered.discard(pick.vertex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.data())
+def test_empirical_and_exact_sources_agree(p, data):
+    # the same distribution as shuffled rows and as an exact table must make
+    # the same decisions, whatever order each backend sums its counts in
+    mult = np.array(data.draw(st.lists(st.integers(0, 4), min_size=2**p, max_size=2**p)))
+    assume(mult.sum() > 0)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    eps = data.draw(st.sampled_from([0.005, 0.02, 0.05, 0.1]))
+    states = np.indices((2,) * p).reshape(p, -1).T
+    rows = np.random.default_rng(seed).permutation(np.repeat(states, mult, axis=0))
+    ds = DiscreteDataset([f"v{k}" for k in range(p)], SPIN_ALPHABET, rows)
+    sources = [
+        EmpiricalSource(ds),
+        ExactSource(JointDistribution(p, SPIN_ALPHABET, mult / mult.sum())),
+    ]
+    cfg = LearnerConfig(epsilon=eps)
+    emp, exact = (prune_result(src, learn_structure(src, cfg)) for src in sources)
+    for a, b in zip(emp.traces, exact.traces):
+        assert (a.picked, a.stop_reason) == (b.picked, b.stop_reason)
+        for pa, pb in zip(a.picks, b.picks):
+            assert abs(pa.entropy_after - pb.entropy_after) <= 1e-9
+    assert emp.pruned == exact.pruned
+    assert emp.graph == exact.graph
 
 
 class TestEmpiricalLearning:
