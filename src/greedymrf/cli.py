@@ -183,12 +183,18 @@ def _write_json(doc: dict, path: Path) -> None:
 def _write_trace(result: LearnResult, path: Path) -> None:
     lines = []
     for t in result.traces:
-        lines.append(f"node {t.node}: stop={t.stop_reason}")
+        stop = f"node {t.node}: stop={t.stop_reason}"
+        if t.rejected is not None:
+            stop += f" rejected={t.rejected} gain={t.rejected_gain:.10f}"
+        lines.append(stop)
         for p in t.picks:
-            lines.append(
+            pick = (
                 f"  pick {p.vertex}: H_before={p.entropy_before:.10f}"
                 f" H_after={p.entropy_after:.10f}"
             )
+            if p.runner_up is not None:
+                pick += f" runner_up={p.runner_up} margin={p.margin:.10f}"
+            lines.append(pick)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +21,9 @@ import numpy as np
 _MAX_CODE_CELLS = 1 << 62
 # Dense tables over a query set are capped at this many cells.
 _MAX_DENSE_CELLS = 1 << 24
+# One extension-count bincount reads at most this many (variable, row)
+# elements and fills at most this many cells, unless one variable needs more.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 class DatasetError(ValueError):
@@ -89,6 +92,66 @@ def cell_codes(digits: np.ndarray, variables: Sequence[int], q: int) -> np.ndarr
         code *= q
         code += digits[v]
     return code
+
+
+def extension_counts(
+    digits: np.ndarray,
+    given: Sequence[int],
+    i: int,
+    q: int,
+    weights: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Cell masses of (x_k, given, x_i) and of (x_k, given) for every
+    variable k, a chunk of consecutive variables at a time.
+
+    Yields pairs ``(joint, marginal)`` with one row per variable of the
+    chunk. A row holds that variable's cell masses (summed row weights, 1 per
+    row when ``weights`` is None) in no fixed layout; empty cells are zeros
+    or left out. When q^(|given|+1) exceeds the row count, the (given, x_i)
+    cells are renumbered to the m <= rows occupied ones. A chunk holds
+    max(1, _CHUNK_ELEMENTS // max(rows, q*m)) variables, and a variable
+    whose q*m cells outnumber max(_CHUNK_ELEMENTS, rows) is counted over its
+    occupied cells only, so no array here is longer than that. Raises
+    :class:`CapacityError` before any counting when the given cells do not
+    fit an int64 code.
+    """
+    rows = digits.shape[1]
+    code = cell_codes(digits, given, q)
+    if q ** len(given) * q > rows:
+        code = np.unique(code, return_inverse=True)[1] * q + digits[i]
+        cells, code = np.unique(code, return_inverse=True)
+    else:
+        code = code * q + digits[i]
+        cells = np.arange(q ** len(given) * q)
+    m = cells.size
+    # Joint cell c lies in given cell cells[c] // q. ``cells`` is sorted, so
+    # among sorted keys x_k*m + c each (x_k, given cell) is one run.
+    given_of = cells // q
+
+    def runs(keys: np.ndarray) -> np.ndarray:
+        group = keys // m * (given_of[-1] + 1) + given_of[keys % m]
+        return np.flatnonzero(np.diff(group, prepend=-1))
+
+    if q * m > max(_CHUNK_ELEMENTS, rows):
+        for column in digits:
+            keys, inverse = np.unique(np.multiply(column, m, dtype=np.int64) + code,
+                                      return_inverse=True)
+            joint = np.bincount(inverse, weights)
+            yield joint[None], np.add.reduceat(joint, runs(keys))[None]
+        return
+    chunk = max(1, _CHUNK_ELEMENTS // max(rows, q * m))
+    starts = runs(np.arange(q * m))
+    for start in range(0, digits.shape[0], chunk):
+        block = digits[start : start + chunk]
+        size = block.shape[0]
+        # idx = (k*q + x_k)*m + code, built in place: the same broadcast
+        # expression over the small-int digits runs several times slower.
+        idx = np.multiply(block, m, dtype=np.int64)
+        idx += code
+        idx += (np.arange(size) * (q * m))[:, None]
+        w = weights if weights is None or size == 1 else np.tile(weights, size)
+        joint = np.bincount(idx.ravel(), w, minlength=size * q * m).reshape(size, q * m)
+        yield joint, np.add.reduceat(joint, starts, axis=1)
 
 
 class DiscreteDataset:

@@ -2,9 +2,10 @@
 distance bounds, computed uniformly over empirical datasets and exact joint
 tables.
 
-All entropies are base-2 (bits). The 0*log(0) convention is enforced by
-skipping zero cells, and conditional entropy is always computed as a
-difference of joint entropies so no 0/0 conditional cell can arise.
+All entropies are base-2 (bits) and come from one row-wise formula,
+:func:`_entropies`. The 0*log(0) convention is enforced by skipping zero
+cells, and conditional entropy is always computed as a difference of joint
+entropies so no 0/0 conditional cell can arise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import Alphabet, DiscreteDataset
+from .dataset import Alphabet, DiscreteDataset, extension_counts
 from .models import JointDistribution
 
 #: Float slack for equality-style checks against exact sources.
@@ -63,6 +64,30 @@ class DistributionSource:
         dense = self._dense_marginal(variables)
         return dense[dense > 0]
 
+    def _states(self) -> tuple[np.ndarray, np.ndarray | None, float]:
+        """Digit columns of the counted states, their weights (None for unit
+        rows) and the weights' total."""
+        raise NotImplementedError
+
+    def extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
+        """H(X_i | X_given, X_k) in bits for every variable k, indexed by k.
+
+        Each entry is H(given, i, k) - H(given, k), both from one count table
+        per chunk of variables (:func:`~greedymrf.dataset.extension_counts`).
+        For k in ``given`` the entry is H(X_i | X_given); for k = i it is 0.
+        """
+        given = self.check_subset(given)
+        if not 0 <= i < self.p:
+            raise IndexError(f"variable index {i} out of range for p={self.p}")
+        if i in given:
+            raise ValueError(f"target variable {i} appears in the conditioning set")
+        digits, weights, total = self._states()
+        out = [
+            _entropies(joint, total) - _entropies(marginal, total)
+            for joint, marginal in extension_counts(digits, given, i, self.alphabet.size, weights)
+        ]
+        return np.concatenate(out)
+
 
 class EmpiricalSource(DistributionSource):
     """Plug-in distribution of a dataset."""
@@ -80,6 +105,9 @@ class EmpiricalSource(DistributionSource):
         _, counts = self.dataset.joint_counts(variables)
         return counts / self.dataset.n
 
+    def _states(self) -> tuple[np.ndarray, None, float]:
+        return self.dataset.values.T, None, self.dataset.n
+
 
 class ExactSource(DistributionSource):
     """Exact distribution backed by a dense joint table."""
@@ -93,12 +121,21 @@ class ExactSource(DistributionSource):
     def _dense_marginal(self, variables: tuple[int, ...]) -> np.ndarray:
         return self.joint.dense_marginal(variables)
 
+    def _states(self) -> tuple[np.ndarray, np.ndarray, float]:
+        digits, weights = self.joint.states()
+        return digits, weights, 1.0
+
+
+def _entropies(mass: np.ndarray, total: float) -> np.ndarray:
+    """Entropy in bits along the last axis of cell masses summing to ``total``."""
+    probs = mass / total
+    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)
+    logs *= probs
+    return -logs.sum(axis=-1)
+
 
 def _entropy_of_probs(probs: np.ndarray) -> float:
-    nz = probs[probs > 0]
-    if nz.size == 0:
-        return 0.0
-    return float(-np.dot(nz, np.log2(nz)))
+    return float(_entropies(probs, 1.0))
 
 
 def entropy(src: DistributionSource, variables: Iterable[int]) -> float:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .entropy import DistributionSource, conditional_entropy, mutual_information
 from .models import MarkovGraph, union
 
@@ -49,16 +51,28 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class Pick:
+    """One accepted vertex. ``runner_up`` is the candidate the same tie rule
+    would have picked without ``vertex`` (None if it was the last candidate)
+    and ``margin`` its conditional entropy minus ``entropy_after``."""
+
     vertex: int
     entropy_before: float
     entropy_after: float
+    runner_up: int | None = None
+    margin: float | None = None
 
 
 @dataclass(frozen=True)
 class NeighborhoodTrace:
+    """Picks of one node and why the pass stopped. A threshold stop records
+    the best rejected candidate and its entropy gain, which did not exceed
+    epsilon/2 plus the ``TIE_TOL`` slack."""
+
     node: int
     picks: tuple[Pick, ...]
     stop_reason: str
+    rejected: int | None = None
+    rejected_gain: float | None = None
 
     @property
     def picked(self) -> tuple[int, ...]:
@@ -108,14 +122,22 @@ class LearnResult:
         return doc
 
 
+def _lowest(hs: np.ndarray) -> int:
+    """Position of the first entry within the ``TIE_TOL`` slack of the minimum."""
+    low = float(hs.min())
+    return int(np.flatnonzero(hs <= low + _slack(low))[0])
+
+
 def greedy_neighborhood(
     src: DistributionSource, i: int, cfg: LearnerConfig
 ) -> NeighborhoodTrace:
     """Grow the estimated neighborhood of node ``i`` one argmin pick at a time.
 
-    A candidate is accepted only if it lowers the current conditional entropy
-    by more than epsilon/2 plus the ``TIE_TOL`` slack; candidates within that
-    slack of the minimum are tied, and the lowest vertex index wins.
+    Each step scores every remaining candidate from one table
+    (:meth:`DistributionSource.extension_entropies`). A candidate is accepted
+    only if it lowers the current conditional entropy by more than epsilon/2
+    plus the ``TIE_TOL`` slack; candidates within that slack of the minimum
+    are tied, and the lowest vertex index wins.
     """
     if src.p < 2:
         raise ValueError("need at least two variables")
@@ -125,6 +147,7 @@ def greedy_neighborhood(
     chosen: list[int] = []
     picks: list[Pick] = []
     current = conditional_entropy(src, i, chosen)
+    rejected, gain = None, None
     while True:
         candidates = [k for k in range(src.p) if k != i and k not in chosen]
         if not candidates:
@@ -133,17 +156,22 @@ def greedy_neighborhood(
         if len(chosen) >= cap:
             reason = STOP_CAP
             break
-        scores = [(conditional_entropy(src, i, chosen + [k]), k) for k in candidates]
-        low = min(h for h, _ in scores)
-        best_h, best_k = next((h, k) for h, k in scores if h <= low + _slack(low))
-        if current - best_h > cfg.epsilon / 2.0 + _slack(current):
-            picks.append(Pick(vertex=best_k, entropy_before=current, entropy_after=best_h))
-            chosen.append(best_k)
-            current = best_h
-        else:
-            reason = STOP_THRESHOLD
+        hs = src.extension_entropies(i, tuple(chosen))[candidates]
+        best = _lowest(hs)
+        best_k, best_h = candidates[best], float(hs[best])
+        if current - best_h <= cfg.epsilon / 2.0 + _slack(current):
+            reason, rejected, gain = STOP_THRESHOLD, best_k, current - best_h
             break
-    return NeighborhoodTrace(node=i, picks=tuple(picks), stop_reason=reason)
+        runner_up, margin = None, None
+        if len(candidates) > 1:
+            rest = hs.copy()
+            rest[best] = np.inf
+            second = _lowest(rest)
+            runner_up, margin = candidates[second], float(hs[second]) - best_h
+        picks.append(Pick(best_k, current, best_h, runner_up, margin))
+        chosen.append(best_k)
+        current = best_h
+    return NeighborhoodTrace(i, tuple(picks), reason, rejected, gain)
 
 
 def symmetrize(

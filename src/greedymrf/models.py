@@ -226,6 +226,12 @@ class JointDistribution:
         shape = (q,) * self.p
         return np.indices(shape, dtype=np.min_scalar_type(q - 1)).reshape(self.p, -1)
 
+    def states(self) -> tuple[np.ndarray, np.ndarray]:
+        """Digit columns of every table state and the states' probabilities,
+        the two inputs a weighted count over the table takes. Neither array
+        may be written to."""
+        return self._digits, self._weights
+
     def dense_marginal(self, variables: Sequence[int]) -> np.ndarray:
         """Exact marginal over sorted ``variables`` (same indexing as the table)."""
         variables = tuple(sorted(variables))

@@ -127,6 +127,21 @@ class TestOracle:
         node0 = next(t for t in doc["traces"] if t["node"] == 0)
         assert node0["picks"][0]["vertex"] == 5  # the far hub, not a neighbor
 
+    def test_trace_shows_near_flips_and_result_schema_is_unchanged(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["oracle", "--model", "counterexample:4", "--theta", "const:0.9",
+                     "--epsilon", "0.0001", "--out-dir", str(out)]) == 0
+        lines = (out / "trace.txt").read_text().splitlines()
+        assert lines[0].startswith("node 0: stop=")
+        assert lines[1].startswith("  pick 5: H_before=") and " runner_up=1 margin=0.1176" in lines[1]
+        stops = [ln for ln in lines if ln.startswith("node ")]
+        assert any(" rejected=" in ln and " gain=" in ln for ln in stops)
+        doc = json.loads((out / "result.json").read_text())
+        for t in doc["traces"]:
+            assert set(t) == {"node", "stop_reason", "picks"}
+            for pick in t["picks"]:
+                assert set(pick) == {"vertex", "entropy_before", "entropy_after"}
+
     def test_tree_matches_chow_liu_mode(self, tmp_path):
         greedy_out = tmp_path / "g"
         cl_out = tmp_path / "c"

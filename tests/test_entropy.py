@@ -2,11 +2,15 @@
 distribution-distance bounds, checked against brute-force references."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greedymrf.dataset import Alphabet, DiscreteDataset
+from greedymrf import dataset
+from greedymrf.dataset import Alphabet, CapacityError, DiscreteDataset, extension_counts
 from greedymrf.entropy import (
     EmpiricalSource,
     ExactSource,
@@ -18,6 +22,7 @@ from greedymrf.entropy import (
     mutual_information,
 )
 from greedymrf.generators import ModelSpec, WeightRule, build
+from greedymrf.learner import LearnerConfig, learn_structure
 from greedymrf.models import JointDistribution, SPIN_ALPHABET, exact_joint
 
 from _oracle import cond_entropy_bits, entropy_bits, ising_table, marginal
@@ -280,3 +285,111 @@ class TestInvariants:
         exa = ExactSource(joint)
         assert ds.alphabet.symbols == SPIN_ALPHABET.symbols
         assert l1_distance(emp, exa, [0, 1]) < 0.3
+
+
+def check_extension_entropies(src, table, i, given, rows):
+    """Every entry of the one-table step scores against the brute-force oracle
+    and the per-candidate path, with chunks of one, some and all variables."""
+    for chunk in (1, 2, src.p):
+        with mock.patch.object(dataset, "_CHUNK_ELEMENTS", chunk * rows):
+            hs = src.extension_entropies(i, given)
+        assert hs.shape == (src.p,)
+        for k in range(src.p):
+            assert abs(hs[k] - cond_entropy_bits(table, i, given + (k,))) <= 1e-9
+            if k != i and k not in given:
+                assert abs(hs[k] - conditional_entropy(src, i, given + (k,))) <= 1e-9
+
+
+def row_table(rows):
+    """Oracle table of the empirical distribution of ``rows``."""
+    table: dict = {}
+    for row in rows:
+        table[tuple(row)] = table.get(tuple(row), 0.0) + 1.0 / len(rows)
+    return table
+
+
+def draw_target_and_given(data, p):
+    i = data.draw(st.integers(0, p - 1))
+    others = [v for v in range(p) if v != i]
+    given = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=p - 1))
+    return i, tuple(sorted(given))
+
+
+class TestExtensionEntropies:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 6), st.integers(0, 2**16), st.data())
+    def test_exact_sources_match_oracle(self, p, seed, data):
+        spec = ModelSpec.erdos_renyi(p, 0.5, seed, WeightRule.uniform_range(0.2, 1.0, seed))
+        model = build(spec)
+        src = ExactSource(exact_joint(model))
+        table = ising_table(p, model.theta)
+        i, given_vars = draw_target_and_given(data, p)
+        check_extension_entropies(src, table, i, given_vars, rows=2**p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 5), st.integers(2, 3), st.data())
+    def test_empirical_sources_match_oracle(self, p, q, data):
+        # n is often below q^(|given|+1), where the given cells are compressed
+        n = data.draw(st.integers(1, 40))
+        rows = data.draw(
+            st.lists(st.lists(st.integers(0, q - 1), min_size=p, max_size=p),
+                     min_size=n, max_size=n)
+        )
+        i, given_vars = draw_target_and_given(data, p)
+        check_extension_entropies(empirical(rows, q=q), row_table(rows), i, given_vars, rows=n)
+
+    def test_occupied_cells_are_compressed(self):
+        # 5 rows over 3 ternary given variables occupy 3 of the 27 given
+        # cells and 5 of the 81 (given, x_3) cells
+        rows = [[0, 0, 0, 0, 1], [0, 0, 0, 1, 1], [1, 2, 0, 0, 0], [2, 2, 2, 1, 2], [1, 2, 0, 2, 2]]
+        src = empirical(rows, q=3)
+        digits = src.dataset.values.T
+        blocks = list(extension_counts(digits, (0, 1, 2), 3, 3))
+        assert [(j.shape, g.shape) for j, g in blocks] == [((5, 3 * 5), (5, 3 * 3))]
+        joint, marginal = blocks[0]
+        assert (joint.sum(axis=1) == 5).all() and (marginal.sum(axis=1) == 5).all()
+
+    def test_large_alphabet_tables_stay_within_the_chunk_bound(self):
+        # 300 symbols over 1000 rows: a step needs up to 300 * 1000 cells per
+        # variable, more than _CHUNK_ELEMENTS once |C| >= 1, so those steps
+        # count occupied cells only; no bincount may outgrow the bound.
+        rows = np.random.default_rng(5).integers(0, 300, size=(1000, 5))
+        src = empirical(rows, q=300)
+        res = learn_structure(src, LearnerConfig(epsilon=0.05))
+        sizes = []
+        bincount = np.bincount
+
+        def recorded(*args, **kwargs):
+            out = bincount(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        for t in res.traces:
+            chosen: tuple = ()
+            for pick in t.picks:
+                with mock.patch("numpy.bincount", side_effect=recorded):
+                    hs = src.extension_entropies(t.node, tuple(sorted(chosen)))
+                assert hs[pick.vertex] == pytest.approx(pick.entropy_after, abs=1e-9)
+                for k in range(src.p):
+                    if k != t.node and k not in chosen:
+                        h = conditional_entropy(src, t.node, chosen + (k,))
+                        assert abs(hs[k] - h) <= 1e-9
+                chosen += (pick.vertex,)
+        assert max(len(t.picks) for t in res.traces) >= 2
+        assert 0 < max(sizes) <= max(dataset._CHUNK_ELEMENTS, 1000)
+
+    def test_target_in_given_rejected(self):
+        with pytest.raises(ValueError):
+            empirical([[0, 1, 0]]).extension_entropies(1, (0, 1))
+
+    def test_too_wide_given_fails_before_counting(self):
+        rows = np.random.default_rng(3).integers(0, 2, size=(6, 65)).tolist()
+        src = empirical(rows)
+        table = row_table(rows)
+        widest = tuple(range(62))
+        hs = src.extension_entropies(64, widest)
+        for k in (62, 63):
+            assert abs(hs[k] - cond_entropy_bits(table, 64, widest + (k,))) <= 1e-9
+        with mock.patch("numpy.bincount", side_effect=AssertionError("counted")):
+            with pytest.raises(CapacityError):
+                src.extension_entropies(64, tuple(range(63)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from greedymrf.dataset import SPIN_ALPHABET, DiscreteDataset
+from greedymrf.dataset import SPIN_ALPHABET, Alphabet, DiscreteDataset
 from greedymrf.entropy import EmpiricalSource, ExactSource
 from greedymrf.generators import ModelSpec, WeightRule, build
 from greedymrf.learner import (
@@ -19,7 +19,7 @@ from greedymrf.learner import (
 from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint
 from greedymrf.theory import model_gap
 
-from _oracle import greedy_first_pick, ising_table, mutual_information_bits
+from _oracle import cond_entropy_bits, greedy_first_pick, ising_table, mutual_information_bits
 
 
 def exact_source(spec):
@@ -286,6 +286,90 @@ def test_empirical_and_exact_sources_agree(p, data):
             assert abs(pa.entropy_after - pb.entropy_after) <= 1e-9
     assert emp.pruned == exact.pruned
     assert emp.graph == exact.graph
+
+
+def decisions(src, eps):
+    res = prune_result(src, learn_structure(src, LearnerConfig(epsilon=eps)))
+    return [(t.picked, t.stop_reason) for t in res.traces], res.pruned, res.graph
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.integers(2, 3), st.data())
+def test_row_order_and_value_labels_do_not_change_decisions(p, q, data):
+    mult = np.array(data.draw(st.lists(st.integers(0, 4), min_size=q**p, max_size=q**p)))
+    assume(mult.sum() > 0)
+    eps = data.draw(st.sampled_from([0.005, 0.02, 0.05, 0.1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    states = np.indices((q,) * p).reshape(p, -1).T
+    rows = np.repeat(states, mult, axis=0)
+    relabel = np.array([rng.permutation(q) for _ in range(p)])
+    moved = relabel[np.arange(p), rng.permutation(rows)]
+    alphabet = Alphabet(tuple(f"s{k}" for k in range(q)))
+    names = [f"v{k}" for k in range(p)]
+    a, b = (EmpiricalSource(DiscreteDataset(names, alphabet, r)) for r in (rows, moved))
+    assert decisions(a, eps) == decisions(b, eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 2**16), st.data())
+def test_permuted_columns_give_the_permuted_graph(p, seed, data):
+    model = build(ModelSpec.erdos_renyi(p, 0.5, seed, WeightRule.uniform_range(0.2, 1.0, seed)))
+    joint = exact_joint(model)
+    perm = data.draw(st.permutations(range(p)))  # old variable v becomes perm[v]
+    order = np.argsort(perm)  # new axis j holds old variable order[j]
+    table = joint.probs.reshape((2,) * p).transpose(order).ravel()
+    moved = ExactSource(JointDistribution(p, SPIN_ALPHABET, table))
+    eps = data.draw(st.sampled_from([0.005, 0.02, 0.05]))
+    _, pruned, graph = decisions(ExactSource(joint), eps)
+    _, moved_pruned, moved_graph = decisions(moved, eps)
+    assert moved_graph == MarkovGraph(p, [(perm[u], perm[v]) for u, v in graph.edges])
+    assert moved_pruned == {perm[i]: tuple(sorted(perm[j] for j in pruned[i])) for i in pruned}
+
+
+class TestNearFlips:
+    def test_counterexample_runner_up_and_margin_match_oracle(self):
+        model, src = exact_source(ModelSpec.counterexample(4, WeightRule.constant(0.9)))
+        table = ising_table(model.p, model.theta)
+        hs = {k: cond_entropy_bits(table, 0, (k,)) for k in range(1, model.p)}
+        first = greedy_neighborhood(src, 0, LearnerConfig(epsilon=1e-4)).picks[0]
+        best = greedy_first_pick(table, 0, model.p)
+        rest = {k: h for k, h in hs.items() if k != best}
+        runner_up = min(k for k, h in rest.items() if h <= min(rest.values()) + 1e-9)
+        assert (first.vertex, first.runner_up) == (best, runner_up) == (5, 1)
+        assert first.margin == pytest.approx(hs[runner_up] - hs[best], abs=1e-9)
+        assert first.margin > 0
+
+    def test_every_pick_names_the_oracle_runner_up(self):
+        model, src = exact_source(ModelSpec.grid(3, WeightRule.uniform_range(0.3, 0.9, 4)))
+        table = ising_table(model.p, model.theta)
+        for i in range(model.p):
+            chosen: tuple = ()
+            for pick in greedy_neighborhood(src, i, LearnerConfig(epsilon=0.02)).picks:
+                hs = {k: cond_entropy_bits(table, i, chosen + (k,))
+                      for k in range(model.p) if k != i and k not in chosen}
+                rest = {k: h for k, h in hs.items() if k != pick.vertex}
+                runner_up = min(k for k, h in rest.items() if h <= min(rest.values()) + 1e-9)
+                assert pick.runner_up == runner_up
+                assert pick.margin == pytest.approx(hs[runner_up] - hs[pick.vertex], abs=1e-9)
+                chosen += (pick.vertex,)
+
+    def test_threshold_stop_records_best_rejected_candidate(self):
+        model, src = exact_source(ModelSpec.chain(4, WeightRule.constant(0.5)))
+        table = ising_table(model.p, model.theta)
+        cfg = LearnerConfig(epsilon=0.05)
+        tr = greedy_neighborhood(src, 1, cfg)
+        assert (tr.picked, tr.stop_reason, tr.rejected) == ((0, 2), "threshold", 3)
+        gain = cond_entropy_bits(table, 1, (0, 2)) - cond_entropy_bits(table, 1, (0, 2, 3))
+        assert tr.rejected_gain == pytest.approx(gain, abs=1e-9)
+        assert tr.rejected_gain <= cfg.epsilon / 2
+
+    def test_cap_and_exhausted_stops_record_no_rejection(self):
+        _, src = exact_source(ModelSpec.chain(3, WeightRule.constant(0.5)))
+        capped = greedy_neighborhood(src, 1, LearnerConfig(epsilon=0.05, max_neighborhood=1))
+        exhausted = greedy_neighborhood(src, 1, LearnerConfig(epsilon=1e-9))
+        assert (capped.stop_reason, capped.rejected, capped.rejected_gain) == ("cap", None, None)
+        assert exhausted.stop_reason == "exhausted" and exhausted.rejected is None
+        assert exhausted.picks[-1].runner_up is None and exhausted.picks[-1].margin is None
 
 
 class TestEmpiricalLearning:
