@@ -11,6 +11,7 @@ set is small.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -281,43 +282,47 @@ class IngestOptions:
     alphabet: tuple[str, ...] | None = None
 
 
-def _apply_map(token: str, rules: tuple[tuple[str, str], ...]) -> str:
-    for src, dst in rules:
-        if token == src:
-            return dst
-    return token
+def _relabel(
+    names: Sequence[str], codes: np.ndarray, tokens: Sequence[str],
+    rules: tuple[tuple[str, str], ...], alphabet: tuple[str, ...] | None,
+) -> DiscreteDataset:
+    """Dataset of ``tokens[codes]`` after ``rules`` (the first rule whose
+    source equals a token wins; its result is not mapped again), indexed in
+    ``alphabet`` or else in the sorted mapped tokens that occur. Only the
+    distinct tokens that occur are mapped and indexed.
+    """
+    first = dict(reversed(rules))
+    used = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(tokens)))
+    mapped = {k: first.get(tokens[k], tokens[k]) for k in used.tolist()}
+    alph = Alphabet(tuple(sorted(set(mapped.values())) if alphabet is None else alphabet))
+    lut = np.zeros(len(tokens), dtype=np.min_scalar_type(alph.size - 1))
+    lut[list(mapped)] = [alph.index_of(token) for token in mapped.values()]
+    return DiscreteDataset(names, alph, lut[codes])
 
 
 def load_csv(path: str | Path, options: IngestOptions = IngestOptions()) -> DiscreteDataset:
     """Load a header-first, comma-separated UTF-8 file into a dataset.
 
-    The alphabet is the sorted set of distinct (post-mapping) tokens unless
-    ``options.alphabet`` is given. No quoting support: cells must not
-    contain commas.
+    Cells are stripped, then mapped by ``options.value_map``; the alphabet
+    is their sorted set unless ``options.alphabet`` is given. No quoting
+    support: cells must not contain commas.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln != ""]
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln != ""]
     if not lines:
         raise ParseError(f"{path}: empty file")
     names = [t.strip() for t in lines[0].split(",")]
     p = len(names)
-    rows: list[list[str]] = []
+    ids: dict[str, int] = {}
+    codes = array("q")  # int64 ids, 8 bytes each, viewed by numpy without a copy
     for rownum, line in enumerate(lines[1:], start=1):
-        toks = [t.strip() for t in line.split(",")]
+        toks = line.split(",")
         if len(toks) != p:
             raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, expected {p}")
-        rows.append([_apply_map(t, options.value_map) for t in toks])
-    if not rows:
+        codes.extend([ids.setdefault(t, len(ids)) for t in toks])
+    if not codes:
         raise EmptyDatasetError(f"{path}: no data rows")
-    if options.alphabet is not None:
-        alphabet = Alphabet(tuple(options.alphabet))
-    else:
-        alphabet = Alphabet(tuple(sorted({t for row in rows for t in row})))
-    values = np.empty((len(rows), p), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for c, tok in enumerate(row):
-            values[r, c] = alphabet.index_of(tok)
-    return DiscreteDataset(names, alphabet, values)
+    return _relabel(names, np.frombuffer(codes, np.int64).reshape(-1, p),
+                    [t.strip() for t in ids], options.value_map, options.alphabet)
 
 
 def write_csv(ds: DiscreteDataset, path: str | Path) -> None:
@@ -334,13 +339,7 @@ def remap_values(
     alphabet: tuple[str, ...] | None = None,
 ) -> DiscreteDataset:
     """Apply ordered token->token rules and re-infer (or force) the alphabet."""
-    tokens = [[_apply_map(ds.alphabet.symbols[x], rules) for x in row] for row in ds.values]
-    if alphabet is not None:
-        alph = Alphabet(tuple(alphabet))
-    else:
-        alph = Alphabet(tuple(sorted({t for row in tokens for t in row})))
-    values = np.array([[alph.index_of(t) for t in row] for row in tokens], dtype=np.int64)
-    return DiscreteDataset(ds.names, alph, values)
+    return _relabel(ds.names, ds.values, ds.alphabet.symbols, rules, alphabet)
 
 
 def filter_participation(
@@ -348,15 +347,16 @@ def filter_participation(
 ) -> DiscreteDataset:
     """Keep only columns whose fraction of non-missing entries is >= threshold.
 
-    Sample rows are never dropped; column order is preserved.
+    A ``missing_symbol`` outside the alphabet marks no entry missing. Sample
+    rows are never dropped; column order is preserved.
     """
     if not 0.0 <= threshold <= 1.0:
         raise DatasetError(f"threshold {threshold} outside [0, 1]")
-    missing_idx = raw.alphabet.index_of(missing_symbol)
-    present = (raw.values != missing_idx).sum(axis=0) / raw.n
+    if missing_symbol in raw.alphabet.symbols:
+        present = (raw.values != raw.alphabet.index_of(missing_symbol)).sum(axis=0) / raw.n
+    else:
+        present = np.ones(raw.p)
     kept = [c for c in range(raw.p) if present[c] >= threshold]
     if not kept:
         raise EmptyDatasetError("participation filter removed every column")
-    return DiscreteDataset(
-        [raw.names[c] for c in kept], raw.alphabet, raw.values[:, kept]
-    )
+    return DiscreteDataset([raw.names[c] for c in kept], raw.alphabet, raw.values[:, kept])

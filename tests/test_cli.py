@@ -75,6 +75,21 @@ class TestLearn:
         assert doc["variable_names"] == ["s0", "s1", "s2"]
         assert doc["num_vars"] == 3
 
+    def test_participation_with_missing_token_that_never_occurs(self, tmp_path):
+        rng = np.random.default_rng(6)
+        lines = ["s0,s1,s2"] + [",".join(rng.choice(["Yea", "Nay"], size=3)) for _ in range(40)]
+        f = tmp_path / "votes.csv"
+        f.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main([
+            "learn", str(f), "--epsilon", "0.2", "--out-dir", str(out),
+            "--map", "Yea=+1", "--map", "Nay=-1", "--map", "Absent=-1",
+            "--missing", "Absent", "--participation", "0.75",
+        ])
+        assert rc == 0
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["variable_names"] == ["s0", "s1", "s2"]
+
     def test_participation_needs_missing_flag(self, tmp_path):
         _, f = sample_csv(tmp_path, ModelSpec.chain(3, WeightRule.constant(0.5)), 100, 2)
         rc = main(["learn", str(f), "--epsilon", "0.1", "--participation", "0.75",

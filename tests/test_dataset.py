@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,10 +173,143 @@ class TestFilterParticipation:
         out = filter_participation(ds, "?", 0.75)
         assert out.names == ("c0", "c2")
 
+    def test_missing_symbol_that_never_occurs_keeps_every_column(self):
+        ds = make_ds([[0, 1], [1, 1], [1, 0]], symbols=("Nay", "Yea"))
+        out = filter_participation(ds, "Absent", 1.0)
+        assert out == ds
+        with pytest.raises(DatasetError):
+            filter_participation(ds, "Absent", 1.5)
+
     def test_all_filtered_is_an_error(self):
         ds = make_ds([[2, 2]], symbols=("n", "y", "?"))
         with pytest.raises(EmptyDatasetError):
             filter_participation(ds, "?", 0.5)
+
+
+def per_cell_map(token, rules):
+    for src, dst in rules:
+        if token == src:
+            return dst
+    return token
+
+
+def per_cell_load_csv(path, options=IngestOptions()):
+    """Reference ingestion: strip, map and index every cell on its own."""
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln != ""]
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    names = [t.strip() for t in lines[0].split(",")]
+    rows = []
+    for rownum, line in enumerate(lines[1:], start=1):
+        toks = [t.strip() for t in line.split(",")]
+        if len(toks) != len(names):
+            raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, "
+                             f"expected {len(names)}")
+        rows.append([per_cell_map(t, options.value_map) for t in toks])
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no data rows")
+    return per_cell_index(names, rows, options.alphabet)
+
+
+def per_cell_remap(ds, rules, alphabet=None):
+    rows = [[per_cell_map(ds.alphabet.symbols[x], rules) for x in row] for row in ds.values]
+    return per_cell_index(ds.names, rows, alphabet)
+
+
+def per_cell_index(names, rows, alphabet):
+    if alphabet is None:
+        alphabet = sorted({t for row in rows for t in row})
+    alph = Alphabet(tuple(alphabet))
+    values = [[alph.index_of(t) for t in row] for row in rows]
+    return DiscreteDataset(names, alph, np.array(values, dtype=np.int64))
+
+
+def outcome(fn, *args):
+    """The dataset ``fn`` returns, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except DatasetError as err:
+        return type(err), str(err)
+
+
+TOKENS = ("a", "b", "c", "ab", "", "+1", "-1")
+padded_tokens = st.tuples(st.sampled_from(("", " ", "\t ")), st.sampled_from(TOKENS),
+                          st.sampled_from(("", " ", " \t"))).map("".join)
+rule_lists = st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(TOKENS)), max_size=5)
+forced_alphabets = st.none() | st.lists(st.sampled_from(TOKENS), max_size=5, unique=True)
+# The symbols of datasets() plus one that is in none of them.
+SYMBOLS = ("s0", "s1", "s2", "s3", "t")
+
+
+class TestRelabelMatchesPerCellReference:
+    """Ingestion maps and indexes distinct tokens only; the results (or the
+    raised errors) must match mapping and indexing every cell."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=st.integers(1, 4).flatmap(lambda p: st.lists(
+            st.lists(padded_tokens, min_size=p, max_size=p), min_size=1, max_size=8)),
+        rules=rule_lists,
+        alphabet=forced_alphabets,
+    )
+    def test_load_csv(self, tmp_path_factory, grid, rules, alphabet):
+        f = tmp_path_factory.mktemp("relabel") / "d.csv"
+        header = ",".join(f"c{k}" for k in range(len(grid[0])))
+        f.write_text("\n".join([header] + [",".join(row) for row in grid]) + "\n")
+        opts = IngestOptions(value_map=tuple(rules),
+                             alphabet=None if alphabet is None else tuple(alphabet))
+        assert outcome(load_csv, f, opts) == outcome(per_cell_load_csv, f, opts)
+
+    def test_chained_and_duplicate_rules_apply_first_match_once(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("x,y\na,b\nb,c\n")
+        opts = IngestOptions(value_map=(("a", "b"), ("b", "c"), ("a", "c")))
+        ds = load_csv(f, opts)
+        assert ds == per_cell_load_csv(f, opts)
+        assert ds.alphabet.symbols == ("b", "c")
+        assert ds.values.tolist() == [[0, 1], [1, 1]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ds=datasets(),
+        data=st.data(),
+        rules=st.lists(st.tuples(st.sampled_from(SYMBOLS), st.sampled_from(SYMBOLS)), max_size=5),
+        alphabet=st.none() | st.lists(st.sampled_from(SYMBOLS), max_size=5, unique=True),
+    )
+    def test_remap_values_on_filtered_columns(self, ds, data, rules, alphabet):
+        # Dropped columns leave alphabet symbols that no kept column uses.
+        kept = data.draw(st.lists(st.integers(0, ds.p - 1), min_size=1, unique=True))
+        ds = DiscreteDataset([ds.names[c] for c in kept], ds.alphabet, ds.values[:, kept])
+        rules = tuple(rules)
+        alphabet = None if alphabet is None else tuple(alphabet)
+        got = outcome(remap_values, ds, rules, alphabet)
+        want = outcome(per_cell_remap, ds, rules, alphabet)
+        if isinstance(want, tuple):
+            # Same error; which unknown token it names may differ.
+            assert isinstance(got, tuple) and got[0] is want[0]
+        else:
+            assert got == want
+
+
+def test_tokens_are_indexed_once_per_distinct_token(tmp_path, monkeypatch):
+    calls = []
+    index_of = Alphabet.index_of
+
+    def counted(self, token):
+        calls.append(token)
+        return index_of(self, token)
+
+    monkeypatch.setattr(Alphabet, "index_of", counted)
+    rng = np.random.default_rng(0)
+    f = tmp_path / "votes.csv"
+    f.write_text("s0,s1,s2\n" + "".join(
+        ",".join(rng.choice(["Yea", "Nay", "Absent"], size=3)) + "\n" for _ in range(500)))
+    raw = load_csv(f)
+    assert len(calls) <= 3
+    calls.clear()
+    ds = remap_values(raw, (("Yea", "+1"), ("Nay", "-1"), ("Absent", "-1")))
+    assert len(calls) <= 3
+    assert ds == per_cell_remap(raw, (("Yea", "+1"), ("Nay", "-1"), ("Absent", "-1")))
 
 
 class TestEmpiricalProb:
