@@ -232,11 +232,10 @@ def _ingest(args: argparse.Namespace) -> DiscreteDataset:
     if args.participation is not None:
         if args.missing is None:
             raise DatasetError("--participation requires --missing to name the absent token")
-        raw = load_csv(args.input)
+        # With the missing token in it, a one-token file has a 2-symbol raw alphabet.
+        raw = load_csv(args.input, missing=args.missing)
         kept = filter_participation(raw, args.missing, args.participation)
-        if rules or alphabet:
-            return remap_values(kept, rules, alphabet)
-        return kept
+        return remap_values(kept, rules, alphabet)
     return load_csv(args.input, IngestOptions(value_map=rules, alphabet=alphabet))
 
 
@@ -311,16 +310,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    reports = all_bound_reports(
-        epsilon=args.epsilon,
-        beta=args.beta,
-        gamma=args.gamma,
-        max_degree=args.max_degree,
-        alphabet_size=args.alphabet_size,
-        num_vars=args.num_vars,
-        delta=args.delta,
-        log_base2=not args.natural_log,
-    )
+    names = ("epsilon", "beta", "gamma", "max_degree", "alphabet_size", "num_vars", "delta")
+    inputs = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    reports = all_bound_reports(**inputs, log_base2=not args.natural_log)
     if not reports:
         print(
             "bounds: nothing to compute; supply --epsilon/--max-degree/--alphabet-size "
@@ -330,19 +322,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return 2
     if args.json:
         doc = {
-            "inputs": {
-                k: v
-                for k, v in {
-                    "epsilon": args.epsilon,
-                    "beta": args.beta,
-                    "gamma": args.gamma,
-                    "max_degree": args.max_degree,
-                    "alphabet_size": args.alphabet_size,
-                    "num_vars": args.num_vars,
-                    "delta": args.delta,
-                }.items()
-                if v is not None
-            },
+            "inputs": inputs,
             "reports": [
                 {"name": r.name, "value": r.value, "formula": r.formula, "inputs": r.inputs}
                 for r in reports

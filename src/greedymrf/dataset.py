@@ -3,10 +3,9 @@
 A dataset is an immutable n x p matrix of alphabet indices plus the alphabet
 itself. All probability estimation elsewhere in the package reduces to
 counting rows of this matrix, so the counting backend lives here too: every
-count, of dataset rows or of exact-table states, is a ``bincount`` over the
-mixed-radix cell codes built by :func:`cell_codes`. Only the queried columns
-are read, which keeps queries feasible when p is large and only the query
-set is small.
+count of dataset rows is a ``bincount`` over the mixed-radix cell codes built
+by :func:`cell_codes`. Only the queried columns are read, which keeps queries
+feasible when p is large and only the query set is small.
 """
 
 from __future__ import annotations
@@ -100,21 +99,19 @@ def extension_counts(
     given: Sequence[int],
     i: int,
     q: int,
-    weights: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Cell masses of (x_k, given, x_i) and of (x_k, given) for every
+    """Row counts of (x_k, given, x_i) and of (x_k, given) for every
     variable k, a chunk of consecutive variables at a time.
 
     Yields pairs ``(joint, marginal)`` with one row per variable of the
-    chunk. A row holds that variable's cell masses (summed row weights, 1 per
-    row when ``weights`` is None) in no fixed layout; empty cells are zeros
-    or left out. When q^(|given|+1) exceeds the row count, the (given, x_i)
-    cells are renumbered to the m <= rows occupied ones. A chunk holds
-    max(1, _CHUNK_ELEMENTS // max(rows, q*m)) variables, and a variable
-    whose q*m cells outnumber max(_CHUNK_ELEMENTS, rows) is counted over its
-    occupied cells only, so no array here is longer than that. Raises
-    :class:`CapacityError` before any counting when the given cells do not
-    fit an int64 code.
+    chunk. A row holds that variable's row counts in no fixed layout; empty
+    cells are zeros or left out. When q^(|given|+1) exceeds the row count,
+    the (given, x_i) cells are renumbered to the m <= rows occupied ones. A
+    chunk holds max(1, _CHUNK_ELEMENTS // max(rows, q*m)) variables, and a
+    variable whose q*m cells outnumber max(_CHUNK_ELEMENTS, rows) is counted
+    over its occupied cells only, so no array here is longer than that.
+    Raises :class:`CapacityError` before any counting when the given cells
+    do not fit an int64 code.
     """
     rows = digits.shape[1]
     code = cell_codes(digits, given, q)
@@ -137,7 +134,7 @@ def extension_counts(
         for column in digits:
             keys, inverse = np.unique(np.multiply(column, m, dtype=np.int64) + code,
                                       return_inverse=True)
-            joint = np.bincount(inverse, weights)
+            joint = np.bincount(inverse)
             yield joint[None], np.add.reduceat(joint, runs(keys))[None]
         return
     chunk = max(1, _CHUNK_ELEMENTS // max(rows, q * m))
@@ -150,8 +147,7 @@ def extension_counts(
         idx = np.multiply(block, m, dtype=np.int64)
         idx += code
         idx += (np.arange(size) * (q * m))[:, None]
-        w = weights if weights is None or size == 1 else np.tile(weights, size)
-        joint = np.bincount(idx.ravel(), w, minlength=size * q * m).reshape(size, q * m)
+        joint = np.bincount(idx.ravel(), minlength=size * q * m).reshape(size, q * m)
         yield joint, np.add.reduceat(joint, starts, axis=1)
 
 
@@ -285,27 +281,30 @@ class IngestOptions:
 def _relabel(
     names: Sequence[str], codes: np.ndarray, tokens: Sequence[str],
     rules: tuple[tuple[str, str], ...], alphabet: tuple[str, ...] | None,
+    extra: tuple[str, ...] = (),
 ) -> DiscreteDataset:
     """Dataset of ``tokens[codes]`` after ``rules`` (the first rule whose
     source equals a token wins; its result is not mapped again), indexed in
-    ``alphabet`` or else in the sorted mapped tokens that occur. Only the
-    distinct tokens that occur are mapped and indexed.
+    ``alphabet`` or else in the sorted mapped tokens that occur plus
+    ``extra``. Only the distinct tokens that occur are mapped and indexed.
     """
     first = dict(reversed(rules))
     used = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(tokens)))
     mapped = {k: first.get(tokens[k], tokens[k]) for k in used.tolist()}
-    alph = Alphabet(tuple(sorted(set(mapped.values())) if alphabet is None else alphabet))
+    alph = Alphabet(tuple(sorted({*mapped.values(), *extra})) if alphabet is None else alphabet)
     lut = np.zeros(len(tokens), dtype=np.min_scalar_type(alph.size - 1))
     lut[list(mapped)] = [alph.index_of(token) for token in mapped.values()]
     return DiscreteDataset(names, alph, lut[codes])
 
 
-def load_csv(path: str | Path, options: IngestOptions = IngestOptions()) -> DiscreteDataset:
+def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
+             missing: str | None = None) -> DiscreteDataset:
     """Load a header-first, comma-separated UTF-8 file into a dataset.
 
     Cells are stripped, then mapped by ``options.value_map``; the alphabet
-    is their sorted set unless ``options.alphabet`` is given. No quoting
-    support: cells must not contain commas.
+    is their sorted set, plus the ``missing`` token if one is named, unless
+    ``options.alphabet`` is given. No quoting support: cells must not
+    contain commas.
     """
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln != ""]
     if not lines:
@@ -322,7 +321,8 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions()) -> Disc
     if not codes:
         raise EmptyDatasetError(f"{path}: no data rows")
     return _relabel(names, np.frombuffer(codes, np.int64).reshape(-1, p),
-                    [t.strip() for t in ids], options.value_map, options.alphabet)
+                    [t.strip() for t in ids], options.value_map, options.alphabet,
+                    () if missing is None else (missing,))
 
 
 def write_csv(ds: DiscreteDataset, path: str | Path) -> None:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .dataset import Alphabet, DiscreteDataset, extension_counts
-from .models import JointDistribution
+from .models import JointDistribution, marginal
 
 #: Float slack for equality-style checks against exact sources.
 EXACT_TOL = 1e-12
@@ -26,9 +26,9 @@ EXACT_TOL = 1e-12
 class DistributionSource:
     """Answers marginal-probability queries over variable subsets.
 
-    Subclasses provide ``_dense_marginal``; entropy values are cached per
-    sorted variable tuple, which the greedy learner leans on heavily.
-    Sources are immutable and safe for concurrent use.
+    Subclasses provide ``_dense_marginal`` and ``_extension_entropies``, the
+    scores of one greedy step; entropy values are cached per sorted variable
+    tuple. Sources are immutable and safe for concurrent use.
     """
 
     p: int
@@ -64,29 +64,22 @@ class DistributionSource:
         dense = self._dense_marginal(variables)
         return dense[dense > 0]
 
-    def _states(self) -> tuple[np.ndarray, np.ndarray | None, float]:
-        """Digit columns of the counted states, their weights (None for unit
-        rows) and the weights' total."""
-        raise NotImplementedError
-
     def extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
         """H(X_i | X_given, X_k) in bits for every variable k, indexed by k.
 
-        Each entry is H(given, i, k) - H(given, k), both from one count table
-        per chunk of variables (:func:`~greedymrf.dataset.extension_counts`).
-        For k in ``given`` the entry is H(X_i | X_given); for k = i it is 0.
+        Each entry is H(given, i, k) - H(given, k), from marginals the source
+        builds for the whole step at once. For k in ``given`` the entry is
+        H(X_i | X_given); for k = i it is 0.
         """
         given = self.check_subset(given)
         if not 0 <= i < self.p:
             raise IndexError(f"variable index {i} out of range for p={self.p}")
         if i in given:
             raise ValueError(f"target variable {i} appears in the conditioning set")
-        digits, weights, total = self._states()
-        out = [
-            _entropies(joint, total) - _entropies(marginal, total)
-            for joint, marginal in extension_counts(digits, given, i, self.alphabet.size, weights)
-        ]
-        return np.concatenate(out)
+        return self._extension_entropies(i, given)
+
+    def _extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
+        raise NotImplementedError
 
 
 class EmpiricalSource(DistributionSource):
@@ -105,12 +98,17 @@ class EmpiricalSource(DistributionSource):
         _, counts = self.dataset.joint_counts(variables)
         return counts / self.dataset.n
 
-    def _states(self) -> tuple[np.ndarray, None, float]:
-        return self.dataset.values.T, None, self.dataset.n
+    def _extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
+        n, digits = self.dataset.n, self.dataset.values.T
+        return np.concatenate([_entropies(joint, n) - _entropies(marginal, n) for joint, marginal
+                               in extension_counts(digits, given, i, self.alphabet.size)])
 
 
 class ExactSource(DistributionSource):
-    """Exact distribution backed by a dense joint table."""
+    """Exact distribution backed by a dense joint table. Marginals are axis
+    sums of it (:func:`~greedymrf.models.marginal`); a greedy step halves the
+    candidates, sums one half out and recurses into the other, and the other
+    way round, so it reads the full table twice, not once per candidate."""
 
     def __init__(self, joint: JointDistribution):
         super().__init__()
@@ -121,9 +119,32 @@ class ExactSource(DistributionSource):
     def _dense_marginal(self, variables: tuple[int, ...]) -> np.ndarray:
         return self.joint.dense_marginal(variables)
 
-    def _states(self) -> tuple[np.ndarray, np.ndarray, float]:
-        digits, weights = self.joint.states()
-        return digits, weights, 1.0
+    def _extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
+        base = tuple(sorted(given + (i,)))
+        candidates = [k for k in range(self.p) if k not in base]
+        out = np.zeros(self.p)
+        table = self.joint.table  # the marginal over base when no k is left
+        for k, table in _candidate_marginals(table, tuple(range(self.p)), base, candidates):
+            axes = sorted(base + (k,))
+            out[k] = _conditional(table, axes.index(i))
+        if candidates:  # the last table with its k summed out is over base
+            table = table.sum(axis=axes.index(k))
+        out[list(given)] = _conditional(table, base.index(i))
+        return out
+
+
+def _candidate_marginals(
+    table: np.ndarray, axes: tuple[int, ...], base: tuple[int, ...], candidates: list[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, marginal over sorted base + (k,)) for every k of ``candidates``, in
+    order; ``table`` has the sorted ``axes``, which hold base and candidates."""
+    if len(candidates) == 1:
+        yield candidates[0], table
+    elif candidates:
+        half = len(candidates) // 2
+        for part in (candidates[:half], candidates[half:]):
+            keep = tuple(sorted(base + tuple(part)))
+            yield from _candidate_marginals(marginal(table, axes, keep), keep, base, part)
 
 
 def _entropies(mass: np.ndarray, total: float) -> np.ndarray:
@@ -136,6 +157,11 @@ def _entropies(mass: np.ndarray, total: float) -> np.ndarray:
 
 def _entropy_of_probs(probs: np.ndarray) -> float:
     return float(_entropies(probs, 1.0))
+
+
+def _conditional(table: np.ndarray, axis: int) -> float:
+    """H(every axis) - H(every axis but ``axis``) of a probability table."""
+    return _entropy_of_probs(table.ravel()) - _entropy_of_probs(table.sum(axis=axis).ravel())
 
 
 def entropy(src: DistributionSource, variables: Iterable[int]) -> float:

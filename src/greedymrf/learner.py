@@ -255,15 +255,20 @@ def prune_result(src: DistributionSource, result: LearnResult) -> LearnResult:
 def chow_liu(src: DistributionSource) -> MarkovGraph:
     """Maximum spanning tree under pairwise mutual-information weights.
 
-    Ties are broken by lexicographic edge order, so the output is a
-    deterministic function of the source.
+    Kruskal's rule takes the edge of largest mutual information next; edges
+    within the ``TIE_TOL`` slack of it are tied and the lexicographically
+    lowest goes first, so summation order cannot change the tree.
     """
     p = src.p
     if p < 2:
         raise ValueError("need at least two variables")
-    scored = sorted(
-        ((-mutual_information(src, u, v), u, v) for u in range(p) for v in range(u + 1, p))
-    )
+    pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
+    scores = np.array([-mutual_information(src, u, v) for u, v in pairs])
     parent = list(range(p))
-    edges = [(u, v) for _, u, v in scored if union(parent, u, v)]
+    edges: list[tuple[int, int]] = []
+    while len(edges) < p - 1:
+        best = _lowest(scores)
+        scores[best] = np.inf
+        if union(parent, *pairs[best]):
+            edges.append(pairs[best])
     return MarkovGraph(p, edges)

@@ -1,9 +1,9 @@
 """Markov graphs, factor graphs, zero-field Ising models, and inference backends.
 
-The exact backend enumerates the full joint table (feasible up to the
-``ENUMERATION_CAP`` of 24 binary variables); beyond that, sampling falls back
-to a single-site Gibbs chain. Spins are encoded project-wide as alphabet
-index 0 <-> -1 and 1 <-> +1.
+The exact backend enumerates the full joint table (up to the ENUMERATION_CAP
+of 24 binary variables) and takes marginals as axis sums of it; beyond the cap,
+sampling falls back to a single-site Gibbs chain. Spins are encoded
+project-wide as alphabet index 0 <-> -1 and 1 <-> +1.
 """
 
 from __future__ import annotations
@@ -11,16 +11,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Alphabet, CapacityError, DiscreteDataset, SPIN_ALPHABET, cell_codes
+from .dataset import Alphabet, CapacityError, DiscreteDataset, SPIN_ALPHABET
 
 ENUMERATION_CAP = 24
-_CHUNK = 1 << 20
 
 Edge = tuple[int, int]
 
@@ -196,11 +195,26 @@ class IsingModel:
         return self.graph.p
 
 
-class JointDistribution:
-    """Dense probability table over all |alphabet|^p assignments.
+def marginal(table: np.ndarray, variables: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Sum ``table``, whose axes are the sorted ``variables``, onto the sorted
+    subset ``keep``, shaped (q,) * len(keep). Each run of consecutive kept or
+    summed axes is merged into one dimension, and the summed dimensions are
+    reduced one at a time, largest first, so each pass reads the least."""
+    keep = set(keep)
+    q = table.shape[0] if table.ndim else 1
+    runs = [(kept, q ** len(list(run))) for kept, run in groupby(variables, keep.__contains__)]
+    out = table.reshape([size for _, size in runs])
+    summed = [a for a, (kept, _) in enumerate(runs) if not kept]
+    for axis in sorted(summed, key=lambda a: -runs[a][1]):
+        out = out.sum(axis=axis, keepdims=True)
+    return out.reshape((q,) * len(keep))
 
-    Cell index is mixed-radix with variable 0 as the most significant digit.
-    """
+
+class JointDistribution:
+    """Dense probability table over all |alphabet|^p assignments, the only
+    array it holds. Cell index is mixed-radix with variable 0 as the most
+    significant digit, so :attr:`table` has one axis per variable and every
+    marginal is a sum over the other axes (:func:`marginal`)."""
 
     def __init__(self, p: int, alphabet: Alphabet, probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64).ravel()
@@ -212,25 +226,13 @@ class JointDistribution:
             raise ValueError("probability table does not sum to 1")
         self.p = p
         self.alphabet = alphabet
-        # np.bincount copies read-only weights on every call, so counting
-        # uses this writeable reference; callers see a read-only view.
-        self._weights = probs
         self.probs = probs.view()
         self.probs.setflags(write=False)
 
-    @cached_property
-    def _digits(self) -> np.ndarray:
-        # digits[v, s] is variable v's value in table state s: p * q^p small
-        # ints, built on the first marginal query and kept for the rest.
-        q = self.alphabet.size
-        shape = (q,) * self.p
-        return np.indices(shape, dtype=np.min_scalar_type(q - 1)).reshape(self.p, -1)
-
-    def states(self) -> tuple[np.ndarray, np.ndarray]:
-        """Digit columns of every table state and the states' probabilities,
-        the two inputs a weighted count over the table takes. Neither array
-        may be written to."""
-        return self._digits, self._weights
+    @property
+    def table(self) -> np.ndarray:
+        """The probabilities as a (q,) * p array, one axis per variable."""
+        return self.probs.reshape((self.alphabet.size,) * self.p)
 
     def dense_marginal(self, variables: Sequence[int]) -> np.ndarray:
         """Exact marginal over sorted ``variables`` (same indexing as the table)."""
@@ -238,9 +240,7 @@ class JointDistribution:
         for v in variables:
             if not 0 <= v < self.p:
                 raise IndexError(f"variable index {v} out of range for p={self.p}")
-        q = self.alphabet.size
-        codes = cell_codes(self._digits, variables, q)
-        return np.bincount(codes, weights=self._weights, minlength=q ** len(variables))
+        return marginal(self.table, range(self.p), variables).flatten()  # always a copy
 
 
 def exact_joint(m: IsingModel) -> JointDistribution:
@@ -248,17 +248,11 @@ def exact_joint(m: IsingModel) -> JointDistribution:
     p = m.p
     if p > ENUMERATION_CAP:
         raise CapacityError(f"exact enumeration needs p <= {ENUMERATION_CAP}, got {p}")
-    size = 1 << p
-    energy = np.zeros(size, dtype=np.float64)
-    for start in range(0, size, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-        chunk = np.zeros(idx.size, dtype=np.float64)
-        for (u, v), t in m.theta.items():
-            # bit is 0 for spin -1, 1 for +1; product is +1 iff bits agree
-            bu = (idx >> (p - 1 - u)) & 1
-            bv = (idx >> (p - 1 - v)) & 1
-            chunk += t * (1.0 - 2.0 * np.bitwise_xor(bu, bv))
-        energy[start : start + idx.size] = chunk
+    # Axis w of the (2,) * p table is variable w: spin -1 at index 0, +1 at 1.
+    spins = [np.array([-1.0, 1.0]).reshape((2,) + (1,) * (p - 1 - w)) for w in range(p)]
+    energy = np.zeros((2,) * p)
+    for (u, v), t in m.theta.items():
+        energy += t * (spins[u] * spins[v])
     energy -= energy.max()
     w = np.exp(energy)
     return JointDistribution(p, SPIN_ALPHABET, w / w.sum())
@@ -273,12 +267,7 @@ def exact_sample(j: JointDistribution, n: int, seed: int) -> DiscreteDataset:
     cdf[-1] = 1.0
     cells = np.searchsorted(cdf, rng.random(n), side="right")
     cells = np.minimum(cells, j.probs.size - 1)
-    q = j.alphabet.size
-    values = np.empty((n, j.p), dtype=np.int64)
-    rem = cells.copy()
-    for c in range(j.p - 1, -1, -1):
-        values[:, c] = rem % q
-        rem //= q
+    values = np.stack(np.unravel_index(cells, (j.alphabet.size,) * j.p), axis=1)
     names = [f"v{k}" for k in range(j.p)]
     return DiscreteDataset(names, j.alphabet, values)
 

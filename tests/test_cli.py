@@ -90,6 +90,38 @@ class TestLearn:
         doc = json.loads((out / "result.json").read_text())
         assert doc["variable_names"] == ["s0", "s1", "s2"]
 
+    def test_participation_with_a_single_distinct_token(self, tmp_path):
+        # The raw file holds one token only; the missing token still makes
+        # a two-symbol raw alphabet, so the filter and the map can run.
+        f = tmp_path / "one.csv"
+        f.write_text("a,b\nYea,Yea\nYea,Yea\n")
+        out = tmp_path / "out"
+        rc = main([
+            "learn", str(f), "--map", "Yea=+1", "--alphabet=+1,-1", "--missing", "Absent",
+            "--participation", "0.75", "--epsilon", "0.1", "--out-dir", str(out),
+        ])
+        assert rc == 0
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["variable_names"] == ["a", "b"]
+        assert read_edge_list(out / "graph.edges").edges == frozenset()
+
+    def test_participation_ingest_relabels_twice(self, tmp_path, monkeypatch):
+        # the raw tokens are relabelled once inside load_csv and the kept
+        # columns once more for the value map, not once per column
+        from greedymrf import dataset
+
+        calls = []
+        relabel = dataset._relabel
+        monkeypatch.setattr(dataset, "_relabel", lambda *a: calls.append(1) or relabel(*a))
+        f = tmp_path / "v.csv"
+        f.write_text("a,b,c\nYea,Nay,Absent\nNay,Nay,Yea\nYea,Absent,Absent\n")
+        rc = main([
+            "learn", str(f), "--map", "Yea=+1", "--map", "Nay=-1", "--map", "Absent=-1",
+            "--missing", "Absent", "--participation", "0.6", "--epsilon", "0.1",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 0 and len(calls) == 2
+
     def test_participation_needs_missing_flag(self, tmp_path):
         _, f = sample_csv(tmp_path, ModelSpec.chain(3, WeightRule.constant(0.5)), 100, 2)
         rc = main(["learn", str(f), "--epsilon", "0.1", "--participation", "0.75",

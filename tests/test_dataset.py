@@ -65,6 +65,18 @@ class TestAlphabet:
 
 
 class TestLoadCsv:
+    def test_missing_token_joins_an_inferred_alphabet(self, tmp_path):
+        f = tmp_path / "one.csv"
+        f.write_text("a,b\nYea,Yea\nYea,Yea\n")
+        ds = load_csv(f, missing="Absent")
+        assert ds.alphabet.symbols == ("Absent", "Yea")
+        assert ds.values.tolist() == [[1, 1], [1, 1]]
+        forced = load_csv(f, IngestOptions(alphabet=("Yea", "Nay")), missing="Absent")
+        assert forced.alphabet.symbols == ("Yea", "Nay")
+        for missing in (None, "Yea"):
+            with pytest.raises(DatasetError):
+                load_csv(f, missing=missing)
+
     def test_direct_readback(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("c0,c1,c2\na,b,a\nb,b,a\n")

@@ -2,6 +2,8 @@
 distribution-distance bounds, checked against brute-force references."""
 
 import math
+import tracemalloc
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,7 @@ from greedymrf.entropy import (
 from greedymrf.generators import ModelSpec, WeightRule, build
 from greedymrf.learner import LearnerConfig, learn_structure
 from greedymrf.models import JointDistribution, SPIN_ALPHABET, exact_joint
+from greedymrf.models import marginal as axis_marginal
 
 from _oracle import cond_entropy_bits, entropy_bits, ising_table, marginal
 
@@ -393,3 +396,67 @@ class TestExtensionEntropies:
         with mock.patch("numpy.bincount", side_effect=AssertionError("counted")):
             with pytest.raises(CapacityError):
                 src.extension_entropies(64, tuple(range(63)))
+
+
+def random_table(seed, p, q):
+    """Random joint table with some empty cells, and its oracle dictionary."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(q**p) * (rng.random(q**p) < 0.8)
+    w[rng.integers(q**p)] += 0.5
+    joint = JointDistribution(p, Alphabet(tuple(f"s{k}" for k in range(q))), w / w.sum())
+    return joint, dict(zip(product(range(q), repeat=p), joint.probs.tolist()))
+
+
+class TestAxisSums:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 6), st.integers(2, 3), st.integers(0, 2**32 - 1), st.data())
+    def test_random_tables_match_oracle(self, p, q, seed, data):
+        joint, table = random_table(seed, p, q)
+        variables = tuple(sorted(data.draw(st.sets(st.integers(0, p - 1)))))
+        dense = joint.dense_marginal(variables)
+        ref = marginal(table, variables)
+        assert dense.shape == (q ** len(variables),)
+        for cell, key in enumerate(product(range(q), repeat=len(variables))):
+            assert abs(dense[cell] - ref.get(key, 0.0)) <= 1e-12
+        src = ExactSource(joint)
+        i, drawn = draw_target_and_given(data, p)
+        everyone_else = tuple(v for v in range(p) if v != i)
+        for given_vars in (drawn, (), everyone_else):
+            hs = src.extension_entropies(i, given_vars)
+            for k in range(p):
+                assert abs(hs[k] - cond_entropy_bits(table, i, given_vars + (k,))) <= 1e-9
+
+    def test_marginal_sums_runs_largest_first(self):
+        # axes 0,1 | 2 | 3,4,5 | 6 of a binary table: the summed runs are
+        # (0,1) with 4 cells and (3,4,5) with 8, reduced in that order: 8, 4
+        sums = []
+
+        class Recorded(np.ndarray):
+            def sum(self, axis, **kwargs):
+                sums.append(self.shape[axis])
+                return super().sum(axis=axis, **kwargs)
+
+        table = np.arange(2.0**7).reshape((2,) * 7)
+        got = axis_marginal(table.view(Recorded), range(7), (2, 6))
+        assert sums == [8, 4]
+        assert np.array_equal(got, table.sum(axis=(0, 1, 3, 4, 5)))
+
+    def test_marginal_over_every_variable_is_a_copy(self):
+        joint, _ = random_table(3, 4, 2)
+        full = joint.dense_marginal(range(4))
+        assert np.array_equal(full, joint.probs) and not np.shares_memory(full, joint.probs)
+        full[0] = 0.0  # writeable, like every other marginal
+
+    @pytest.mark.parametrize("i, given_vars", [(0, ()), (5, (1, 8, 12)), (9, (0, 2, 4, 6))])
+    def test_first_step_allocates_less_than_the_table(self, i, given_vars):
+        # The step reads the table through axis sums; it builds no
+        # per-state columns (p * 2^p bytes) and no copy of the table.
+        w = np.random.default_rng(7).random(2**16)
+        src = ExactSource(JointDistribution(16, SPIN_ALPHABET, w / w.sum()))
+        tracemalloc.start()
+        try:
+            src.extension_entropies(i, given_vars)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < src.joint.probs.nbytes

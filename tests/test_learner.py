@@ -9,6 +9,7 @@ from greedymrf.dataset import SPIN_ALPHABET, Alphabet, DiscreteDataset
 from greedymrf.entropy import EmpiricalSource, ExactSource
 from greedymrf.generators import ModelSpec, WeightRule, build
 from greedymrf.learner import (
+    TIE_TOL,
     LearnerConfig,
     chow_liu,
     greedy_neighborhood,
@@ -212,6 +213,54 @@ class TestChowLiu:
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
+                edges.add((u, v))
+        assert chow_liu(src).edges == frozenset(edges)
+
+    def test_summation_order_cannot_change_the_tree(self):
+        # On this table some edges' mutual informations differ by less than
+        # 1e-12 between two summation orders of the same marginals; sorting
+        # by the raw floats put a different tree out for each order.
+        model = build(ModelSpec.erdos_renyi(18, 0.15, 3, WeightRule.constant_magnitude_random_sign(0.5, 0)))
+        joint = exact_joint(model)
+
+        class Reordered(ExactSource):
+            def _dense_marginal(self, variables):
+                drop = tuple(v for v in range(self.p) if v not in variables)
+                return self.joint.probs.reshape((2,) * self.p).sum(axis=drop).ravel()
+
+        tree = chow_liu(ExactSource(joint))
+        assert chow_liu(Reordered(joint)) == tree
+        assert (0, 3) in tree.edges and (3, 9) not in tree.edges
+
+    @pytest.mark.parametrize("model", [
+        build(ModelSpec.grid(3, WeightRule.constant(0.5))),
+        build(ModelSpec.cycle(5, WeightRule.constant(0.4))),
+        IsingModel(MarkovGraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),
+                   {(u, v): 0.3 for u in range(5) for v in range(u + 1, 5)}),
+    ], ids=["grid3", "cycle5", "complete5"])
+    def test_ties_follow_the_oracle_kruskal_under_the_tie_rule(self, model):
+        # every edge of each model ties with others; the lexicographically
+        # lower edge of a tie goes first
+        src = ExactSource(exact_joint(model))
+        table = ising_table(model.p, dict(model.theta))
+        weights = {
+            (u, v): mutual_information_bits(table, u, v)
+            for u in range(model.p) for v in range(u + 1, model.p)
+        }
+        parent = list(range(model.p))
+
+        def find(u):
+            while parent[u] != u:
+                u = parent[u]
+            return u
+
+        edges = set()
+        while weights:
+            top = max(weights.values())
+            u, v = min(e for e, w in weights.items() if w >= top - TIE_TOL * max(1.0, abs(top)))
+            del weights[(u, v)]
+            if find(u) != find(v):
+                parent[find(u)] = find(v)
                 edges.add((u, v))
         assert chow_liu(src).edges == frozenset(edges)
 
