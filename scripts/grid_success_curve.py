@@ -14,7 +14,7 @@ import argparse
 import json
 from pathlib import Path
 
-from greedymrf.cli import ExperimentSpec, experiment_summary, run_experiment
+from greedymrf.experiment import ExperimentSpec, experiment_summary, run_experiment
 from greedymrf.generators import ModelSpec, WeightRule
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -200,20 +200,16 @@ class DiscreteDataset:
     def __repr__(self) -> str:
         return f"DiscreteDataset(n={self.n}, p={self.p}, |X|={self.alphabet.size})"
 
-    def _check_vars(self, variables: Iterable[int]) -> tuple[int, ...]:
-        out = tuple(variables)
-        for v in out:
-            if not 0 <= v < self.p:
-                raise IndexError(f"variable index {v} out of range for p={self.p}")
-        return out
-
     def joint_counts(self, variables: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Sparse joint counts over ``variables``: (cell codes, row counts).
 
         Codes follow :func:`cell_codes` in the given variable order. Counts
         are exact integers; they sum to n.
         """
-        variables = self._check_vars(variables)
+        variables = tuple(variables)
+        for v in variables:
+            if not 0 <= v < self.p:
+                raise IndexError(f"variable index {v} out of range for p={self.p}")
         q = self.alphabet.size
         codes = cell_codes(self.values.T, variables, q)
         cells = q ** len(variables)
@@ -222,19 +218,6 @@ class DiscreteDataset:
         dense = np.bincount(codes, minlength=cells)
         keys = np.nonzero(dense)[0]
         return keys, dense[keys]
-
-    def dense_marginal(self, variables: Sequence[int]) -> np.ndarray:
-        """Dense empirical marginal over sorted ``variables``.
-
-        Cell index is mixed-radix over the alphabet with the first (lowest)
-        variable as the most significant digit.
-        """
-        variables = tuple(sorted(self._check_vars(variables)))
-        q = self.alphabet.size
-        cells = q ** len(variables)
-        if cells > _MAX_DENSE_CELLS:
-            raise CapacityError(f"dense marginal over {len(variables)} variables too large")
-        return np.bincount(cell_codes(self.values.T, variables, q), minlength=cells) / self.n
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dataset import Alphabet, DiscreteDataset, extension_counts
+from .dataset import _MAX_DENSE_CELLS, Alphabet, CapacityError, DiscreteDataset, extension_counts
 from .models import JointDistribution, marginal
 
 #: Float slack for equality-style checks against exact sources.
@@ -26,9 +26,9 @@ EXACT_TOL = 1e-12
 class DistributionSource:
     """Answers marginal-probability queries over variable subsets.
 
-    Subclasses provide ``_dense_marginal`` and ``_extension_entropies``, the
-    scores of one greedy step; entropy values are cached per sorted variable
-    tuple. Sources are immutable and safe for concurrent use.
+    Subclasses provide ``_cells``, the nonzero cells of one marginal, and
+    ``_extension_entropies``, the scores of one greedy step; entropies are
+    cached per sorted variable tuple. Sources are immutable and thread-safe.
     """
 
     p: int
@@ -46,23 +46,28 @@ class DistributionSource:
 
     def dense_marginal(self, variables: Iterable[int]) -> np.ndarray:
         """Marginal over the sorted variable subset, mixed-radix indexed with
-        the lowest variable as the most significant digit."""
-        return self._dense_marginal(self.check_subset(variables))
+        the lowest variable as the most significant digit. Raises
+        :class:`CapacityError` before any counting above 2^24 cells."""
+        variables = self.check_subset(variables)
+        cells = self.alphabet.size ** len(variables)
+        if cells > _MAX_DENSE_CELLS:
+            raise CapacityError(f"dense marginal over {len(variables)} variables too large")
+        out = np.zeros(cells)
+        codes, probs = self._cells(variables)
+        out[codes] = probs
+        return out
 
-    def _dense_marginal(self, variables: tuple[int, ...]) -> np.ndarray:
+    def _cells(self, variables: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(ascending mixed-radix codes, probabilities) of the nonzero cells
+        of the marginal over the sorted ``variables``."""
         raise NotImplementedError
 
     def entropy_bits(self, variables: tuple[int, ...]) -> float:
         got = self._entropy_cache.get(variables)
         if got is None:
-            got = _entropy_of_probs(self._marginal_probs_sparse(variables))
+            got = _entropy_of_probs(self._cells(variables)[1])
             self._entropy_cache[variables] = got
         return got
-
-    def _marginal_probs_sparse(self, variables: tuple[int, ...]) -> np.ndarray:
-        """Probabilities of the nonzero marginal cells, any order."""
-        dense = self._dense_marginal(variables)
-        return dense[dense > 0]
 
     def extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
         """H(X_i | X_given, X_k) in bits for every variable k, indexed by k.
@@ -91,12 +96,9 @@ class EmpiricalSource(DistributionSource):
         self.p = ds.p
         self.alphabet = ds.alphabet
 
-    def _dense_marginal(self, variables: tuple[int, ...]) -> np.ndarray:
-        return self.dataset.dense_marginal(variables)
-
-    def _marginal_probs_sparse(self, variables: tuple[int, ...]) -> np.ndarray:
-        _, counts = self.dataset.joint_counts(variables)
-        return counts / self.dataset.n
+    def _cells(self, variables: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        codes, counts = self.dataset.joint_counts(variables)
+        return codes, counts / self.dataset.n
 
     def _extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
         n, digits = self.dataset.n, self.dataset.values.T
@@ -116,8 +118,10 @@ class ExactSource(DistributionSource):
         self.p = joint.p
         self.alphabet = joint.alphabet
 
-    def _dense_marginal(self, variables: tuple[int, ...]) -> np.ndarray:
-        return self.joint.dense_marginal(variables)
+    def _cells(self, variables: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        dense = self.joint.dense_marginal(variables)
+        codes = np.flatnonzero(dense)
+        return codes, dense[codes]
 
     def _extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
         base = tuple(sorted(given + (i,)))
@@ -149,7 +153,8 @@ def _candidate_marginals(
 
 def _entropies(mass: np.ndarray, total: float) -> np.ndarray:
     """Entropy in bits along the last axis of cell masses summing to ``total``."""
-    probs = mass / total
+    # Float probabilities are used as they are: dividing by 1.0 would only copy them.
+    probs = mass if total == 1.0 and mass.dtype.kind == "f" else mass / total
     logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)
     logs *= probs
     return -logs.sum(axis=-1)

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from greedymrf.cli import ExperimentSpec, main, run_experiment
+from greedymrf.cli import main
 from greedymrf.dataset import Alphabet, DiscreteDataset, write_csv
 from greedymrf.entropy import (
     EmpiricalSource,
@@ -21,6 +21,7 @@ from greedymrf.entropy import (
     check_pinsker,
     conditional_entropy,
 )
+from greedymrf.experiment import ExperimentSpec, run_experiment
 from greedymrf.generators import (
     ModelSpec,
     WeightRule,

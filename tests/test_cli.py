@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from greedymrf.cli import ExperimentSpec, main, run_experiment
+from greedymrf.cli import main
+from greedymrf.experiment import ExperimentSpec, run_experiment
 from greedymrf.generators import ModelSpec, WeightRule, build
 from greedymrf.models import exact_joint, exact_sample, read_edge_list
 from greedymrf.dataset import write_csv
@@ -204,6 +205,20 @@ class TestOracle:
         assert rc != 0
 
 
+def test_library_modules_do_not_import_the_cli():
+    code = (
+        "import importlib, pkgutil, sys, greedymrf\n"
+        "for m in pkgutil.iter_modules(greedymrf.__path__, 'greedymrf.'):\n"
+        "    if m.name not in ('greedymrf.cli', 'greedymrf.__main__'):\n"
+        "        importlib.import_module(m.name)\n"
+        "print(' '.join(sorted(n for n in sys.modules if n.startswith('greedymrf'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "greedymrf.experiment" in loaded and "greedymrf.cli" not in loaded
+
+
 class TestExperiment:
     def run(self, tmp_path, sub, extra=()):
         out = tmp_path / sub
@@ -254,6 +269,20 @@ class TestExperiment:
             "--n", "400,200", "--epsilon", "0.05", "--out-dir", str(tmp_path),
         ])
         assert rc != 0
+
+    @pytest.mark.parametrize("n, eps, sampler", [
+        ("100,200", "0.05,-1", "exact"),
+        ("0,100", "0.05", "exact"),
+        ("100", "0.0", "exact"),
+        ("100,200", "0.05,-1", "gibbs"),
+    ])
+    def test_invalid_n_or_epsilon_rejected_before_sampling(self, tmp_path, n, eps, sampler):
+        rc = main([
+            "experiment", "--model", "grid:3", "--theta", "const:0.5", "--n", n,
+            "--epsilon", eps, "--trials", "2", "--sampler", sampler, "--out-dir", str(tmp_path),
+        ])
+        assert rc == 1
+        assert not (tmp_path / "results.csv").exists()
 
 
 @pytest.mark.slow

@@ -25,6 +25,7 @@ from greedymrf.dataset import (
     remap_values,
     write_csv,
 )
+from greedymrf.entropy import EmpiricalSource
 
 
 def make_ds(rows, symbols=("a", "b"), names=None):
@@ -139,7 +140,7 @@ class TestLoadCsv:
         expect = np.zeros((300, 300))
         for row in rows:
             expect[row[0], row[2]] += 1
-        assert np.array_equal(back.dense_marginal((0, 2)).reshape(300, 300), expect / 500)
+        assert np.array_equal(EmpiricalSource(back).dense_marginal((0, 2)).reshape(300, 300), expect / 500)
 
 
 class TestRemap:
@@ -382,7 +383,7 @@ def test_widest_query_fits_int64_cell_codes(q, widest):
 
 def test_dense_marginal_matches_direct_count():
     ds = make_ds([[0, 1], [1, 1], [1, 0], [1, 1]])
-    m = ds.dense_marginal((0, 1))
+    m = EmpiricalSource(ds).dense_marginal((0, 1))
     expect = []
     for v0, v1 in product(range(2), range(2)):
         expect.append(sum(1 for row in ds.values if row[0] == v0 and row[1] == v1) / 4)

@@ -66,6 +66,17 @@ class TestEntropy:
     def test_empty_set_is_zero(self):
         assert entropy(counts_source(3, 1), []) == 0.0
 
+    def test_wide_entropy_counts_occupied_cells_but_dense_marginal_is_capped(self):
+        # 2^30 cells: the entropy reads the occupied ones only, while the
+        # dense marginal refuses before a row is counted
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 2, size=(10, 30))[rng.integers(0, 10, size=50)].tolist()
+        src = empirical(rows)
+        assert abs(entropy(src, range(30)) - entropy_bits(row_table(rows))) <= 1e-12
+        with mock.patch.object(DiscreteDataset, "joint_counts", side_effect=AssertionError("counted")):
+            with pytest.raises(CapacityError):
+                src.dense_marginal(range(30))
+
     def test_bounds_error(self):
         with pytest.raises(IndexError):
             entropy(counts_source(1, 1), [5])
@@ -447,10 +458,15 @@ class TestAxisSums:
         assert np.array_equal(full, joint.probs) and not np.shares_memory(full, joint.probs)
         full[0] = 0.0  # writeable, like every other marginal
 
-    @pytest.mark.parametrize("i, given_vars", [(0, ()), (5, (1, 8, 12)), (9, (0, 2, 4, 6))])
+    @pytest.mark.parametrize("i, given_vars", [
+        (0, ()), (5, (1, 8, 12)), (9, (0, 2, 4, 6)), (15, tuple(range(13))), (0, tuple(range(1, 15))),
+    ])
     def test_first_step_allocates_less_than_the_table(self, i, given_vars):
         # The step reads the table through axis sums; it builds no
-        # per-state columns (p * 2^p bytes) and no copy of the table.
+        # per-state columns (p * 2^p bytes) and no copy of the table. When C
+        # holds all but one or two variables the last marginal is (nearly)
+        # the table itself, and its entropy adds only a log buffer.
+        bound = 1.0 if len(given_vars) <= 4 else 1.25
         w = np.random.default_rng(7).random(2**16)
         src = ExactSource(JointDistribution(16, SPIN_ALPHABET, w / w.sum()))
         tracemalloc.start()
@@ -459,4 +475,4 @@ class TestAxisSums:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < src.joint.probs.nbytes
+        assert peak < bound * src.joint.probs.nbytes

@@ -224,9 +224,11 @@ class TestChowLiu:
         joint = exact_joint(model)
 
         class Reordered(ExactSource):
-            def _dense_marginal(self, variables):
+            def _cells(self, variables):
                 drop = tuple(v for v in range(self.p) if v not in variables)
-                return self.joint.probs.reshape((2,) * self.p).sum(axis=drop).ravel()
+                dense = self.joint.probs.reshape((2,) * self.p).sum(axis=drop).ravel()
+                codes = np.flatnonzero(dense)
+                return codes, dense[codes]
 
         tree = chow_liu(ExactSource(joint))
         assert chow_liu(Reordered(joint)) == tree
