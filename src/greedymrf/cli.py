@@ -28,15 +28,31 @@ from .entropy import DistributionSource, EmpiricalSource, ExactSource, mutual_in
 from .experiment import ExperimentSpec, experiment_summary, run_experiment
 from .generators import ModelSpec, model_from_strings, parse_model_string, parse_weight_string
 from .learner import LearnResult, LearnerConfig, chow_liu, learn_structure, prune_result
-from .models import exact_joint, to_dot, write_edge_list
-from .theory import all_bound_reports
+from .models import MarkovGraph, exact_joint, to_dot, write_edge_list
+from .theory import BOUND_INPUTS, all_bound_reports
 
 
 def _write_json(doc: dict, path: Path) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_trace(result: LearnResult, path: Path) -> None:
+def _write_outputs(
+    out_dir: str, doc: dict, graph: MarkovGraph, names: tuple[str, ...] | None = None,
+    trace: list[str] | None = None,
+) -> int:
+    """Write a learned graph's files: result.json, trace.txt when there is a
+    trace, graph.dot and graph.edges. Returns the command's exit status."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(doc, out / "result.json")
+    if trace is not None:
+        (out / "trace.txt").write_text("\n".join(trace) + "\n", encoding="utf-8")
+    (out / "graph.dot").write_text(to_dot(graph, names), encoding="utf-8")
+    write_edge_list(graph, out / "graph.edges")
+    return 0
+
+
+def _trace_lines(result: LearnResult) -> list[str]:
     lines = []
     for t in result.traces:
         stop = f"node {t.node}: stop={t.stop_reason}"
@@ -51,16 +67,19 @@ def _write_trace(result: LearnResult, path: Path) -> None:
             if p.runner_up is not None:
                 pick += f" runner_up={p.runner_up} margin={p.margin:.10f}"
             lines.append(pick)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lines
 
 
-def _learner_config(args: argparse.Namespace) -> LearnerConfig:
+def _learn(src: DistributionSource, args: argparse.Namespace) -> LearnResult:
+    """The greedy pass, then pruning when --prune is set."""
     cap = args.max_neighborhood
-    if cap is None and getattr(args, "degree_hint", None) is not None:
+    if cap is None and args.degree_hint is not None:
         cap = 2 * args.degree_hint
-    return LearnerConfig(
+    config = LearnerConfig(
         epsilon=args.epsilon, max_neighborhood=cap, symmetrization=args.symmetrization
     )
+    result = learn_structure(src, config)
+    return prune_result(src, result) if args.prune else result
 
 
 def _parse_map_flags(args: argparse.Namespace) -> tuple[tuple[str, str], ...]:
@@ -97,52 +116,26 @@ def _ingest(args: argparse.Namespace) -> DiscreteDataset:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     ds = _ingest(args)
-    src = EmpiricalSource(ds)
-    result = learn_structure(src, _learner_config(args))
-    if args.prune:
-        result = prune_result(src, result)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = result.to_dict()
-    doc["variable_names"] = list(ds.names)
-    _write_json(doc, out / "result.json")
-    (out / "graph.dot").write_text(to_dot(result.graph, ds.names), encoding="utf-8")
-    write_edge_list(result.graph, out / "graph.edges")
-    return 0
+    result = _learn(EmpiricalSource(ds), args)
+    doc = result.to_dict() | {"variable_names": list(ds.names)}
+    return _write_outputs(args.out_dir, doc, result.graph, ds.names)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     model = model_from_strings(args.model, args.theta)
     src: DistributionSource = ExactSource(exact_joint(model))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.chow_liu:
         tree = chow_liu(src)
-        doc = {
-            "mode": "chow_liu",
-            "num_vars": tree.p,
-            "edges": [list(e) for e in tree.sorted_edges()],
-        }
-        _write_json(doc, out / "result.json")
-        lines = [
-            f"edge {u} {v}: mutual_information={mutual_information(src, u, v):.10f}"
-            for u, v in tree.sorted_edges()
-        ]
-        (out / "trace.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        (out / "graph.dot").write_text(to_dot(tree), encoding="utf-8")
-        write_edge_list(tree, out / "graph.edges")
-        return 0
-    result = learn_structure(src, _learner_config(args))
-    if args.prune:
-        result = prune_result(src, result)
-    doc = result.to_dict()
-    doc["mode"] = "greedy"
-    doc["true_edges"] = [list(e) for e in model.graph.sorted_edges()]
-    _write_json(doc, out / "result.json")
-    _write_trace(result, out / "trace.txt")
-    (out / "graph.dot").write_text(to_dot(result.graph), encoding="utf-8")
-    write_edge_list(result.graph, out / "graph.edges")
-    return 0
+        edges = tree.sorted_edges()
+        doc = {"mode": "chow_liu", "num_vars": tree.p, "edges": [list(e) for e in edges]}
+        trace = [f"edge {u} {v}: mutual_information={mutual_information(src, u, v):.10f}"
+                 for u, v in edges]
+        return _write_outputs(args.out_dir, doc, tree, trace=trace)
+    result = _learn(src, args)
+    doc = result.to_dict() | {
+        "mode": "greedy", "true_edges": [list(e) for e in model.graph.sorted_edges()]
+    }
+    return _write_outputs(args.out_dir, doc, result.graph, trace=_trace_lines(result))
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -166,8 +159,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    names = ("epsilon", "beta", "gamma", "max_degree", "alphabet_size", "num_vars", "delta")
-    inputs = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    inputs = {k: getattr(args, k) for k in BOUND_INPUTS if getattr(args, k) is not None}
     reports = all_bound_reports(**inputs, log_base2=not args.natural_log)
     if not reports:
         print(

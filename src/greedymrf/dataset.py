@@ -287,20 +287,24 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
     Cells are stripped, then mapped by ``options.value_map``; the alphabet
     is their sorted set, plus the ``missing`` token if one is named, unless
     ``options.alphabet`` is given. No quoting support: cells must not
-    contain commas.
+    contain commas. Rows end at a line break (LF, CRLF or CR); blank lines are
+    skipped. The file is read one line at a time, so neither its text nor a
+    list of its lines is held next to the token ids.
     """
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln != ""]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    names = [t.strip() for t in lines[0].split(",")]
-    p = len(names)
     ids: dict[str, int] = {}
     codes = array("q")  # int64 ids, 8 bytes each, viewed by numpy without a copy
-    for rownum, line in enumerate(lines[1:], start=1):
-        toks = line.split(",")
-        if len(toks) != p:
-            raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, expected {p}")
-        codes.extend([ids.setdefault(t, len(ids)) for t in toks])
+    with open(path, encoding="utf-8") as fh:
+        lines = filter(None, (ln.rstrip("\n") for ln in fh))
+        header = next(lines, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        names = [t.strip() for t in header.split(",")]
+        p = len(names)
+        for rownum, line in enumerate(lines, start=1):
+            toks = line.split(",")
+            if len(toks) != p:
+                raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, expected {p}")
+            codes.extend([ids.setdefault(t, len(ids)) for t in toks])
     if not codes:
         raise EmptyDatasetError(f"{path}: no data rows")
     return _relabel(names, np.frombuffer(codes, np.int64).reshape(-1, p),

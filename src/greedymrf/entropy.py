@@ -26,9 +26,10 @@ EXACT_TOL = 1e-12
 class DistributionSource:
     """Answers marginal-probability queries over variable subsets.
 
-    Subclasses provide ``_cells``, the nonzero cells of one marginal, and
-    ``_extension_entropies``, the scores of one greedy step; entropies are
-    cached per sorted variable tuple. Sources are immutable and thread-safe.
+    Subclasses provide ``_cells``, the cells of one marginal that may be
+    nonzero, and ``_extension_entropies``, the scores of one greedy step;
+    entropies are cached per sorted variable tuple. Sources are immutable and
+    thread-safe.
     """
 
     p: int
@@ -53,13 +54,14 @@ class DistributionSource:
         if cells > _MAX_DENSE_CELLS:
             raise CapacityError(f"dense marginal over {len(variables)} variables too large")
         out = np.zeros(cells)
-        codes, probs = self._cells(variables)
-        out[codes] = probs
+        index, probs = self._cells(variables)
+        out[index] = probs
         return out
 
-    def _cells(self, variables: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(ascending mixed-radix codes, probabilities) of the nonzero cells
-        of the marginal over the sorted ``variables``."""
+    def _cells(self, variables: tuple[int, ...]) -> tuple[np.ndarray | slice, np.ndarray]:
+        """(index into the dense marginal over the sorted ``variables``, as
+        an array of mixed-radix codes or a slice; the probabilities there).
+        Every other cell of the marginal is zero."""
         raise NotImplementedError
 
     def entropy_bits(self, variables: tuple[int, ...]) -> float:
@@ -118,10 +120,8 @@ class ExactSource(DistributionSource):
         self.p = joint.p
         self.alphabet = joint.alphabet
 
-    def _cells(self, variables: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        dense = self.joint.dense_marginal(variables)
-        codes = np.flatnonzero(dense)
-        return codes, dense[codes]
+    def _cells(self, variables: tuple[int, ...]) -> tuple[slice, np.ndarray]:
+        return slice(None), self.joint.dense_marginal(variables)
 
     def _extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
         base = tuple(sorted(given + (i,)))

@@ -41,6 +41,8 @@ class ExperimentSpec:
             raise ValueError("success target must lie in (0, 1]")
         if self.sampler not in ("exact", "gibbs"):
             raise ValueError("sampler must be 'exact' or 'gibbs'")
+        # Rejects bad Gibbs settings here, before any sampling.
+        GibbsConfig(seed=self.seed, burn_in=self.gibbs_burn_in, thinning=self.gibbs_thinning)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ class LearnerConfig:
     symmetrization: str = "AND"
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.max_neighborhood is not None and self.max_neighborhood < 1:
             raise ValueError("neighborhood cap must be >= 1 when present")

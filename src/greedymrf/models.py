@@ -281,6 +281,10 @@ class GibbsConfig:
     burn_in: int | None = None
     thinning: int = 10
 
+    def __post_init__(self) -> None:
+        if self.thinning < 1 or (self.burn_in is not None and self.burn_in < 0):
+            raise ValueError("need gibbs thinning >= 1 and burn-in >= 0")
+
 
 def gibbs_full_conditional(m: IsingModel, site: int, spins: Sequence[int]) -> float:
     """P(X_site = +1 | all other spins) for +-1 spin values."""
@@ -314,7 +318,7 @@ def gibbs_sample(m: IsingModel, n: int, cfg: GibbsConfig) -> DiscreteDataset:
         sweep()
     values = np.empty((n, p), dtype=np.int64)
     for r in range(n):
-        for _ in range(max(1, cfg.thinning)):
+        for _ in range(cfg.thinning):
             sweep()
         values[r] = [(s + 1) >> 1 for s in spins]
     names = [f"v{k}" for k in range(p)]

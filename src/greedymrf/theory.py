@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def decay_threshold(epsilon: float, max_degree: int, alphabet_size: int) -> floa
     Greedy picks are safe once the decay function has fallen below this;
     extreme degrees underflow to 0.0, which is reported as-is.
     """
-    if epsilon <= 0 or max_degree < 0 or alphabet_size < 2:
+    if not epsilon > 0 or max_degree < 0 or alphabet_size < 2:
         raise ValueError("need epsilon > 0, max_degree >= 0, alphabet_size >= 2")
     return epsilon**2 * float(alphabet_size) ** (-2 * (max_degree + 1) ** 2) / 64.0
 
@@ -63,7 +64,7 @@ def sample_size_bound(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if epsilon <= 0 or num_vars < 1 or alphabet_size < 2 or max_degree < 0:
+    if not epsilon > 0 or num_vars < 1 or alphabet_size < 2 or max_degree < 0:
         raise ValueError("invalid bound inputs")
     log = math.log2 if log_base2 else math.log
     d2 = max_degree + 2
@@ -107,73 +108,37 @@ def ising_nondegeneracy_epsilon(beta: float, gamma: float, max_degree: int) -> f
     return 2.0**-7 * math.exp(-6.0 * gamma * max_degree) * math.sinh(2.0 * beta) ** 2
 
 
-def all_bound_reports(
-    epsilon: float | None = None,
-    beta: float | None = None,
-    gamma: float | None = None,
-    max_degree: int | None = None,
-    alphabet_size: int | None = None,
-    num_vars: int | None = None,
-    delta: float | None = None,
-    log_base2: bool = True,
-) -> list[BoundReport]:
-    """Every bound computable from the supplied inputs, as reports."""
+#: One row per bound report, in report order: name, the inputs it needs
+#: (keyword names of its calculator), an evaluator over those inputs and the
+#: sample bound's ``log_base2`` flag, and the formula it echoes.
+BOUNDS: tuple[tuple[str, tuple[str, ...], Callable[..., float], str], ...] = (
+    ("decay_threshold", ("epsilon", "max_degree", "alphabet_size"),
+     lambda a, _: decay_threshold(**a), "epsilon^2 * q^(-2(D+1)^2) / 64"),
+    ("sample_size_bound", ("epsilon", "max_degree", "alphabet_size", "num_vars", "delta"),
+     lambda a, log_base2: sample_size_bound(**a, log_base2=log_base2),
+     "2^15 eps^-4 q^(4(D+2)) ((D+2) log 2q + 2 log p/delta)"),
+    ("ising_epsilon", ("beta", "max_degree"),
+     lambda a, _: ising_guarantee(**a).epsilon, "2^-10 sinh^2(2 beta)"),
+    ("ising_girth_bound", ("beta", "max_degree"),
+     lambda a, _: ising_guarantee(**a).girth_bound, "(2^15/ln 2)(D^2 ln 2 - ln sinh 2 beta)"),
+    ("ising_nondegeneracy_epsilon", ("beta", "gamma", "max_degree"),
+     lambda a, _: ising_nondegeneracy_epsilon(**a), "2^-7 e^(-6 gamma D) sinh^2(2 beta)"),
+)
+#: Every input name some bound reads.
+BOUND_INPUTS = tuple(dict.fromkeys(k for _, needs, _, _ in BOUNDS for k in needs))
+
+
+def all_bound_reports(*, log_base2: bool = True, **inputs: float | None) -> list[BoundReport]:
+    """A report for every row of :data:`BOUNDS` whose inputs are all
+    supplied (not None), in table order."""
+    unknown = sorted(set(inputs) - set(BOUND_INPUTS))
+    if unknown:
+        raise TypeError(f"unknown bound inputs: {', '.join(unknown)}")
     out: list[BoundReport] = []
-    if epsilon is not None and max_degree is not None and alphabet_size is not None:
-        out.append(
-            BoundReport(
-                name="decay_threshold",
-                inputs={"epsilon": epsilon, "max_degree": max_degree, "alphabet_size": alphabet_size},
-                value=decay_threshold(epsilon, max_degree, alphabet_size),
-                formula="epsilon^2 * q^(-2(D+1)^2) / 64",
-            )
-        )
-        if num_vars is not None and delta is not None:
-            out.append(
-                BoundReport(
-                    name="sample_size_bound",
-                    inputs={
-                        "epsilon": epsilon,
-                        "max_degree": max_degree,
-                        "alphabet_size": alphabet_size,
-                        "num_vars": num_vars,
-                        "delta": delta,
-                    },
-                    value=float(
-                        sample_size_bound(
-                            epsilon, max_degree, alphabet_size, num_vars, delta, log_base2
-                        )
-                    ),
-                    formula="2^15 eps^-4 q^(4(D+2)) ((D+2) log 2q + 2 log p/delta)",
-                )
-            )
-    if beta is not None and max_degree is not None:
-        guarantee = ising_guarantee(beta, max_degree)
-        out.append(
-            BoundReport(
-                name="ising_epsilon",
-                inputs={"beta": beta, "max_degree": max_degree},
-                value=guarantee.epsilon,
-                formula="2^-10 sinh^2(2 beta)",
-            )
-        )
-        out.append(
-            BoundReport(
-                name="ising_girth_bound",
-                inputs={"beta": beta, "max_degree": max_degree},
-                value=guarantee.girth_bound,
-                formula="(2^15/ln 2)(D^2 ln 2 - ln sinh 2 beta)",
-            )
-        )
-        if gamma is not None:
-            out.append(
-                BoundReport(
-                    name="ising_nondegeneracy_epsilon",
-                    inputs={"beta": beta, "gamma": gamma, "max_degree": max_degree},
-                    value=ising_nondegeneracy_epsilon(beta, gamma, max_degree),
-                    formula="2^-7 e^(-6 gamma D) sinh^2(2 beta)",
-                )
-            )
+    for name, needs, evaluate, formula in BOUNDS:
+        if all(inputs.get(k) is not None for k in needs):
+            used = {k: inputs[k] for k in needs}
+            out.append(BoundReport(name, used, float(evaluate(used, log_base2)), formula))
     return out
 
 

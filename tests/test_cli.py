@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +131,51 @@ class TestLearn:
                    "--out-dir", str(tmp_path / "x")])
         assert rc != 0
 
+    def copied_pair_csv(self, tmp_path):
+        # Column b copies column a, so the one true edge is a-b.
+        rng = np.random.default_rng(8)
+        rows = ["a,b"] + [f"{t},{t}" for t in rng.choice(["Y", "N"], size=200)]
+        f = tmp_path / "yn.csv"
+        f.write_text("\n".join(rows) + "\n")
+        return f
+
+    def test_map_file_skips_comments_and_blanks_and_keeps_later_equals(self, tmp_path):
+        f = self.copied_pair_csv(tmp_path)
+        rules = tmp_path / "rules.txt"
+        rules.write_text("# token map\n\n  Y = a=b  \nN=c\n")
+        out = tmp_path / "out"
+        # Both mapped tokens must be in the forced alphabet, or ingest fails.
+        rc = main(["learn", str(f), "--epsilon", "0.1", "--map-file", str(rules),
+                   "--alphabet", "a=b,c", "--out-dir", str(out)])
+        assert rc == 0
+        assert json.loads((out / "result.json").read_text())["edges"] == [[0, 1]]
+
+    def test_map_file_line_without_equals_fails(self, tmp_path):
+        f = self.copied_pair_csv(tmp_path)
+        rules = tmp_path / "rules.txt"
+        rules.write_text("Y=1\nN\n")
+        rc = main(["learn", str(f), "--epsilon", "0.1", "--map-file", str(rules),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_map_flag_without_equals_fails(self, tmp_path):
+        f = self.copied_pair_csv(tmp_path)
+        rc = main(["learn", str(f), "--epsilon", "0.1", "--map", "Y",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+
+    def test_nan_epsilon_is_rejected(self, tmp_path):
+        rng = np.random.default_rng(9)
+        rows = [",".join(f"v{k}" for k in range(16))] + [
+            ",".join(str(x) for x in rng.integers(0, 2, size=16)) for _ in range(300)
+        ]
+        f = tmp_path / "wide.csv"
+        f.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["learn", str(f), "--epsilon", "nan", "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
     def test_missing_file_fails(self, tmp_path):
         rc = main(["learn", str(tmp_path / "nope.csv"), "--epsilon", "0.1",
                    "--out-dir", str(tmp_path)])
@@ -199,6 +246,24 @@ class TestOracle:
                      "--epsilon", "0.02", "--chow-liu", "--out-dir", str(cl_out)]) == 0
         assert read_edge_list(greedy_out / "graph.edges") == read_edge_list(cl_out / "graph.edges")
 
+    def test_degree_hint_caps_picks_at_twice_the_hint(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["oracle", "--model", "grid:3", "--theta", "const:0.5", "--epsilon", "0.001",
+                   "--degree-hint", "1", "--out-dir", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["config"]["max_neighborhood"] == 2
+        assert max(len(t["picks"]) for t in doc["traces"]) == 2
+        # The centre of the grid has four neighbours and stops at the cap.
+        assert doc["traces"][4]["stop_reason"] == "cap"
+
+    def test_nan_epsilon_is_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["oracle", "--model", "grid:3", "--theta", "const:0.5", "--epsilon", "nan",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert not out.exists()
+
     def test_capacity_error_is_reported(self, tmp_path):
         rc = main(["oracle", "--model", "grid:5", "--theta", "const:0.5",
                    "--epsilon", "0.05", "--out-dir", str(tmp_path)])
@@ -217,6 +282,26 @@ def test_library_modules_do_not_import_the_cli():
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert "greedymrf.experiment" in loaded and "greedymrf.cli" not in loaded
+
+
+def test_bench_tracer_finds_every_layer():
+    # The bench tracer wraps package functions by name; a refactor that
+    # renames or drops one would silently lose that layer's metrics.
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, 'bench')\n"
+        "from traced_cli import Tracer, install\n"
+        "tracer = Tracer()\n"
+        "install(tracer)\n"
+        "print(json.dumps(tracer.absent))\n"
+    )
+    paths = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 class TestExperiment:
@@ -280,6 +365,18 @@ class TestExperiment:
         rc = main([
             "experiment", "--model", "grid:3", "--theta", "const:0.5", "--n", n,
             "--epsilon", eps, "--trials", "2", "--sampler", sampler, "--out-dir", str(tmp_path),
+        ])
+        assert rc == 1
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--gibbs-thinning", "0"), ("--gibbs-thinning", "-3"), ("--gibbs-burn-in", "-7"),
+    ])
+    def test_invalid_gibbs_settings_rejected_before_sampling(self, tmp_path, flag, value):
+        rc = main([
+            "experiment", "--model", "grid:3", "--theta", "const:0.5", "--n", "100",
+            "--epsilon", "0.05", "--trials", "2", "--sampler", "gibbs", flag, value,
+            "--out-dir", str(tmp_path),
         ])
         assert rc == 1
         assert not (tmp_path / "results.csv").exists()

@@ -1,5 +1,6 @@
 """Dataset construction, CSV ingestion, and empirical probability queries."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -91,6 +92,30 @@ class TestLoadCsv:
         f.write_text("c0,c1,c2\na,b,a\na,b\n")
         with pytest.raises(ParseError, match="row 2"):
             load_csv(f)
+
+    def test_blank_lines_crlf_and_a_missing_last_newline(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_bytes(b"\n\nc0,c1\r\na,b\r\n\r\nb,a\n\nb")
+        with pytest.raises(ParseError, match="body row 3 has 1 fields"):
+            load_csv(f)
+        f.write_bytes(b"\n\nc0,c1\r\na,b\r\n\r\nb,a")
+        assert load_csv(f).values.tolist() == [[0, 1], [1, 0]]
+
+    def test_ingest_holds_neither_the_text_nor_its_lines(self, tmp_path):
+        # Lines are read one at a time, so the peak is the int64 token ids
+        # and the dataset built from them, not the file's text as well.
+        rows, p = 20000, 20
+        f = tmp_path / "t.csv"
+        tokens = np.random.default_rng(0).choice(["Yea", "Nay", "Absent"], size=(rows, p))
+        f.write_text("\n".join([",".join(f"v{k}" for k in range(p))]
+                               + [",".join(row) for row in tokens]) + "\n")
+        tracemalloc.start()
+        try:
+            load_csv(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * rows * p
 
     def test_empty_body(self, tmp_path):
         f = tmp_path / "t.csv"

@@ -458,6 +458,23 @@ class TestAxisSums:
         assert np.array_equal(full, joint.probs) and not np.shares_memory(full, joint.probs)
         full[0] = 0.0  # writeable, like every other marginal
 
+    def test_full_width_marginal_and_entropy_copy_the_table_at_most_once(self):
+        # The hook hands the axis-sum marginal over as it is: no cell codes,
+        # no gathered copy. dense_marginal adds only the array it fills, and
+        # the entropy only its log buffer and the mask of nonzero cells.
+        w = np.random.default_rng(8).random(2**16)
+        table_bytes = w.nbytes
+        for query, bound in ((lambda s: s.dense_marginal(range(16)), 2.1),
+                             (lambda s: entropy(s, range(16)), 2.25)):
+            src = ExactSource(JointDistribution(16, SPIN_ALPHABET, w / w.sum()))
+            tracemalloc.start()
+            try:
+                query(src)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * table_bytes
+
     @pytest.mark.parametrize("i, given_vars", [
         (0, ()), (5, (1, 8, 12)), (9, (0, 2, 4, 6)), (15, tuple(range(13))), (0, tuple(range(1, 15))),
     ])

@@ -107,6 +107,8 @@ class TestGreedyNeighborhood:
         with pytest.raises(ValueError):
             LearnerConfig(epsilon=0.0)
         with pytest.raises(ValueError):
+            LearnerConfig(epsilon=float("nan"))
+        with pytest.raises(ValueError):
             LearnerConfig(epsilon=0.1, max_neighborhood=0)
         with pytest.raises(ValueError):
             LearnerConfig(epsilon=0.1, symmetrization="XOR")

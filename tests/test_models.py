@@ -182,6 +182,15 @@ class TestSampling:
         cfg = GibbsConfig(seed=6, burn_in=20, thinning=2)
         assert gibbs_sample(m, 50, cfg) == gibbs_sample(m, 50, cfg)
 
+    @pytest.mark.parametrize("burn_in, thinning", [(None, 0), (None, -3), (-7, 10)])
+    def test_gibbs_settings_are_validated(self, burn_in, thinning):
+        with pytest.raises(ValueError):
+            GibbsConfig(seed=0, burn_in=burn_in, thinning=thinning)
+
+    def test_zero_burn_in_is_allowed(self):
+        m = const_model(ModelSpec.chain(3, WeightRule.constant(0.5)))
+        assert gibbs_sample(m, 5, GibbsConfig(seed=0, burn_in=0, thinning=1)).n == 5
+
 
 class TestFactorGraph:
     def test_triangle_single_clique(self):

@@ -84,6 +84,12 @@ class TestSampleSizeBound:
         with pytest.raises(ValueError):
             sample_size_bound(0.5, 2, 2, 16, 1.5)
 
+    def test_nan_epsilon_is_rejected_by_both_calculators(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            decay_threshold(float("nan"), 2, 2)
+        with pytest.raises(ValueError, match="invalid bound inputs"):
+            sample_size_bound(float("nan"), 2, 2, 16, 0.05)
+
 
 class TestIsingGuarantee:
     def test_hand_value(self):
@@ -278,3 +284,44 @@ class TestBoundReports:
 
     def test_no_inputs_no_reports(self):
         assert all_bound_reports() == []
+
+    @pytest.mark.parametrize("log_base2", [True, False])
+    def test_every_report_pinned_from_its_closed_form(self, log_base2):
+        eps, beta, gamma, d, q, p, delta = 0.5, 0.1, 0.15, 2, 3, 16, 0.05
+        log = math.log2 if log_base2 else math.log
+        s2 = math.sinh(2 * beta) ** 2
+        expected = [
+            ("decay_threshold", {"epsilon": eps, "max_degree": d, "alphabet_size": q},
+             eps**2 * q ** (-2 * (d + 1) ** 2) / 64, "epsilon^2 * q^(-2(D+1)^2) / 64"),
+            ("sample_size_bound",
+             {"epsilon": eps, "max_degree": d, "alphabet_size": q, "num_vars": p, "delta": delta},
+             math.ceil(2**15 * eps**-4 * q ** (4 * (d + 2))
+                       * ((d + 2) * log(2 * q) + 2 * log(p / delta))),
+             "2^15 eps^-4 q^(4(D+2)) ((D+2) log 2q + 2 log p/delta)"),
+            ("ising_epsilon", {"beta": beta, "max_degree": d}, s2 / 2**10,
+             "2^-10 sinh^2(2 beta)"),
+            ("ising_girth_bound", {"beta": beta, "max_degree": d},
+             2**15 / math.log(2) * (d**2 * math.log(2) - math.log(math.sinh(2 * beta))),
+             "(2^15/ln 2)(D^2 ln 2 - ln sinh 2 beta)"),
+            ("ising_nondegeneracy_epsilon", {"beta": beta, "gamma": gamma, "max_degree": d},
+             math.exp(-6 * gamma * d) * s2 / 2**7, "2^-7 e^(-6 gamma D) sinh^2(2 beta)"),
+        ]
+        reports = all_bound_reports(
+            epsilon=eps, beta=beta, gamma=gamma, max_degree=d, alphabet_size=q,
+            num_vars=p, delta=delta, log_base2=log_base2,
+        )
+        assert [r.name for r in reports] == [e[0] for e in expected]
+        for r, (_, inputs, value, formula) in zip(reports, expected):
+            assert r.inputs == inputs
+            assert type(r.value) is float and r.value == pytest.approx(value, rel=1e-12)
+            assert r.formula == formula
+
+    def test_a_report_needs_every_one_of_its_inputs(self):
+        reports = all_bound_reports(epsilon=0.5, max_degree=2, alphabet_size=2, num_vars=8,
+                                    gamma=0.2)
+        assert [r.name for r in reports] == ["decay_threshold"]
+        assert all_bound_reports(beta=0.1, gamma=0.2, delta=0.1, num_vars=4) == []
+
+    def test_unknown_input_is_refused(self):
+        with pytest.raises(TypeError):
+            all_bound_reports(eps=0.5, max_degree=2, alphabet_size=2)
