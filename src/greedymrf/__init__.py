@@ -30,6 +30,7 @@ from .entropy import (
     mutual_information,
 )
 from .generators import ModelSpec, WeightRule, build, model_from_strings
+from .gibbs import GibbsChains, GibbsConfig, gibbs_sample
 from .learner import (
     LearnResult,
     LearnerConfig,
@@ -42,14 +43,12 @@ from .learner import (
 )
 from .models import (
     FactorGraph,
-    GibbsConfig,
     IsingModel,
     JointDistribution,
     MarkovGraph,
     exact_joint,
     exact_sample,
     factor_graph,
-    gibbs_sample,
     girth,
     graph_distance,
     read_edge_list,

@@ -53,15 +53,18 @@ class DistributionSource:
         cells = self.alphabet.size ** len(variables)
         if cells > _MAX_DENSE_CELLS:
             raise CapacityError(f"dense marginal over {len(variables)} variables too large")
-        out = np.zeros(cells)
         index, probs = self._cells(variables)
+        if isinstance(index, slice):
+            return probs
+        out = np.zeros(cells)
         out[index] = probs
         return out
 
     def _cells(self, variables: tuple[int, ...]) -> tuple[np.ndarray | slice, np.ndarray]:
-        """(index into the dense marginal over the sorted ``variables``, as
-        an array of mixed-radix codes or a slice; the probabilities there).
-        Every other cell of the marginal is zero."""
+        """(index into the dense marginal over the sorted ``variables``; the
+        probabilities there). The index is an array of mixed-radix codes, and
+        every other cell of the marginal is zero, or ``slice(None)`` when the
+        probabilities are the whole marginal, in a fresh array."""
         raise NotImplementedError
 
     def entropy_bits(self, variables: tuple[int, ...]) -> float:

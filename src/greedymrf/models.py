@@ -2,8 +2,8 @@
 
 The exact backend enumerates the full joint table (up to the ENUMERATION_CAP
 of 24 binary variables) and takes marginals as axis sums of it; beyond the cap,
-sampling falls back to a single-site Gibbs chain. Spins are encoded
-project-wide as alphabet index 0 <-> -1 and 1 <-> +1.
+sampling falls back to the Gibbs chains of :mod:`greedymrf.gibbs`. Spins are
+encoded project-wide as alphabet index 0 <-> -1 and 1 <-> +1.
 """
 
 from __future__ import annotations
@@ -270,59 +270,6 @@ def exact_sample(j: JointDistribution, n: int, seed: int) -> DiscreteDataset:
     values = np.stack(np.unravel_index(cells, (j.alphabet.size,) * j.p), axis=1)
     names = [f"v{k}" for k in range(j.p)]
     return DiscreteDataset(names, j.alphabet, values)
-
-
-@dataclass(frozen=True)
-class GibbsConfig:
-    """Chain controls. ``burn_in`` / ``thinning`` are in full sweeps over all
-    sites; burn_in defaults to 1000*p when left as None."""
-
-    seed: int
-    burn_in: int | None = None
-    thinning: int = 10
-
-    def __post_init__(self) -> None:
-        if self.thinning < 1 or (self.burn_in is not None and self.burn_in < 0):
-            raise ValueError("need gibbs thinning >= 1 and burn-in >= 0")
-
-
-def gibbs_full_conditional(m: IsingModel, site: int, spins: Sequence[int]) -> float:
-    """P(X_site = +1 | all other spins) for +-1 spin values."""
-    h = sum(t * spins[v if u == site else u] for (u, v), t in m.theta.items() if site in (u, v))
-    return 1.0 / (1.0 + math.exp(-2.0 * h))
-
-
-def gibbs_sample(m: IsingModel, n: int, cfg: GibbsConfig) -> DiscreteDataset:
-    """Single-site Gibbs sampler; deterministic given the seed."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    p = m.p
-    burn = 1000 * p if cfg.burn_in is None else cfg.burn_in
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(p)]
-    for (u, v), t in m.theta.items():
-        nbrs[u].append((v, t))
-        nbrs[v].append((u, t))
-    rng = np.random.default_rng(cfg.seed)
-    spins = [int(s) for s in rng.integers(0, 2, size=p) * 2 - 1]
-    exp = math.exp
-
-    def sweep() -> None:
-        u = rng.random(p)
-        for k in range(p):
-            h = 0.0
-            for j, t in nbrs[k]:
-                h += t * spins[j]
-            spins[k] = 1 if u[k] < 1.0 / (1.0 + exp(-2.0 * h)) else -1
-
-    for _ in range(burn):
-        sweep()
-    values = np.empty((n, p), dtype=np.int64)
-    for r in range(n):
-        for _ in range(cfg.thinning):
-            sweep()
-        values[r] = [(s + 1) >> 1 for s in spins]
-    names = [f"v{k}" for k in range(p)]
-    return DiscreteDataset(names, SPIN_ALPHABET, values)
 
 
 def find(parent: list[int], u: int) -> int:

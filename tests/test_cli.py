@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from greedymrf.cli import main
+from greedymrf.entropy import EmpiricalSource
 from greedymrf.experiment import ExperimentSpec, run_experiment
 from greedymrf.generators import ModelSpec, WeightRule, build
+from greedymrf.gibbs import GibbsConfig, gibbs_sample
 from greedymrf.models import exact_joint, exact_sample, read_edge_list
 from greedymrf.dataset import write_csv
 
@@ -347,6 +350,66 @@ class TestExperiment:
         assert rc == 0
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 2
+
+    def test_gibbs_datasets_are_prefixes_of_one_chain_per_trial(self, tmp_path):
+        spec = ExperimentSpec(
+            model=ModelSpec.grid(3, WeightRule.constant(0.4)), n_values=(30, 70, 120),
+            epsilons=(0.05, 0.1), trials=3, seed=9, sampler="gibbs",
+            gibbs_burn_in=20, gibbs_thinning=2,
+        )
+        seen = []
+        with mock.patch("greedymrf.experiment.EmpiricalSource",
+                        side_effect=lambda ds: seen.append(ds) or EmpiricalSource(ds)):
+            run_experiment(spec, tmp_path / "r.csv")
+        # Cells run n by n, epsilon by epsilon, trial by trial.
+        by_cell = [seen[k:k + spec.trials] for k in range(0, len(seen), spec.trials)]
+        largest = by_cell[-1]
+        for ds in largest:
+            assert ds.n == 120
+        for cell, n in zip(by_cell, (30, 30, 70, 70, 120, 120)):
+            for trial, ds in enumerate(cell):
+                assert np.array_equal(ds.values, largest[trial].values[:n])
+        model = build(spec.model)
+        for trial, ds in enumerate(largest):
+            cfg = GibbsConfig(seed=9 ^ trial, burn_in=20, thinning=2)
+            assert ds == gibbs_sample(model, 120, cfg)
+
+    def test_summary_reports_chain_rhat_and_opt_in_sampling_time(self, tmp_path):
+        def run(sub, *flags):
+            out = tmp_path / sub
+            assert main([
+                "experiment", "--model", "grid:3", "--theta", "const:0.4", "--n", "50,200",
+                "--epsilon", "0.05", "--trials", "3", "--seed", "2", "--gibbs-burn-in", "50",
+                "--gibbs-thinning", "2", "--out-dir", str(out), *flags,
+            ]) == 0
+            assert (out / "results.csv").read_text().splitlines()[0] == RESULTS_HEADER
+            return json.loads((out / "summary.json").read_text())
+
+        exact = run("exact", "--sampler", "exact", "--sampling-time")
+        assert all(c["rhat_magnetization"] is None and c["rhat_edge_max"] is None
+                   for c in exact["cells"])
+        assert exact["sampling_s"] > 0.0
+        gibbs = run("gibbs", "--sampler", "gibbs")
+        assert "sampling_s" not in gibbs
+        for c in gibbs["cells"]:
+            assert 0.9 < c["rhat_magnetization"] < 1.5 and 0.9 < c["rhat_edge_max"] < 1.5
+        zeroed = run("zeroed", "--sampler", "gibbs", "--sampling-time", "--no-timing")
+        assert zeroed["sampling_s"] == 0.0
+        assert zeroed["cells"] == gibbs["cells"]
+        one = run("one", "--sampler", "gibbs", "--trials", "1")
+        assert all(c["rhat_magnetization"] is None for c in one["cells"])
+
+    def test_unmixed_chains_are_logged(self, tmp_path, caplog):
+        # No burn-in and strong couplings: the chains keep their start states.
+        spec = ExperimentSpec(
+            model=ModelSpec.grid(3, WeightRule.constant(2.0)), n_values=(40,),
+            epsilons=(0.05,), trials=4, seed=0, sampler="gibbs",
+            gibbs_burn_in=0, gibbs_thinning=1,
+        )
+        with caplog.at_level("WARNING", logger="greedymrf.experiment"):
+            cells = run_experiment(spec, tmp_path / "r.csv")
+        assert cells[0].rhat_magnetization > 1.1
+        assert len(caplog.records) == 1 and "R-hat" in caplog.records[0].getMessage()
 
     def test_descending_n_rejected(self, tmp_path):
         rc = main([

@@ -458,10 +458,26 @@ class TestAxisSums:
         assert np.array_equal(full, joint.probs) and not np.shares_memory(full, joint.probs)
         full[0] = 0.0  # writeable, like every other marginal
 
+    def test_full_width_dense_marginal_is_the_axis_sum_itself(self):
+        # A slice(None) index means the hook's array is the whole marginal:
+        # dense_marginal returns it without filling a second array.
+        w = np.random.default_rng(9).random(2**16)
+        src = ExactSource(JointDistribution(16, SPIN_ALPHABET, w / w.sum()))
+        tracemalloc.start()
+        try:
+            full = src.dense_marginal(range(16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * w.nbytes
+        assert np.array_equal(full, src.joint.probs)
+        assert not np.shares_memory(full, src.joint.probs)
+        full[0] = 0.0  # writeable, like every other marginal
+
     def test_full_width_marginal_and_entropy_copy_the_table_at_most_once(self):
         # The hook hands the axis-sum marginal over as it is: no cell codes,
-        # no gathered copy. dense_marginal adds only the array it fills, and
-        # the entropy only its log buffer and the mask of nonzero cells.
+        # no gathered copy. The entropy adds only its log buffer and the mask
+        # of nonzero cells.
         w = np.random.default_rng(8).random(2**16)
         table_bytes = w.nbytes
         for query, bound in ((lambda s: s.dense_marginal(range(16)), 2.1),

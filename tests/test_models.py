@@ -1,10 +1,13 @@
 """Graphs, factor graphs, exact joints, samplers, and tree-model structure."""
 
 import math
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedymrf.dataset import CapacityError
 from greedymrf.generators import (
@@ -14,16 +17,22 @@ from greedymrf.generators import (
     complete_dary_tree_graph,
     erdos_renyi_graph,
     max_theta_for_tree_decay,
+    model_from_strings,
+)
+from greedymrf.gibbs import (
+    GibbsChains,
+    GibbsConfig,
+    gelman_rubin,
+    gibbs_full_conditional,
+    gibbs_sample,
+    greedy_colouring,
 )
 from greedymrf.models import (
-    GibbsConfig,
     IsingModel,
     MarkovGraph,
     exact_joint,
     exact_sample,
     factor_graph,
-    gibbs_full_conditional,
-    gibbs_sample,
     girth,
     graph_distance,
     is_forest,
@@ -190,6 +199,126 @@ class TestSampling:
     def test_zero_burn_in_is_allowed(self):
         m = const_model(ModelSpec.chain(3, WeightRule.constant(0.5)))
         assert gibbs_sample(m, 5, GibbsConfig(seed=0, burn_in=0, thinning=1)).n == 5
+
+
+# Sampler models: 2-colourable, odd cycle, sparse random graphs with mixed
+# signs and with uniform weights, the complete graph and no edges at all.
+SAMPLER_MODELS = {
+    "grid:3": ("grid:3", "const:0.5"),
+    "cycle:5": ("cycle:5", "uniform:0.2,0.7,1"),
+    "er-randsign": ("er:18,0.15,3", "randsign:0.5,4"),
+    "er-uniform": ("er:18,0.15,3", "uniform:0.1,0.6,5"),
+    "complete:5": None,
+    "edgeless:4": None,
+}
+
+
+@cache
+def sampler_model(name):
+    if name == "complete:5":
+        edges = list(combinations(range(5), 2))
+        return IsingModel(MarkovGraph(5, edges), {e: (-0.2, 0.3)[k % 2] for k, e in enumerate(edges)})
+    if name == "edgeless:4":
+        return IsingModel(MarkovGraph(4, []), {})
+    return model_from_strings(*SAMPLER_MODELS[name])
+
+
+@cache
+def sampler_table(name):
+    return exact_joint(sampler_model(name)).table
+
+
+sampler_names = st.sampled_from(sorted(SAMPLER_MODELS))
+
+
+class TestChromaticGibbs:
+    @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
+    def test_colouring_is_proper_and_lowest_first(self, name):
+        g = sampler_model(name).graph
+        colour = greedy_colouring(g)
+        assert all(colour[u] != colour[v] for u, v in g.edges)
+        for u in range(g.p):
+            below = {colour[v] for v in g.neighbors(u) if v < u}
+            assert colour[u] == min(set(range(g.p + 1)) - below)
+
+    def test_colour_counts(self):
+        assert max(greedy_colouring(sampler_model("grid:3").graph)) == 1
+        assert max(greedy_colouring(sampler_model("cycle:5").graph)) == 2
+        assert max(greedy_colouring(sampler_model("complete:5").graph)) == 4
+        assert max(greedy_colouring(sampler_model("edgeless:4").graph)) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=sampler_names, data=st.data())
+    def test_full_conditional_matches_exact_joint(self, name, data):
+        m = sampler_model(name)
+        site = data.draw(st.integers(0, m.p - 1))
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=m.p, max_size=m.p))
+        table = sampler_table(name)
+        up, down = list(bits), list(bits)
+        up[site], down[site] = 1, 0
+        want = table[tuple(up)] / (table[tuple(up)] + table[tuple(down)])
+        spins = [2 * b - 1 for b in bits]
+        assert gibbs_full_conditional(m, site, spins) == pytest.approx(want, rel=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=sampler_names,
+        seeds=st.lists(st.integers(0, 2**32), min_size=5, max_size=5),
+        burn_in=st.integers(0, 30),
+        thinning=st.integers(1, 3),
+        n=st.integers(1, 40),
+        split=st.integers(0, 40),
+    )
+    def test_batch_rows_equal_each_chain_run_alone(self, name, seeds, burn_in, thinning, n, split):
+        m = sampler_model(name)
+        split = min(split, n)
+        chains = GibbsChains(m, seeds, burn_in, thinning)
+        rows = np.concatenate((chains.draw(split), chains.draw(n - split)), axis=1)
+        assert rows.shape == (5, n, m.p)
+        for seed, chain in zip(seeds, rows):
+            alone = gibbs_sample(m, n, GibbsConfig(seed=seed, burn_in=burn_in, thinning=thinning))
+            assert np.array_equal(chain, alone.values)
+
+    def test_three_colour_cycle_matches_exact_pair_marginals(self):
+        m = sampler_model("cycle:5")
+        rows = GibbsChains(m, range(8), burn_in=200, thinning=2).draw(5000).reshape(-1, m.p)
+        j = exact_joint(m)
+        for u, v in m.graph.sorted_edges():
+            want = spin_marginal(j, [u, v])
+            got = np.histogram2d(rows[:, u], rows[:, v], bins=2, range=[[0, 2], [0, 2]])[0]
+            assert np.abs(got / len(rows) - want).max() < 0.015
+
+    def test_blocks_smaller_than_the_run_give_the_same_rows(self, monkeypatch):
+        m = sampler_model("grid:3")
+        whole = GibbsChains(m, [1, 2], burn_in=7, thinning=3).draw(50)
+        monkeypatch.setattr("greedymrf.gibbs._BLOCK_DOUBLES", 1)
+        assert np.array_equal(GibbsChains(m, [1, 2], burn_in=7, thinning=3).draw(50), whole)
+
+    def test_needs_a_seed_and_valid_settings(self):
+        m = sampler_model("grid:3")
+        with pytest.raises(ValueError):
+            GibbsChains(m, [])
+        with pytest.raises(ValueError):
+            GibbsChains(m, [0], thinning=0)
+
+
+class TestGelmanRubin:
+    def test_undefined_cases_are_none(self):
+        assert gelman_rubin(np.ones((1, 10))) is None
+        assert gelman_rubin(np.ones((3, 1))) is None
+        assert gelman_rubin(np.ones((3, 10))) is None
+
+    def test_closed_form(self):
+        stat = np.array([[0.0, 2.0], [2.0, 4.0]])
+        # W = 2, B/n = var([1, 3]) = 2, so R = sqrt((W/2 + 2) / W).
+        assert gelman_rubin(stat) == pytest.approx(math.sqrt(1.5))
+
+    def test_mixed_chains_near_one_and_stuck_chains_far_above(self):
+        rng = np.random.default_rng(0)
+        assert gelman_rubin(rng.normal(size=(4, 2000))) < 1.01
+        stuck = rng.normal(size=(4, 2000)) + np.arange(4)[:, None]
+        assert gelman_rubin(stuck) > 1.1
+        assert gelman_rubin(2.0 * stuck - 3.0) == pytest.approx(gelman_rubin(stuck))
 
 
 class TestFactorGraph:
