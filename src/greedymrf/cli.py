@@ -154,8 +154,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = run_experiment(spec, out / "results.csv", no_timing=args.no_timing)
-    summary = experiment_summary(spec, cells, sampling_time=args.sampling_time)
-    _write_json(summary, out / "summary.json")
+    _write_json(experiment_summary(spec, cells), out / "summary.json")
     return 0
 
 
@@ -238,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--gibbs-thinning", type=int, default=10, help="sweeps between samples")
     p_exp.add_argument("--no-timing", action="store_true",
                        help="write 0.0 runtimes so reruns are byte-identical")
-    p_exp.add_argument("--sampling-time", action="store_true",
-                       help="add sampling_s, the seconds spent sampling, to summary.json")
     p_exp.add_argument("--out-dir", default=".")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -7,13 +7,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .dataset import SPIN_ALPHABET, DiscreteDataset
 from .entropy import EmpiricalSource
 from .generators import ModelSpec, build
-from .learner import LearnerConfig, learn_structure
 from .gibbs import GibbsChains, GibbsConfig, chain_rhats
+from .learner import LearnerConfig, learn_structure
 from .models import exact_joint, exact_sample
 
 RESULTS_HEADER = "n,epsilon,trials,successes,success_rate,mean_runtime_s"
@@ -60,9 +58,7 @@ class CellResult:
     mean_runtime_s: float
     mean_precision: float
     mean_recall: float
-    # Seconds spent drawing the rows this n adds (0.0 under no_timing), and
-    # the R-hat of the trial chains' first n rows; None for exact samples.
-    sampling_s: float
+    # R-hat of the trial chains' first n rows; None for exact samples.
     rhat_magnetization: float | None
     rhat_edge_max: float | None
 
@@ -90,28 +86,26 @@ def run_experiment(
 
     Trial t samples with seed ``spec.seed ^ t`` at every n. The exact sampler
     draws each n afresh. The Gibbs sampler runs one chain per trial, all
-    trials as one batch, extended n by n: each n's datasets are the first n
+    trials as one batch, to the largest n: each n's datasets are the first n
     rows of the trials' chains, so no row is sampled twice."""
     model = build(spec.model)
     truth = set(model.graph.edges)
     joint = exact_joint(model) if spec.sampler == "exact" else None
     seeds = [spec.seed ^ trial for trial in range(spec.trials)]
     if joint is None:
-        chains = GibbsChains(model, seeds, spec.gibbs_burn_in, spec.gibbs_thinning)
-        samples = np.empty((spec.trials, 0, model.p), dtype=np.uint8)
+        chains = GibbsChains(model, [
+            GibbsConfig(seed, spec.gibbs_burn_in, spec.gibbs_thinning) for seed in seeds])
+        samples = chains.draw(spec.n_values[-1])
         names = [f"v{k}" for k in range(model.p)]
     cells: list[CellResult] = []
     with open(results_path, "w", encoding="utf-8") as fh:
         fh.write(RESULTS_HEADER + "\n")
         for n in spec.n_values:
-            started = time.perf_counter()
             if joint is not None:
                 datasets = [exact_sample(joint, n, seed) for seed in seeds]
             else:
-                samples = np.concatenate((samples, chains.draw(n - samples.shape[1])), axis=1)
-                datasets = [DiscreteDataset(names, SPIN_ALPHABET, rows) for rows in samples]
-            sampling_s = 0.0 if no_timing else time.perf_counter() - started
-            rhats = (None, None) if joint is not None else chain_rhats(model.graph, samples)
+                datasets = [DiscreteDataset(names, SPIN_ALPHABET, rows[:n]) for rows in samples]
+            rhats = (None, None) if joint is not None else chain_rhats(model.graph, samples[:, :n])
             if any(r is not None and r > RHAT_LIMIT for r in rhats):
                 _log_unmixed(n, rhats)
             for eps in spec.epsilons:
@@ -139,7 +133,6 @@ def run_experiment(
                     mean_runtime_s=mean_rt,
                     mean_precision=sum(precisions) / len(precisions),
                     mean_recall=sum(recalls) / len(recalls),
-                    sampling_s=sampling_s,
                     rhat_magnetization=rhats[0],
                     rhat_edge_max=rhats[1],
                 )
@@ -152,14 +145,10 @@ def run_experiment(
     return cells
 
 
-def experiment_summary(
-    spec: ExperimentSpec, cells: list[CellResult], sampling_time: bool = False
-) -> dict:
+def experiment_summary(spec: ExperimentSpec, cells: list[CellResult]) -> dict:
     """Minimal n reaching the target per epsilon (no interpolation) plus the
     best epsilon per n, with partial-recovery means and the Gibbs chains'
-    R-hat logged alongside. ``sampling_time`` adds ``sampling_s``, the run's
-    seconds spent sampling; it is off by default because it differs between
-    otherwise identical reruns."""
+    R-hat logged alongside."""
     min_n: dict[str, int | None] = {}
     for eps in spec.epsilons:
         hit = [c.n for c in cells if c.epsilon == eps and c.success_rate >= spec.success_target]
@@ -169,7 +158,7 @@ def experiment_summary(
         row = [c for c in cells if c.n == n]
         top = max(row, key=lambda c: (c.success_rate, -c.epsilon))
         best_eps[str(n)] = top.epsilon
-    doc = {
+    return {
         "model": {"family": spec.model.family, "params": list(spec.model.params)},
         "weights": {"kind": spec.model.weights.kind, "params": list(spec.model.weights.params)},
         "trials": spec.trials,
@@ -191,6 +180,3 @@ def experiment_summary(
             for c in cells
         ],
     }
-    if sampling_time:
-        doc["sampling_s"] = sum({c.n: c.sampling_s for c in cells}.values())
-    return doc

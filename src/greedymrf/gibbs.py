@@ -15,11 +15,6 @@ from .dataset import SPIN_ALPHABET, DiscreteDataset
 from .models import IsingModel, MarkovGraph
 
 
-def _check_gibbs_settings(burn_in: int | None, thinning: int) -> None:
-    if thinning < 1 or (burn_in is not None and burn_in < 0):
-        raise ValueError("need gibbs thinning >= 1 and burn-in >= 0")
-
-
 @dataclass(frozen=True)
 class GibbsConfig:
     """Chain controls. ``burn_in`` / ``thinning`` are in full sweeps over all
@@ -30,16 +25,19 @@ class GibbsConfig:
     thinning: int = 10
 
     def __post_init__(self) -> None:
-        _check_gibbs_settings(self.burn_in, self.thinning)
+        if self.thinning < 1 or (self.burn_in is not None and self.burn_in < 0):
+            raise ValueError("need gibbs thinning >= 1 and burn-in >= 0")
 
 
-def coupling_matrix(m: IsingModel) -> np.ndarray:
+def coupling_matrix(m: IsingModel, position: Sequence[int] | None = None) -> np.ndarray:
     """The symmetric p x p matrix W = 2*Theta: W[u, v] = 2*theta_uv on each
     edge, 0 elsewhere. For +-1 spins x, site v's local field is h_v = x @ W[:, v]
-    and P(X_v = +1 | the other spins) = 1 / (1 + exp(-h_v))."""
+    and P(X_v = +1 | the other spins) = 1 / (1 + exp(-h_v)). With
+    ``position``, site v is row and column ``position[v]`` instead of v."""
+    at = range(m.p) if position is None else position
     w = np.zeros((m.p, m.p))
     for (u, v), t in m.theta.items():
-        w[u, v] = w[v, u] = 2.0 * t
+        w[at[u], at[v]] = w[at[v], at[u]] = 2.0 * t
     return w
 
 
@@ -68,41 +66,42 @@ _BLOCK_DOUBLES = 1 << 13
 
 
 class GibbsChains:
-    """Independent single-site Gibbs chains of one model, one per seed,
-    advanced together by colour class (chromatic Gibbs: Gonzalez, Low,
-    Gretton & Guestrin, AISTATS 2011).
+    """Independent single-site Gibbs chains of one model, one per
+    :class:`GibbsConfig`, advanced together by colour class (chromatic Gibbs:
+    Gonzalez, Low, Gretton & Guestrin, AISTATS 2011). The configs share one
+    burn-in and thinning, since the chains sweep in step.
 
     A sweep updates the classes of :func:`greedy_colouring` in turn, lowest
     colour first. No two sites of a class are adjacent, so a whole class is
     one update across every chain: its local fields are ``spins @ W[:, class]``
     with W from :func:`coupling_matrix`. Chain b starts from
-    ``default_rng(seeds[b]).integers(0, 2, size=p)``; the same generator then
-    gives one uniform per site update, sweep after sweep, sites in class
-    order. A chain's rows therefore depend on its own seed only, not on the
+    ``default_rng(cfgs[b].seed).integers(0, 2, size=p)``; the same generator
+    then gives one uniform per site update, sweep after sweep, sites in class
+    order. A chain's rows therefore depend on its own config only, not on the
     batch, and several :meth:`draw` calls give the rows of one call.
     """
 
-    def __init__(
-        self, m: IsingModel, seeds: Sequence[int], burn_in: int | None = None, thinning: int = 10
-    ):
-        _check_gibbs_settings(burn_in, thinning)
-        if len(seeds) == 0:
-            raise ValueError("need at least one chain seed")
+    def __init__(self, m: IsingModel, cfgs: Sequence[GibbsConfig]):
+        if len({(c.burn_in, c.thinning) for c in cfgs}) != 1:
+            raise ValueError("need at least one chain, all with one burn-in and thinning")
         colour = greedy_colouring(m.graph)
         # Sites sorted by colour, so each class is a slice of this order.
         order = sorted(range(m.p), key=lambda v: (colour[v], v))
         self._column = sorted(range(m.p), key=order.__getitem__)  # site -> position in order
-        w = coupling_matrix(m)[np.ix_(order, order)]
-        ends = list(accumulate(colour.count(c) for c in range(max(colour) + 1)))
-        self._classes = [(slice(a, b), 2.0 * w[:, a:b]) for a, b in zip([0] + ends, ends)]
+        w = coupling_matrix(m, self._column)
         # With bits b = (x + 1) / 2, the field x @ W is b @ 2W - sum(W); the
         # kernel keeps bits and moves sum(W) onto the threshold.
         self._offset = w.sum(axis=0)
-        self._rngs = [np.random.default_rng(s) for s in seeds]
+        w *= 2.0
+        ends = list(accumulate(colour.count(c) for c in range(max(colour) + 1)))
+        # W is symmetric, so a class's columns are the transpose of its rows:
+        # a contiguous view of the one p x p matrix, not a copy.
+        self._classes = [(slice(a, b), w[a:b].T) for a, b in zip([0] + ends, ends)]
+        self._rngs = [np.random.default_rng(c.seed) for c in cfgs]
         first = np.array([r.integers(0, 2, size=m.p) for r in self._rngs]).reshape(-1, m.p)
         self._bits = first[:, order].astype(np.float64)
+        burn_in, self._thinning = cfgs[0].burn_in, cfgs[0].thinning
         self._burn = 1000 * m.p if burn_in is None else burn_in
-        self._thinning = thinning
 
     def draw(self, rows: int) -> np.ndarray:
         """The next ``rows`` samples of every chain as alphabet indices (0 for
@@ -147,7 +146,7 @@ def gibbs_sample(m: IsingModel, n: int, cfg: GibbsConfig) -> DiscreteDataset:
     deterministic given the seed."""
     if n < 1:
         raise ValueError("need n >= 1")
-    values = GibbsChains(m, [cfg.seed], cfg.burn_in, cfg.thinning).draw(n)[0]
+    values = GibbsChains(m, [cfg]).draw(n)[0]
     return DiscreteDataset([f"v{k}" for k in range(m.p)], SPIN_ALPHABET, values)
 
 

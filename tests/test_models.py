@@ -1,6 +1,7 @@
 """Graphs, factor graphs, exact joints, samplers, and tree-model structure."""
 
 import math
+import tracemalloc
 from functools import cache
 from itertools import combinations, product
 
@@ -272,7 +273,7 @@ class TestChromaticGibbs:
     def test_batch_rows_equal_each_chain_run_alone(self, name, seeds, burn_in, thinning, n, split):
         m = sampler_model(name)
         split = min(split, n)
-        chains = GibbsChains(m, seeds, burn_in, thinning)
+        chains = GibbsChains(m, [GibbsConfig(s, burn_in, thinning) for s in seeds])
         rows = np.concatenate((chains.draw(split), chains.draw(n - split)), axis=1)
         assert rows.shape == (5, n, m.p)
         for seed, chain in zip(seeds, rows):
@@ -281,7 +282,8 @@ class TestChromaticGibbs:
 
     def test_three_colour_cycle_matches_exact_pair_marginals(self):
         m = sampler_model("cycle:5")
-        rows = GibbsChains(m, range(8), burn_in=200, thinning=2).draw(5000).reshape(-1, m.p)
+        cfgs = [GibbsConfig(seed, burn_in=200, thinning=2) for seed in range(8)]
+        rows = GibbsChains(m, cfgs).draw(5000).reshape(-1, m.p)
         j = exact_joint(m)
         for u, v in m.graph.sorted_edges():
             want = spin_marginal(j, [u, v])
@@ -290,16 +292,33 @@ class TestChromaticGibbs:
 
     def test_blocks_smaller_than_the_run_give_the_same_rows(self, monkeypatch):
         m = sampler_model("grid:3")
-        whole = GibbsChains(m, [1, 2], burn_in=7, thinning=3).draw(50)
+        cfgs = [GibbsConfig(seed, burn_in=7, thinning=3) for seed in (1, 2)]
+        whole = GibbsChains(m, cfgs).draw(50)
         monkeypatch.setattr("greedymrf.gibbs._BLOCK_DOUBLES", 1)
-        assert np.array_equal(GibbsChains(m, [1, 2], burn_in=7, thinning=3).draw(50), whole)
+        assert np.array_equal(GibbsChains(m, cfgs).draw(50), whole)
 
-    def test_needs_a_seed_and_valid_settings(self):
+    def test_setup_holds_one_coupling_matrix(self):
+        m = model_from_strings("grid:20", "const:0.3")
+        cfgs = [GibbsConfig(seed) for seed in range(4)]
+        GibbsChains(sampler_model("grid:3"), cfgs)  # first-call imports stay untraced
+        tracemalloc.start()
+        try:
+            GibbsChains(m, cfgs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * m.p * m.p * 8
+
+    def test_needs_a_chain_and_shared_valid_settings(self):
         m = sampler_model("grid:3")
         with pytest.raises(ValueError):
             GibbsChains(m, [])
         with pytest.raises(ValueError):
-            GibbsChains(m, [0], thinning=0)
+            GibbsChains(m, [GibbsConfig(0, burn_in=5), GibbsConfig(1, burn_in=6)])
+        with pytest.raises(ValueError):
+            GibbsConfig(0, thinning=0)
+        with pytest.raises(ValueError):
+            GibbsConfig(0, burn_in=-1)
 
 
 class TestGelmanRubin:
