@@ -2,10 +2,11 @@
 
 A dataset is an immutable n x p matrix of alphabet indices plus the alphabet
 itself. All probability estimation elsewhere in the package reduces to
-counting rows of this matrix, so the counting backend lives here too: every
-count of dataset rows is a ``bincount`` over the mixed-radix cell codes built
-by :func:`cell_codes`. Only the queried columns are read, which keeps queries
-feasible when p is large and only the query set is small.
+counting rows of this matrix, so the counting backend lives here too: a count
+of dataset rows is a ``bincount`` over the mixed-radix cell codes built by
+:func:`cell_codes`, or, for a greedy step with few cells, popcounts over the
+dataset's packed bit planes. Only the queried columns are read, which keeps
+queries feasible when p is large and only the query set is small.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ _MAX_DENSE_CELLS = 1 << 24
 # One extension-count bincount reads at most this many (variable, row)
 # elements and fills at most this many cells, unless one variable needs more.
 _CHUNK_ELEMENTS = 1 << 18
+# A greedy step whose (|alphabet| - 1) * m is at most this is counted by
+# popcounts over bit planes. Bincount against planes, one binary step, 2 vCPUs:
+# n=5000, p=100 took 2.4 against 0.3 ms at m=2, 1.4 ms at m=32 and 2.7 ms
+# at m=64; n=100000, p=20 took 10.5 against 1.4, 6 and 10.6 ms. The plane
+# time grows with m and the bincount's does not, so they meet near m=64.
+_PLANE_CELLS = 32
 
 
 class DatasetError(ValueError):
@@ -94,26 +101,38 @@ def cell_codes(digits: np.ndarray, variables: Sequence[int], q: int) -> np.ndarr
     return code
 
 
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows of length n as rows of ceil(n / 64) uint64 words: bit r
+    of a row lies in word r // 64, and the bits past n are 0."""
+    rows = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + (-(-rows // 64) * 8,), dtype=np.uint8)
+    out[..., : -(-rows // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view(np.uint64)
+
+
 def extension_counts(
-    digits: np.ndarray,
+    ds: DiscreteDataset,
     given: Sequence[int],
     i: int,
-    q: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Row counts of (x_k, given, x_i) and of (x_k, given) for every
-    variable k, a chunk of consecutive variables at a time.
+    variable k of ``ds``, a chunk of consecutive variables at a time.
 
     Yields pairs ``(joint, marginal)`` with one row per variable of the
     chunk. A row holds that variable's row counts in no fixed layout; empty
     cells are zeros or left out. When q^(|given|+1) exceeds the row count,
     the (given, x_i) cells are renumbered to the m <= rows occupied ones. A
-    chunk holds max(1, _CHUNK_ELEMENTS // max(rows, q*m)) variables, and a
-    variable whose q*m cells outnumber max(_CHUNK_ELEMENTS, rows) is counted
-    over its occupied cells only, so no array here is longer than that.
+    chunk holds max(1, _CHUNK_ELEMENTS // max(rows, q*m)) variables. When
+    (q-1)*m <= _PLANE_CELLS and the dataset has bit planes, a chunk is
+    counted by popcounts of its planes against each cell's packed rows;
+    otherwise by one bincount, and a variable whose q*m cells outnumber
+    max(_CHUNK_ELEMENTS, rows) is counted over its occupied cells only. No
+    array here is longer than that, but for the (m, rows) boolean one-hot
+    that the cells are packed from. Both ways yield the same arrays.
     Raises :class:`CapacityError` before any counting when the given cells
     do not fit an int64 code.
     """
-    rows = digits.shape[1]
+    digits, q, rows = ds.values.T, ds.alphabet.size, ds.n
     code = cell_codes(digits, given, q)
     if q ** len(given) * q > rows:
         code = np.unique(code, return_inverse=True)[1] * q + digits[i]
@@ -139,6 +158,18 @@ def extension_counts(
         return
     chunk = max(1, _CHUNK_ELEMENTS // max(rows, q * m))
     starts = runs(np.arange(q * m))
+    if (q - 1) * m <= _PLANE_CELLS and (planes := ds.bit_planes()) is not None:
+        # Rows with x_k = v >= 1 in cell c are the set bits of plane (k, v)
+        # AND cell c; those with x_k = 0 are the rest of cell c.
+        cell_bits = _pack_words(code == np.arange(m)[:, None])
+        totals = np.bincount(code, minlength=m)
+        for start in range(0, digits.shape[0], chunk):
+            block = planes[start : start + chunk, :, None] & cell_bits
+            ones = np.bitwise_count(block).sum(axis=-1, dtype=np.int64)
+            joint = np.concatenate([(totals - ones.sum(axis=1))[:, None], ones], axis=1)
+            joint = joint.reshape(-1, q * m)
+            yield joint, np.add.reduceat(joint, starts, axis=1)
+        return
     for start in range(0, digits.shape[0], chunk):
         block = digits[start : start + chunk]
         size = block.shape[0]
@@ -179,6 +210,7 @@ class DiscreteDataset:
         self.alphabet = alphabet
         self.values = np.array(values, dtype=np.min_scalar_type(alphabet.size - 1), order="F")
         self.values.setflags(write=False)
+        self._planes: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -199,6 +231,23 @@ class DiscreteDataset:
 
     def __repr__(self) -> str:
         return f"DiscreteDataset(n={self.n}, p={self.p}, |X|={self.alphabet.size})"
+
+    def bit_planes(self) -> np.ndarray | None:
+        """Read-only one-hot bit planes of the values, shaped (p, q-1, words):
+        row (k, v-1) packs, as :func:`_pack_words` does, the rows r with
+        ``values[r, k] == v``. Built on the first call; None, and nothing
+        built, when the planes would take more bytes than ``values``, which
+        is always so above 9 symbols. Concurrent first calls may each build
+        them; every caller gets equal planes."""
+        q = self.alphabet.size
+        if (q - 1) * self.p * -(-self.n // 64) * 8 > self.values.nbytes:
+            return None
+        if self._planes is None:
+            symbols = np.arange(1, q)[:, None]
+            planes = np.stack([_pack_words(column == symbols) for column in self.values.T])
+            planes.setflags(write=False)
+            self._planes = planes
+        return self._planes
 
     def joint_counts(self, variables: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Sparse joint counts over ``variables``: (cell codes, row counts).

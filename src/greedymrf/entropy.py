@@ -106,9 +106,9 @@ class EmpiricalSource(DistributionSource):
         return codes, counts / self.dataset.n
 
     def _extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
-        n, digits = self.dataset.n, self.dataset.values.T
-        return np.concatenate([_entropies(joint, n) - _entropies(marginal, n) for joint, marginal
-                               in extension_counts(digits, given, i, self.alphabet.size)])
+        n = self.dataset.n
+        return np.concatenate([_entropies(joint, n) - _entropies(marginal, n)
+                               for joint, marginal in extension_counts(self.dataset, given, i)])
 
 
 class ExactSource(DistributionSource):

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import SPIN_ALPHABET, DiscreteDataset
+from .dataset import _MAX_DENSE_CELLS, SPIN_ALPHABET, CapacityError, DiscreteDataset
 from .models import IsingModel, MarkovGraph
 
 
@@ -33,7 +33,11 @@ def coupling_matrix(m: IsingModel, position: Sequence[int] | None = None) -> np.
     """The symmetric p x p matrix W = 2*Theta: W[u, v] = 2*theta_uv on each
     edge, 0 elsewhere. For +-1 spins x, site v's local field is h_v = x @ W[:, v]
     and P(X_v = +1 | the other spins) = 1 / (1 + exp(-h_v)). With
-    ``position``, site v is row and column ``position[v]`` instead of v."""
+    ``position``, site v is row and column ``position[v]`` instead of v.
+    Raises :class:`CapacityError` before allocating when p^2 exceeds the
+    dense-table cap (p > 4096)."""
+    if m.p * m.p > _MAX_DENSE_CELLS:
+        raise CapacityError(f"a {m.p} x {m.p} coupling matrix exceeds the dense-table cap")
     at = range(m.p) if position is None else position
     w = np.zeros((m.p, m.p))
     for (u, v), t in m.theta.items():

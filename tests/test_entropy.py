@@ -357,8 +357,7 @@ class TestExtensionEntropies:
         # cells and 5 of the 81 (given, x_3) cells
         rows = [[0, 0, 0, 0, 1], [0, 0, 0, 1, 1], [1, 2, 0, 0, 0], [2, 2, 2, 1, 2], [1, 2, 0, 2, 2]]
         src = empirical(rows, q=3)
-        digits = src.dataset.values.T
-        blocks = list(extension_counts(digits, (0, 1, 2), 3, 3))
+        blocks = list(extension_counts(src.dataset, (0, 1, 2), 3))
         assert [(j.shape, g.shape) for j, g in blocks] == [((5, 3 * 5), (5, 3 * 3))]
         joint, marginal = blocks[0]
         assert (joint.sum(axis=1) == 5).all() and (marginal.sum(axis=1) == 5).all()
@@ -391,6 +390,7 @@ class TestExtensionEntropies:
                 chosen += (pick.vertex,)
         assert max(len(t.picks) for t in res.traces) >= 2
         assert 0 < max(sizes) <= max(dataset._CHUNK_ELEMENTS, 1000)
+        assert src.dataset._planes is None
 
     def test_target_in_given_rejected(self):
         with pytest.raises(ValueError):
@@ -407,6 +407,86 @@ class TestExtensionEntropies:
         with mock.patch("numpy.bincount", side_effect=AssertionError("counted")):
             with pytest.raises(CapacityError):
                 src.extension_entropies(64, tuple(range(63)))
+
+
+def count_table(rows):
+    """Oracle table of the empirical distribution of ``rows``, each cell its
+    row count over n, so no cell carries summation error."""
+    table: dict = {}
+    for row in map(tuple, rows):
+        table[row] = table.get(row, 0) + 1
+    return {state: c / len(rows) for state, c in table.items()}
+
+
+def step_blocks(src, i, given):
+    """The concatenated (joint, marginal) counts of one step."""
+    blocks = list(extension_counts(src.dataset, given, i))
+    return [np.concatenate(part) for part in zip(*blocks)]
+
+
+class TestBitPlaneCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 300), st.integers(3, 7), st.integers(0, 2**16),
+           st.booleans(), st.data())
+    def test_matches_oracle_and_the_bincount(self, q, n, p, seed, wide, data):
+        # n mod 64 varies, so the last word of every plane has padding bits;
+        # copied and negated columns give steps with few occupied cells
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, q, size=(n, p))
+        rows[:, 1] = rows[:, 0]
+        rows[:, 2] = q - 1 - rows[:, 0]
+        src = empirical(rows, q=q)
+        i = data.draw(st.integers(0, p - 1))
+        others = [v for v in range(p) if v != i]
+        # a narrow set keeps (q-1) * q^(|C|+1) within the plane cutoff
+        narrow = max(s for s in range(p) if (q - 1) * q ** (s + 1) <= dataset._PLANE_CELLS)
+        size = data.draw(st.integers(narrow + 1, p - 1) if wide and narrow + 1 < p
+                         else st.integers(0, min(narrow, p - 1)))
+        given_vars = tuple(sorted(data.draw(st.permutations(others))[:size]))
+        hs = src.extension_entropies(i, given_vars)
+        table = count_table(rows)
+        for k in range(p):
+            assert abs(hs[k] - cond_entropy_bits(table, i, given_vars + (k,))) <= 1e-12
+        planes = step_blocks(src, i, given_vars)
+        with mock.patch.object(dataset, "_PLANE_CELLS", 0):
+            bincounts = step_blocks(src, i, given_vars)
+            assert np.array_equal(src.extension_entropies(i, given_vars), hs)
+        for got, want in zip(planes, bincounts):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_planes_are_built_once_by_the_first_plane_step(self):
+        rows = np.random.default_rng(4).integers(0, 2, size=(1000, 9))
+        src = empirical(rows)
+        ds = src.dataset
+        # |C| = 5 occupies 64 (C, x_i) cells, beyond the cutoff
+        src.extension_entropies(0, (1, 2, 3, 4, 5))
+        assert ds._planes is None
+        with mock.patch.object(dataset, "_pack_words", wraps=dataset._pack_words) as pack:
+            src.extension_entropies(0, (1,))
+            planes = ds._planes
+            built = pack.call_count
+            src.extension_entropies(3, (1, 2))
+            assert ds._planes is planes and pack.call_count == built + 1
+        assert planes.shape == (9, 1, 16) and not planes.flags.writeable
+        assert planes.nbytes <= ds.values.nbytes
+        for k in range(9):
+            bits = np.unpackbits(planes[k].view(np.uint8), bitorder="little")
+            assert np.array_equal(bits[:1000], rows[:, k]) and not bits[1000:].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 200), st.integers(1, 4))
+    def test_planes_never_outgrow_the_values(self, q, n, p):
+        rows = np.arange(n * p).reshape(n, p) % q
+        ds = empirical(rows, q=q).dataset
+        planes = ds.bit_planes()
+        fits = (q - 1) * p * -(-n // 64) * 8 <= ds.values.nbytes
+        assert (planes is not None) == fits
+        if planes is not None:
+            assert planes.nbytes <= ds.values.nbytes
+        else:
+            assert ds._planes is None
+        if q > 9:
+            assert planes is None
 
 
 def random_table(seed, p, q):

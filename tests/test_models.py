@@ -309,6 +309,19 @@ class TestChromaticGibbs:
             tracemalloc.stop()
         assert peak <= 1.1 * m.p * m.p * 8
 
+    def test_too_many_sites_fail_before_the_coupling_matrix(self):
+        # 4097^2 cells exceed the 2^24 dense cap: a 128 MiB matrix
+        m = model_from_strings("chain:4097", "const:0.3")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                GibbsChains(m, [GibbsConfig(0)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m.p * m.p
+        GibbsChains(model_from_strings("chain:64", "const:0.3"), [GibbsConfig(0)])
+
     def test_needs_a_chain_and_shared_valid_settings(self):
         m = sampler_model("grid:3")
         with pytest.raises(ValueError):
