@@ -11,10 +11,10 @@ queries feasible when p is large and only the query set is small.
 
 from __future__ import annotations
 
-from array import array
+from codecs import BOM_UTF8
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +31,14 @@ _CHUNK_ELEMENTS = 1 << 18
 # at m=64; n=100000, p=20 took 10.5 against 1.4, 6 and 10.6 ms. The plane
 # time grows with m and the bincount's does not, so they meet near m=64.
 _PLANE_CELLS = 32
+# CSV files are read this many bytes at a time and tokenised a block at a
+# time, each block cut at the last line break read. A block's arrays peak at
+# about 20-25 times its bytes for 1-2 byte tokens, so this bounds ingest's
+# transient memory.
+_BLOCK_BYTES = 1 << 16
+# A token of at most this many bytes is keyed exactly by one uint64.
+_KEY_BYTES = 7
+_KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(_KEY_BYTES + 1)], dtype=np.uint64)
 
 
 class DatasetError(ValueError):
@@ -321,12 +329,94 @@ def _relabel(
     ``extra``. Only the distinct tokens that occur are mapped and indexed.
     """
     first = dict(reversed(rules))
-    used = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(tokens)))
-    mapped = {k: first.get(tokens[k], tokens[k]) for k in used.tolist()}
+    # Marking seen codes casts no copy of them to intp, as a bincount would.
+    seen = np.zeros(len(tokens), dtype=bool)
+    seen[codes] = True
+    mapped = {k: first.get(tokens[k], tokens[k]) for k in np.flatnonzero(seen).tolist()}
     alph = Alphabet(tuple(sorted({*mapped.values(), *extra})) if alphabet is None else alphabet)
     lut = np.zeros(len(tokens), dtype=np.min_scalar_type(alph.size - 1))
     lut[list(mapped)] = [alph.index_of(token) for token in mapped.values()]
     return DiscreteDataset(names, alph, lut[codes])
+
+
+def _blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The bytes of ``fh`` after one leading UTF-8 byte-order mark, read
+    ``_BLOCK_BYTES`` at a time and yielded in pieces that end at the last
+    line break read; a file that ends without one gets a b"\\n"."""
+    head = fh.read(len(BOM_UTF8))
+    buf = bytearray(b"" if head == BOM_UTF8 else head)
+    while chunk := fh.read(_BLOCK_BYTES):
+        buf += chunk
+        cut = max(buf.rfind(b"\n"), buf.rfind(b"\r")) + 1
+        if cut:
+            yield bytes(buf[:cut])
+            del buf[:cut]
+    if buf:
+        yield bytes(buf + b"\n")
+
+
+def _tokens(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Keys of the tokens of ``block`` outside blank lines, in order, and
+    whether each ends its row; None when a token is longer than
+    ``_KEY_BYTES``. A key holds the token's bytes, little-endian, under its
+    length in the top byte, so equal keys are equal tokens.
+    """
+    data = np.frombuffer(block + bytes(_KEY_BYTES), dtype=np.uint8)
+    text = data[: len(block)]
+    brk = text == ord("\n")
+    brk |= text == ord("\r")
+    ends = np.flatnonzero(brk | (text == ord(",")))
+    sizes = np.diff(ends, prepend=-1) - 1
+    if sizes.max() > _KEY_BYTES:
+        return None
+    # A token that ends a line is the last field of its row, or, when empty
+    # and right after a line break (or the block's start), a blank line.
+    eol = brk[ends]
+    kept = (sizes > 0) | ~eol | ~np.concatenate(([True], eol[:-1]))
+    ends, sizes = ends[kept], sizes[kept]
+    # words[i] is the 8 bytes from text[i] on, an unaligned view that the
+    # _KEY_BYTES spare bytes of data keep inside the buffer.
+    words = np.ndarray((len(text),), dtype="<u8", buffer=data, strides=(1,))
+    keys = words[ends - sizes] & _KEY_MASKS[sizes]
+    keys |= sizes.astype(np.uint64) << np.uint64(56)
+    return keys, eol[kept]
+
+
+def _block_ids(block: bytes, p: int, ids: dict[str, int], path: str | Path,
+               row: int) -> np.ndarray | None:
+    """Raw-token ids of the body rows in ``block``, row-major, for a file
+    whose rows before the block number ``row``. New tokens join ``ids`` in
+    the order they first occur. None, with ``ids`` untouched, when a token
+    is longer than ``_KEY_BYTES``. Raises :class:`ParseError` at the first
+    row that does not decode or does not hold ``p`` fields.
+    """
+    if (tokenised := _tokens(block)) is None:
+        return None
+    keys, eol = tokenised
+    if not keys.size:
+        return np.zeros(0, dtype=np.uint8)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    tokens: list[str | None] = []
+    for key in distinct.tolist():
+        try:
+            tokens.append(key.to_bytes(8, "little")[: key >> 56].decode("utf-8"))
+        except UnicodeDecodeError:
+            tokens.append(None)
+    fields = np.diff(np.flatnonzero(eol), prepend=-1)
+    ragged = np.flatnonzero(fields != p)
+    if None in tokens:
+        bad = np.flatnonzero(np.isin(inverse, [k for k, t in enumerate(tokens) if t is None]))
+        at = np.count_nonzero(eol[: bad[0]])
+        if not ragged.size or at <= ragged[0]:
+            raise ParseError(f"{path}: body row {row + at + 1} is not valid UTF-8")
+    if ragged.size:
+        raise ParseError(f"{path}: body row {row + ragged[0] + 1} has {fields[ragged[0]]} "
+                         f"fields, expected {p}")
+    new = [k for k, t in enumerate(tokens) if t not in ids]
+    for k in sorted(new, key=lambda k: np.argmax(inverse == k)):
+        ids[tokens[k]] = len(ids)
+    lut = np.array([ids[t] for t in tokens], dtype=np.min_scalar_type(len(ids) - 1))
+    return lut[inverse]
 
 
 def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
@@ -336,29 +426,52 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
     Cells are stripped, then mapped by ``options.value_map``; the alphabet
     is their sorted set, plus the ``missing`` token if one is named, unless
     ``options.alphabet`` is given. No quoting support: cells must not
-    contain commas. Rows end at a line break (LF, CRLF or CR); blank lines are
-    skipped. The file is read one line at a time, so neither its text nor a
-    list of its lines is held next to the token ids.
+    contain commas. One leading UTF-8 byte-order mark is skipped. Rows end
+    at a line break (LF, CRLF or CR); blank lines are skipped. A row that is
+    not valid UTF-8 raises :class:`ParseError`, as does one with a wrong
+    field count. The file is tokenised a block of about ``_BLOCK_BYTES`` at
+    a time, so ingest holds the raw-token ids, in the smallest unsigned
+    dtype that holds them, not the file's text.
     """
     ids: dict[str, int] = {}
-    codes = array("q")  # int64 ids, 8 bytes each, viewed by numpy without a copy
-    with open(path, encoding="utf-8") as fh:
-        lines = filter(None, (ln.rstrip("\n") for ln in fh))
-        header = next(lines, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        names = [t.strip() for t in header.split(",")]
-        p = len(names)
-        for rownum, line in enumerate(lines, start=1):
-            toks = line.split(",")
-            if len(toks) != p:
-                raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, expected {p}")
-            codes.extend([ids.setdefault(t, len(ids)) for t in toks])
-    if not codes:
+    parts: list[np.ndarray] = []
+    names: list[str] | None = None
+    rows = 0
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            if names is None:
+                block = block.lstrip(b"\r\n")
+                if not block:
+                    continue
+                header = block.split(b"\n", 1)[0].split(b"\r", 1)[0]
+                try:
+                    names = [t.strip() for t in header.decode("utf-8").split(",")]
+                except UnicodeDecodeError:
+                    raise ParseError(f"{path}: header is not valid UTF-8") from None
+                block = block[len(header):]
+            part = _block_ids(block, len(names), ids, path, rows)
+            if part is None:  # a token too long to key: split the block's lines
+                line_ids: list[int] = []
+                for rownum, line in enumerate(filter(None, block.splitlines()), start=rows + 1):
+                    try:
+                        toks = line.decode("utf-8").split(",")
+                    except UnicodeDecodeError:
+                        raise ParseError(f"{path}: body row {rownum} is not valid UTF-8") from None
+                    if len(toks) != len(names):
+                        raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, "
+                                         f"expected {len(names)}")
+                    line_ids.extend([ids.setdefault(t, len(ids)) for t in toks])
+                part = np.array(line_ids, dtype=np.min_scalar_type(len(ids) - 1))
+            rows += part.size // len(names)
+            parts.append(part)
+    if names is None:
+        raise ParseError(f"{path}: empty file")
+    if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return _relabel(names, np.frombuffer(codes, np.int64).reshape(-1, p),
-                    [t.strip() for t in ids], options.value_map, options.alphabet,
-                    () if missing is None else (missing,))
+    codes = np.concatenate(parts, dtype=np.min_scalar_type(len(ids) - 1))
+    parts.clear()
+    return _relabel(names, codes.reshape(-1, len(names)), [t.strip() for t in ids],
+                    options.value_map, options.alphabet, () if missing is None else (missing,))
 
 
 def write_csv(ds: DiscreteDataset, path: str | Path) -> None:

@@ -179,6 +179,14 @@ class TestLearn:
         assert main(["learn", str(f), "--epsilon", "nan", "--out-dir", str(out)]) == 1
         assert not out.exists()
 
+    def test_invalid_utf8_names_the_row(self, tmp_path, capsys):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"a,b\n0,1\n1,0\n1,\xff\n0,0\n")
+        out = tmp_path / "out"
+        assert main(["learn", str(f), "--epsilon", "0.1", "--out-dir", str(out)]) == 1
+        assert "body row 3 is not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_fails(self, tmp_path):
         rc = main(["learn", str(tmp_path / "nope.csv"), "--epsilon", "0.1",
                    "--out-dir", str(tmp_path)])

@@ -1,15 +1,18 @@
 """Dataset construction, CSV ingestion, and empirical probability queries."""
 
 import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greedymrf import dataset
 from greedymrf.dataset import (
     Alphabet,
     Assignment,
@@ -101,12 +104,16 @@ class TestLoadCsv:
         f.write_bytes(b"\n\nc0,c1\r\na,b\r\n\r\nb,a")
         assert load_csv(f).values.tolist() == [[0, 1], [1, 0]]
 
-    def test_ingest_holds_neither_the_text_nor_its_lines(self, tmp_path):
-        # Lines are read one at a time, so the peak is the int64 token ids
-        # and the dataset built from them, not the file's text as well.
-        rows, p = 20000, 20
+    @pytest.mark.parametrize("symbols", [("Yea", "Nay", "Absent"), ("1", "-1")],
+                             ids=["votes", "grid"])
+    def test_ingest_peak_is_compact_ids_and_a_bounded_block(self, tmp_path, symbols):
+        # The file is tokenised a block at a time into ids of a byte each, so
+        # the peak is a few bytes per cell plus one block's arrays, never
+        # the file's text or int64 ids. Short tokens put the most tokens,
+        # and so the largest arrays, in a block.
+        rows, p = 50000, 20
         f = tmp_path / "t.csv"
-        tokens = np.random.default_rng(0).choice(["Yea", "Nay", "Absent"], size=(rows, p))
+        tokens = np.random.default_rng(0).choice(symbols, size=(rows, p))
         f.write_text("\n".join([",".join(f"v{k}" for k in range(p))]
                                + [",".join(row) for row in tokens]) + "\n")
         tracemalloc.start()
@@ -115,7 +122,35 @@ class TestLoadCsv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * rows * p
+        assert peak <= 4 * rows * p + 32 * dataset._BLOCK_BYTES
+
+    def test_one_leading_byte_order_mark_is_skipped(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_bytes(b"\xef\xbb\xbfa,b\nx,y\ny,x\n")
+        ds = load_csv(f)
+        assert ds.names == ("a", "b")
+        assert ds.values.tolist() == [[0, 1], [1, 0]]
+        f.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa,b\nx,y\n")
+        assert load_csv(f).names == ("\ufeffa", "b")
+        f.write_bytes(b"\xef\xbb\xbf")
+        with pytest.raises(ParseError, match="empty file"):
+            load_csv(f)
+
+    @pytest.mark.parametrize("text, where", [
+        (b"a,b\nx,y\ny,\xff\n", "body row 2 is not valid UTF-8"),
+        (b"a,\xe2\x82\nx,y\n", "header is not valid UTF-8"),
+        # A row that is both ragged and undecodable is reported undecodable.
+        (b"a,b\nx,y\nx\xc3\n", "body row 2 is not valid UTF-8"),
+        (b"a,b\nx,y\nx\nx,\xed\xa0\x80\n", "body row 2 has 1 fields"),
+        # Tokens too long for a key take the line loop.
+        (b"a,b\nlong token,y\ny,\xfflong token\n", "body row 2 is not valid UTF-8"),
+    ])
+    def test_invalid_utf8_names_the_row(self, tmp_path, text, where):
+        f = tmp_path / "t.csv"
+        f.write_bytes(text)
+        with pytest.raises(ParseError, match=where) as err:
+            load_csv(f)
+        assert str(f) in str(err.value)
 
     def test_empty_body(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -127,6 +162,10 @@ class TestLoadCsv:
         f = tmp_path / "t.csv"
         f.write_text("c0\na\nz\n")
         with pytest.raises(UnknownTokenError):
+            load_csv(f, IngestOptions(alphabet=("a", "b")))
+        # The error names the first cell's unknown token.
+        f.write_text("c0\na\nzz\ny\n")
+        with pytest.raises(UnknownTokenError, match="'zz'"):
             load_csv(f, IngestOptions(alphabet=("a", "b")))
 
     def test_voting_map_gives_binary_alphabet(self, tmp_path):
@@ -268,6 +307,84 @@ def outcome(fn, *args):
         return fn(*args)
     except DatasetError as err:
         return type(err), str(err)
+
+
+def line_loop_load_csv(path, options=IngestOptions()):
+    """Reference tokeniser: read the file as text one line at a time, and
+    give each distinct raw token an int64 id."""
+    ids = {}
+    codes = array("q")
+    with open(path, encoding="utf-8") as fh:
+        lines = filter(None, (ln.rstrip("\n") for ln in fh))
+        header = next(lines, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        names = [t.strip() for t in header.split(",")]
+        p = len(names)
+        for rownum, line in enumerate(lines, start=1):
+            toks = line.split(",")
+            if len(toks) != p:
+                raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, "
+                                 f"expected {p}")
+            codes.extend([ids.setdefault(t, len(ids)) for t in toks])
+    if not codes:
+        raise EmptyDatasetError(f"{path}: no data rows")
+    return dataset._relabel(names, np.frombuffer(codes, np.int64).reshape(-1, p),
+                            [t.strip() for t in ids], options.value_map, options.alphabet)
+
+
+BREAKS = (b"\n", b"\r", b"\r\n")
+# 0-12 bytes on both sides of the 7-byte key, ASCII and not; several strip
+# to one token ("\xa0" and " " are whitespace to str.strip).
+RAW_TOKENS = ("", "a", " a", "a\t", "b", "abcdefg", " abcdefg", "abcdefgh", "abcdefg\xa0",
+              "abcdefghijkl", "é", " é ", "日本", "日本語", " 日本 ", "😀", "x😀yz😀", "\x00")
+
+
+@st.composite
+def raw_csv_files(draw):
+    """Header c0..c{p-1} and rows of RAW_TOKENS, with mixed line ends,
+    blank lines anywhere, maybe no final line break, and maybe one row of
+    another width."""
+    p = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from(RAW_TOKENS), min_size=p, max_size=p),
+                         max_size=8))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))].append(draw(st.sampled_from(RAW_TOKENS)))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][1:] = []
+    breaks = st.lists(st.sampled_from(BREAKS), max_size=2).map(b"".join)
+    text = draw(breaks)
+    for line in [",".join(f"c{k}" for k in range(p))] + [",".join(row) for row in rows]:
+        text += line.encode() + draw(st.sampled_from(BREAKS)) + draw(breaks)
+    return text.rstrip(b"\r\n") if draw(st.booleans()) else text
+
+
+class TestTokeniserMatchesLineLoop:
+    """Block tokenising must give the line loop's dataset, or its error,
+    wherever the blocks are cut."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=raw_csv_files(), block=st.integers(1, 48),
+           alphabet=st.none() | st.lists(st.sampled_from(["a", "b", "abcdefg", "日本"]),
+                                         min_size=2, unique=True))
+    def test_load_csv(self, tmp_path_factory, text, block, alphabet):
+        f = tmp_path_factory.mktemp("tok") / "d.csv"
+        f.write_bytes(text)
+        opts = IngestOptions(alphabet=None if alphabet is None else tuple(alphabet))
+        with mock.patch.object(dataset, "_BLOCK_BYTES", block):
+            got = outcome(load_csv, f, opts)
+        assert got == outcome(line_loop_load_csv, f, opts)
+
+    @pytest.mark.parametrize("name", ["votes", "grid"])
+    def test_bench_shaped_files(self, tmp_path, name):
+        rng = np.random.default_rng(4)
+        symbols = ["Yea", "Nay", "Absent"] if name == "votes" else ["1", "-1"]
+        f = tmp_path / "d.csv"
+        f.write_text("\n".join([",".join(f"v{k}" for k in range(30))] + [
+            ",".join(row) for row in rng.choice(symbols, size=(3000, 30))]) + "\n")
+        ds = load_csv(f)
+        assert ds == line_loop_load_csv(f)
+        assert ds.values.dtype == np.uint8
 
 
 TOKENS = ("a", "b", "c", "ab", "", "+1", "-1")
