@@ -26,7 +26,7 @@ from .dataset import (
 )
 from .entropy import DistributionSource, EmpiricalSource, ExactSource, mutual_information
 from .experiment import ExperimentSpec, experiment_summary, run_experiment
-from .generators import ModelSpec, model_from_strings, parse_model_string, parse_weight_string
+from .generators import MODEL_FAMILIES, WEIGHT_RULES, build, grammar_help, spec_from_strings
 from .learner import LearnResult, LearnerConfig, chow_liu, learn_structure, prune_result
 from .models import MarkovGraph, exact_joint, to_dot, write_edge_list
 from .theory import BOUND_INPUTS, all_bound_reports
@@ -122,7 +122,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    model = model_from_strings(args.model, args.theta)
+    model = build(spec_from_strings(args.model, args.theta))
     src: DistributionSource = ExactSource(exact_joint(model))
     if args.chow_liu:
         tree = chow_liu(src)
@@ -139,9 +139,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    fam, params = parse_model_string(args.model)
     spec = ExperimentSpec(
-        model=ModelSpec(fam, params, parse_weight_string(args.theta)),
+        model=spec_from_strings(args.model, args.theta),
         n_values=tuple(int(x) for x in args.n.split(",")),
         epsilons=tuple(float(x) for x in args.epsilon.split(",")),
         trials=args.trials,
@@ -152,7 +151,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         gibbs_thinning=args.gibbs_thinning,
     )
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cells = run_experiment(spec, out / "results.csv", no_timing=args.no_timing)
     _write_json(experiment_summary(spec, cells), out / "summary.json")
     return 0
@@ -215,18 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.set_defaults(func=cmd_learn)
 
     p_oracle = sub.add_parser("oracle", help="run the learner on an exact joint table")
-    p_oracle.add_argument("--model", required=True,
-                          help="grid:K | chain:P | cycle:P | tree:D,DEPTH | counterexample:D | er:P,PROB,SEED")
-    p_oracle.add_argument("--theta", required=True,
-                          help="const:T | uniform:LO,HI,SEED | randsign:T,SEED")
+    p_oracle.add_argument("--model", required=True, help=grammar_help(MODEL_FAMILIES))
+    p_oracle.add_argument("--theta", required=True, help=grammar_help(WEIGHT_RULES))
     p_oracle.add_argument("--chow-liu", action="store_true",
                           help="emit the mutual-information spanning tree instead")
     add_learner_flags(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_exp = sub.add_parser("experiment", help="success-probability sweep over sample counts")
-    p_exp.add_argument("--model", required=True)
-    p_exp.add_argument("--theta", required=True)
+    p_exp.add_argument("--model", required=True, help=grammar_help(MODEL_FAMILIES))
+    p_exp.add_argument("--theta", required=True, help=grammar_help(WEIGHT_RULES))
     p_exp.add_argument("--n", required=True, help="comma-separated ascending sample counts")
     p_exp.add_argument("--epsilon", required=True, help="comma-separated threshold sweep")
     p_exp.add_argument("--trials", type=int, default=50)

@@ -20,7 +20,7 @@ import numpy as np
 
 # Cell codes are int64; a query with more cells than this cannot be coded.
 _MAX_CODE_CELLS = 1 << 62
-# Dense tables over a query set are capped at this many cells.
+# Dense marginals and coupling matrices are capped at this many cells.
 _MAX_DENSE_CELLS = 1 << 24
 # One extension-count bincount reads at most this many (variable, row)
 # elements and fills at most this many cells, unless one variable needs more.
@@ -261,7 +261,7 @@ class DiscreteDataset:
         """Sparse joint counts over ``variables``: (cell codes, row counts).
 
         Codes follow :func:`cell_codes` in the given variable order. Counts
-        are exact integers; they sum to n.
+        are exact integers; they sum to n. Sorts the codes when the cells outnumber the rows.
         """
         variables = tuple(variables)
         for v in variables:
@@ -269,10 +269,9 @@ class DiscreteDataset:
                 raise IndexError(f"variable index {v} out of range for p={self.p}")
         q = self.alphabet.size
         codes = cell_codes(self.values.T, variables, q)
-        cells = q ** len(variables)
-        if cells > _MAX_DENSE_CELLS:
+        if q ** len(variables) > self.n:
             return np.unique(codes, return_counts=True)
-        dense = np.bincount(codes, minlength=cells)
+        dense = np.bincount(codes)
         keys = np.nonzero(dense)[0]
         return keys, dense[keys]
 

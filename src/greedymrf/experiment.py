@@ -98,6 +98,7 @@ def run_experiment(
         samples = chains.draw(spec.n_values[-1])
         names = [f"v{k}" for k in range(model.p)]
     cells: list[CellResult] = []
+    results_path.parent.mkdir(parents=True, exist_ok=True)
     with open(results_path, "w", encoding="utf-8") as fh:
         fh.write(RESULTS_HEADER + "\n")
         for n in spec.n_values:

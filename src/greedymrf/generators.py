@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -19,12 +20,7 @@ _ER_MAX_RETRIES = 1000
 
 @dataclass(frozen=True)
 class WeightRule:
-    """How edge parameters are assigned.
-
-    kind: 'const' (theta), 'uniform' (lo, hi, seed) drawing magnitudes from
-    the open interval, or 'randsign' (theta, seed) for constant magnitude
-    with a random sign per edge.
-    """
+    """How edge parameters are assigned: ``kind`` names a row of :data:`WEIGHT_RULES`."""
 
     kind: str
     params: tuple[float, ...]
@@ -44,11 +40,7 @@ class WeightRule:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A graph family plus a weight rule.
-
-    family: 'grid' (k), 'chain' (p), 'cycle' (p), 'tree' (D, depth),
-    'counterexample' (D), 'er' (p, prob, seed).
-    """
+    """A graph family, a row of :data:`MODEL_FAMILIES`, plus a weight rule."""
 
     family: str
     params: tuple[float, ...]
@@ -146,101 +138,109 @@ def erdos_renyi_graph(p: int, prob: float, seed: int) -> MarkovGraph:
             (u, v) for u in range(p) for v in range(u + 1, p) if rng.random() < prob
         ]
         g = MarkovGraph(p, edges)
-        if _connected(g):
+        parent = list(range(p))  # union-find: connected iff p - 1 edges join two sets
+        if sum(union(parent, u, v) for u, v in g.edges) == p - 1:
             return g
     raise ValueError(f"no connected graph found in {_ER_MAX_RETRIES} draws; raise prob")
 
 
-def _connected(g: MarkovGraph) -> bool:
-    parent = list(range(g.p))
-    return sum(union(parent, u, v) for u, v in g.edges) == g.p - 1
+def _uniform_weights(edges: list[Edge], lo: float, hi: float, seed: int) -> dict[Edge, float]:
+    if not lo < hi:
+        raise ValueError("uniform weight range needs lo < hi")
+    rng = np.random.default_rng(seed)
+    out = {}
+    for e in edges:
+        while (t := lo + (hi - lo) * rng.random()) == 0.0:
+            pass  # a zero weight is no edge: draw again
+        out[e] = t
+    return out
 
 
-def _assign_weights(g: MarkovGraph, rule: WeightRule) -> dict[Edge, float]:
-    edges = g.sorted_edges()
-    if rule.kind == "const":
-        (theta,) = rule.params
-        if theta == 0.0:
-            raise ValueError("constant weight must be nonzero")
-        return {e: theta for e in edges}
-    if rule.kind == "uniform":
-        lo, hi, seed = rule.params
-        if not lo < hi:
-            raise ValueError("uniform weight range needs lo < hi")
-        rng = np.random.default_rng(int(seed))
-        out = {}
-        for e in edges:
-            t = 0.0
-            while t == 0.0:
-                t = lo + (hi - lo) * rng.random()
-            out[e] = t
-        return out
-    if rule.kind == "randsign":
-        theta, seed = rule.params
-        if theta == 0.0:
-            raise ValueError("weight magnitude must be nonzero")
-        rng = np.random.default_rng(int(seed))
-        return {e: theta * (1.0 if rng.random() < 0.5 else -1.0) for e in edges}
-    raise ValueError(f"unknown weight rule {rule.kind!r}")
+def _random_sign_weights(edges: list[Edge], theta: float, seed: int) -> dict[Edge, float]:
+    rng = np.random.default_rng(seed)
+    return {e: theta * (1.0 if rng.random() < 0.5 else -1.0) for e in edges}
+
+
+#: A grammar maps each name to its builder and its parameters, each a
+#: (name, kind) pair: kind ``int`` is a whole number, ``float`` a finite real.
+Grammar = dict[str, tuple[Callable[..., Any], tuple[tuple[str, type], ...]]]
+#: Model families; each builder takes the parameters and returns the graph.
+MODEL_FAMILIES: Grammar = {
+    "grid": (grid_graph, (("K", int),)),
+    "chain": (chain_graph, (("P", int),)),
+    "cycle": (cycle_graph, (("P", int),)),
+    "tree": (complete_dary_tree_graph, (("D", int), ("DEPTH", int))),
+    "counterexample": (counterexample_graph, (("D", int),)),
+    "er": (erdos_renyi_graph, (("P", int), ("PROB", float), ("SEED", int))),
+}
+#: Weight rules; each builder takes the sorted edges and the parameters and
+#: returns every edge's weight. A zero weight fails in :class:`IsingModel`.
+WEIGHT_RULES: Grammar = {
+    "const": (lambda edges, theta: dict.fromkeys(edges, theta), (("T", float),)),
+    "uniform": (_uniform_weights, (("LO", float), ("HI", float), ("SEED", int))),
+    "randsign": (_random_sign_weights, (("T", float), ("SEED", int))),
+}
+
+
+def _resolve(grammar: Grammar, what: str, name: str, params: tuple[float, ...]) -> tuple:
+    """``name``'s builder and arguments, whole numbers as ``int``. Raises ValueError for an
+    unknown name, a wrong count, or a parameter not finite or, if whole, not integral."""
+    if name not in grammar:
+        raise ValueError(f"unknown {what} {name!r}")
+    builder, kinds = grammar[name]
+    if len(params) != len(kinds):
+        raise ValueError(f"{what} {name!r} takes {len(kinds)} parameter(s)")
+    for (label, kind), x in zip(kinds, params):
+        if not math.isfinite(x) or (kind is int and x != int(x)):
+            must = "a whole number" if kind is int else "finite"
+            raise ValueError(f"{what} {name!r}: {label} must be {must}, got {x!r}")
+    return builder, tuple(kind(x) for (_, kind), x in zip(kinds, params))
+
+
+def grammar_help(grammar: Grammar) -> str:
+    """Every entry with its parameters, 'grid:K | ...', then the whole-number ones."""
+    forms = " | ".join(f"{name}:{','.join(label for label, _ in kinds)}"
+                       for name, (_, kinds) in grammar.items())
+    whole = dict.fromkeys(label for _, kinds in grammar.values() for label, k in kinds if k is int)
+    return f"{forms} ({', '.join(whole)}: whole numbers)"
 
 
 def build(spec: ModelSpec) -> IsingModel:
-    """Materialize a spec into an Ising model; deterministic given the spec."""
-    fam = spec.family
-    if fam == "grid":
-        g = grid_graph(int(spec.params[0]))
-    elif fam == "chain":
-        g = chain_graph(int(spec.params[0]))
-    elif fam == "cycle":
-        g = cycle_graph(int(spec.params[0]))
-    elif fam == "tree":
-        g = complete_dary_tree_graph(int(spec.params[0]), int(spec.params[1]))
-    elif fam == "counterexample":
-        g = counterexample_graph(int(spec.params[0]))
-    elif fam == "er":
-        g = erdos_renyi_graph(int(spec.params[0]), spec.params[1], int(spec.params[2]))
-    else:
-        raise ValueError(f"unknown model family {fam!r}")
-    return IsingModel(g, _assign_weights(g, spec.weights))
+    """Materialize a spec, its parameters checked first; deterministic given the spec."""
+    make_graph, g_args = _resolve(MODEL_FAMILIES, "model family", spec.family, spec.params)
+    weigh, w_args = _resolve(WEIGHT_RULES, "weight rule", spec.weights.kind, spec.weights.params)
+    g = make_graph(*g_args)
+    return IsingModel(g, weigh(g.sorted_edges(), *w_args))
+
+
+def _parse(grammar: Grammar, what: str, text: str) -> tuple[str, tuple[float, ...]]:
+    name, _, rest = text.partition(":")
+    name = name.strip()
+    try:
+        params = tuple(float(x) for x in rest.split(",")) if rest else ()
+    except ValueError as exc:
+        raise ValueError(f"bad {what} parameters in {text!r}") from exc
+    _resolve(grammar, what, name, params)
+    return name, params
 
 
 def parse_model_string(text: str) -> tuple[str, tuple[float, ...]]:
-    """Parse CLI model grammar: 'grid:3', 'chain:5', 'cycle:7', 'tree:2,3',
-    'counterexample:8', 'er:10,0.3,42'."""
-    fam, _, rest = text.partition(":")
-    fam = fam.strip()
-    if fam not in ("grid", "chain", "cycle", "tree", "counterexample", "er"):
-        raise ValueError(f"unknown model family {fam!r}")
-    try:
-        params = tuple(float(x) for x in rest.split(",")) if rest else ()
-    except ValueError as exc:
-        raise ValueError(f"bad model parameters in {text!r}") from exc
-    want = {"grid": 1, "chain": 1, "cycle": 1, "tree": 2, "counterexample": 1, "er": 3}
-    if len(params) != want[fam]:
-        raise ValueError(f"family {fam!r} takes {want[fam]} parameter(s)")
-    return fam, params
+    """Parse CLI model grammar over :data:`MODEL_FAMILIES`, e.g. 'grid:3' or 'er:10,0.3,42'."""
+    return _parse(MODEL_FAMILIES, "model family", text)
 
 
 def parse_weight_string(text: str) -> WeightRule:
-    """Parse CLI weight grammar: 'const:0.5', 'uniform:0.1,0.5,7',
-    'randsign:0.5,7'."""
-    kind, _, rest = text.partition(":")
-    kind = kind.strip()
-    try:
-        params = tuple(float(x) for x in rest.split(",")) if rest else ()
-    except ValueError as exc:
-        raise ValueError(f"bad weight parameters in {text!r}") from exc
-    want = {"const": 1, "uniform": 3, "randsign": 2}
-    if kind not in want:
-        raise ValueError(f"unknown weight rule {kind!r}")
-    if len(params) != want[kind]:
-        raise ValueError(f"weight rule {kind!r} takes {want[kind]} parameter(s)")
-    return WeightRule(kind, params)
+    """Parse CLI weight grammar over :data:`WEIGHT_RULES`, e.g. 'const:0.5' or 'randsign:0.5,7'."""
+    return WeightRule(*_parse(WEIGHT_RULES, "weight rule", text))
+
+
+def spec_from_strings(model_text: str, weight_text: str) -> ModelSpec:
+    """The spec of a CLI model string and weight string, both checked."""
+    return ModelSpec(*parse_model_string(model_text), parse_weight_string(weight_text))
 
 
 def model_from_strings(model_text: str, weight_text: str) -> IsingModel:
-    fam, params = parse_model_string(model_text)
-    return build(ModelSpec(fam, params, parse_weight_string(weight_text)))
+    return build(spec_from_strings(model_text, weight_text))
 
 
 def max_theta_for_tree_decay(degree: int) -> float:

@@ -220,9 +220,9 @@ class JointDistribution:
         probs = np.asarray(probs, dtype=np.float64).ravel()
         if probs.size != alphabet.size**p:
             raise ValueError("probability table has wrong size")
-        if probs.min() < 0:
-            raise ValueError("negative probability cell")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
+        if not probs.min() >= 0:
+            raise ValueError("probability cell negative or NaN")
+        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
             raise ValueError("probability table does not sum to 1")
         self.p = p
         self.alphabet = alphabet
@@ -251,9 +251,12 @@ def exact_joint(m: IsingModel) -> JointDistribution:
     # Axis w of the (2,) * p table is variable w: spin -1 at index 0, +1 at 1.
     spins = [np.array([-1.0, 1.0]).reshape((2,) + (1,) * (p - 1 - w)) for w in range(p)]
     energy = np.zeros((2,) * p)
-    for (u, v), t in m.theta.items():
-        energy += t * (spins[u] * spins[v])
-    energy -= energy.max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (u, v), t in m.theta.items():
+            energy += t * (spins[u] * spins[v])
+        energy -= energy.max()
+    if not np.isfinite(energy.min()):  # an overflow above leaves a NaN or -inf
+        raise ValueError("model energy is not finite: an edge weight is too large")
     w = np.exp(energy)
     return JointDistribution(p, SPIN_ALPHABET, w / w.sum())
 

@@ -14,7 +14,7 @@ import pytest
 from greedymrf.cli import main
 from greedymrf.entropy import EmpiricalSource
 from greedymrf.experiment import ExperimentSpec, run_experiment
-from greedymrf.generators import ModelSpec, WeightRule, build
+from greedymrf.generators import MODEL_FAMILIES, WEIGHT_RULES, ModelSpec, WeightRule, build
 from greedymrf.gibbs import GibbsConfig, gibbs_sample
 from greedymrf.models import exact_joint, exact_sample, read_edge_list
 from greedymrf.dataset import write_csv
@@ -446,6 +446,56 @@ class TestExperiment:
         ])
         assert rc == 1
         assert not (tmp_path / "results.csv").exists()
+
+
+class TestRejectedModels:
+    """A model or weight string that cannot be built ends the run with exit
+    status 1, one stderr line and no output directory."""
+
+    @pytest.mark.parametrize("model, theta", [
+        ("grid:3.7", "const:0.5"),
+        ("er:10.5,0.3,42", "const:0.5"),
+        ("tree:2,2.9", "const:0.5"),
+        ("grid:inf", "const:0.5"),
+        ("chain:1e400", "const:0.5"),
+        ("grid:nan", "const:0.5"),
+        ("grid:3,4", "const:0.5"),
+        ("blob:3", "const:0.5"),
+        ("chain:3", "uniform:0.1,0.5,7.9"),
+        ("chain:3", "const:inf"),
+        ("chain:3", "const:1e308"),
+        ("grid:1", "const:0.5"),
+    ])
+    @pytest.mark.parametrize("command", ["oracle", "experiment"])
+    def test_one_line_and_no_directory(self, tmp_path, capsys, command, model, theta):
+        out = tmp_path / "out"
+        extra = ["--epsilon", "0.1"] if command == "oracle" else ["--n", "50", "--epsilon", "0.1"]
+        rc = main([command, "--model", model, "--theta", theta, *extra, "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"greedymrf {command}: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sampler", ["exact", "gibbs"])
+    def test_experiment_fails_before_making_its_directory(self, tmp_path, sampler):
+        # grid:5 has p = 25, past the exact sampler's 24; gibbs runs it.
+        out = tmp_path / "out"
+        argv = ["experiment", "--model", "grid:5", "--theta", "const:0.3", "--n", "20",
+                "--epsilon", "0.1", "--trials", "1", "--sampler", sampler,
+                "--gibbs-burn-in", "5", "--out-dir", str(out)]
+        assert main(argv) == (1 if sampler == "exact" else 0)
+        assert out.exists() == (sampler == "gibbs")
+
+    @pytest.mark.parametrize("command", ["oracle", "experiment"])
+    def test_help_lists_every_table_entry(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse breaks words longer than a line
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        for table in (MODEL_FAMILIES, WEIGHT_RULES):
+            for name, (_, kinds) in table.items():
+                assert f"{name}:{','.join(label for label, _ in kinds)}" in text
 
 
 @pytest.mark.slow

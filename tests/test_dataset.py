@@ -513,6 +513,39 @@ class TestEmpiricalProb:
         assert empirical_prob(ds, big) <= empirical_prob(ds, small) + 1e-15
 
 
+class TestJointCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=datasets(), data=st.data())
+    def test_occupied_codes_equal_the_bincount(self, ds, data):
+        # Any order and width: the sparse branch when q^k outnumbers the rows.
+        variables = data.draw(st.lists(st.integers(0, ds.p - 1), max_size=ds.p, unique=True))
+        q = ds.alphabet.size
+        code = np.zeros(ds.n, dtype=np.int64)
+        for v in variables:
+            code = code * q + ds.values[:, v]
+        dense = np.bincount(code, minlength=q ** len(variables))
+        keys, counts = ds.joint_counts(variables)
+        assert keys.dtype == counts.dtype == np.int64
+        assert keys.tolist() == np.flatnonzero(dense).tolist()
+        assert counts.tolist() == dense[dense > 0].tolist()
+
+    @pytest.mark.parametrize("q,p", [(2, 22), (3, 15)])
+    def test_peak_is_proportional_to_rows_not_cells(self, q, p):
+        # 2^22 and 3^15 cells, far more than the rows: a dense bincount
+        # of them took 32 MiB and 110 MiB.
+        rows = 5000
+        ds = make_ds(np.random.default_rng(q).integers(0, q, size=(rows, p)),
+                     symbols=tuple(f"s{k}" for k in range(q)))
+        tracemalloc.start()
+        try:
+            _, counts = ds.joint_counts(range(p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int(counts.sum()) == rows
+        assert peak <= 64 * rows
+
+
 @pytest.mark.parametrize("q,widest", [(2, 62), (3, 39)])
 def test_widest_query_fits_int64_cell_codes(q, widest):
     rows = np.random.default_rng(q).integers(0, q, size=(20, widest + 2))

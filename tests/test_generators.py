@@ -3,8 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedymrf.generators import (
+    MODEL_FAMILIES,
+    WEIGHT_RULES,
     ModelSpec,
     WeightRule,
     build,
@@ -116,3 +120,94 @@ class TestCliGrammar:
         m = model_from_strings("counterexample:4", "const:0.9")
         assert m.p == 6
         assert all(t == 0.9 for t in m.theta.values())
+
+
+# Every family and rule: its constructor and a strategy for valid arguments.
+WHOLE = st.integers(0, 10**6)
+REAL = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
+FAMILY_CASES = {
+    "grid": (ModelSpec.grid, st.tuples(st.integers(2, 4))),
+    "chain": (ModelSpec.chain, st.tuples(st.integers(2, 8))),
+    "cycle": (ModelSpec.cycle, st.tuples(st.integers(3, 8))),
+    "tree": (ModelSpec.complete_dary_tree, st.tuples(st.integers(1, 3), st.integers(1, 3))),
+    "counterexample": (ModelSpec.counterexample, st.tuples(st.integers(1, 6))),
+    "er": (ModelSpec.erdos_renyi, st.tuples(st.integers(2, 8), st.floats(0.4, 0.9), WHOLE)),
+}
+RULE_CASES = {
+    "const": (WeightRule.constant, st.tuples(REAL)),
+    "uniform": (WeightRule.uniform_range,
+                st.tuples(st.floats(-1.0, 1.0), st.floats(0.01, 1.0), WHOLE)
+                .map(lambda t: (t[0], t[0] + t[1], t[2]))),
+    "randsign": (WeightRule.constant_magnitude_random_sign, st.tuples(REAL, WHOLE)),
+}
+
+
+def grammar_text(name, params):
+    return f"{name}:{','.join(repr(x) for x in params)}"
+
+
+def test_cases_cover_both_tables():
+    assert set(FAMILY_CASES) == set(MODEL_FAMILIES)
+    assert set(RULE_CASES) == set(WEIGHT_RULES)
+
+
+class TestGrammarTables:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(sorted(FAMILY_CASES)),
+           rule=st.sampled_from(sorted(RULE_CASES)))
+    def test_valid_strings_round_trip(self, data, family, rule):
+        make_spec, family_args = FAMILY_CASES[family]
+        make_rule, rule_args = RULE_CASES[rule]
+        fargs, rargs = data.draw(family_args), data.draw(rule_args)
+        spec = make_spec(*fargs, make_rule(*rargs))
+        parsed = parse_model_string(grammar_text(family, fargs))
+        assert parsed == (spec.family, spec.params)
+        assert all(type(x) is float for x in parsed[1])
+        assert parse_weight_string(grammar_text(rule, rargs)) == spec.weights
+        model = model_from_strings(grammar_text(family, fargs), grammar_text(rule, rargs))
+        expect = build(spec)
+        assert model.graph == expect.graph and model.theta == expect.theta
+
+    @staticmethod
+    def bad_params(data, kinds):
+        """Valid-looking params but for one that breaks the check."""
+        params = [3.0 if kind is int else 0.5 for _, kind in kinds]
+        at = data.draw(st.integers(0, len(kinds) - 1))
+        bad = [math.inf, -math.inf, math.nan]
+        if kinds[at][1] is int:
+            bad.append(data.draw(st.floats(-100, 100).filter(lambda x: x != int(x))))
+        params[at] = data.draw(st.sampled_from(bad))
+        return tuple(params)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), grammar=st.sampled_from(["model", "weight"]))
+    def test_bad_params_are_rejected_by_parsers_and_build(self, data, grammar):
+        table = MODEL_FAMILIES if grammar == "model" else WEIGHT_RULES
+        name = data.draw(st.sampled_from(sorted(table)))
+        kinds = table[name][1]
+        params = self.bad_params(data, kinds)
+        count = data.draw(st.sampled_from([n for n in range(5) if n != len(kinds)]))
+        wrong_count = tuple([2.0] * count)
+        parse = parse_model_string if grammar == "model" else parse_weight_string
+        for text in (grammar_text(name, params), grammar_text(name, wrong_count),
+                     grammar_text("nosuch", params)):
+            with pytest.raises(ValueError):
+                parse(text)
+        good = WeightRule.constant(0.5)
+        for bad in (params, wrong_count):
+            spec = (ModelSpec(name, bad, good) if grammar == "model"
+                    else ModelSpec.chain(3, WeightRule(name, bad)))
+            with pytest.raises(ValueError):
+                build(spec)
+
+    @pytest.mark.parametrize("text", ["grid:3.7", "er:10.5,0.3,42", "tree:2,2.9",
+                                      "grid:inf", "chain:1e400", "grid:nan"])
+    def test_reported_model_strings_are_rejected(self, text):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            parse_model_string(text)
+
+    def test_reported_weight_string_is_rejected(self):
+        with pytest.raises(ValueError, match="SEED must be a whole number"):
+            parse_weight_string("uniform:0.1,0.5,7.9")
+        with pytest.raises(ValueError, match="T must be finite"):
+            parse_weight_string("const:-inf")

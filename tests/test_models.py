@@ -122,6 +122,24 @@ class TestExactJoint:
         with pytest.raises(CapacityError):
             exact_joint(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_nan_or_negative_tables_are_rejected(self, bad):
+        from greedymrf.dataset import SPIN_ALPHABET
+        from greedymrf.models import JointDistribution
+
+        # NaN compares False both ways, so each check must fail on it.
+        for probs in (np.full(4, bad), np.array([0.5, 0.5, 0.0, bad])):
+            with pytest.raises(ValueError):
+                JointDistribution(2, SPIN_ALPHABET, probs)
+
+    @pytest.mark.parametrize("theta", [1e308, -1e308, 9e307, np.inf])
+    def test_energy_that_is_not_finite_is_rejected(self, theta):
+        # 1e308 on two edges sums past the largest float; 9e307 does not,
+        # but the spread between the lowest and highest energy does.
+        m = IsingModel(MarkovGraph(3, [(0, 1), (1, 2)]), {(0, 1): theta, (1, 2): theta})
+        with pytest.raises(ValueError, match="not finite"):
+            exact_joint(m)
+
     def test_separation_makes_conditional_local(self):
         # on a path 0-1-2 the middle vertex screens off the far end
         j = exact_joint(const_model(ModelSpec.chain(3, WeightRule.constant(0.5))))
