@@ -12,6 +12,7 @@ Example:
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from greedymrf.experiment import ExperimentSpec, experiment_summary, run_experiment
@@ -31,21 +32,25 @@ def main() -> int:
     args = ap.parse_args()
 
     out = Path(args.out_dir)
-    for size in (int(s) for s in args.sizes.split(",")):
-        spec = ExperimentSpec(
-            model=ModelSpec.grid(size, WeightRule.constant(args.theta)),
-            n_values=tuple(int(x) for x in args.n.split(",")),
-            epsilons=tuple(float(x) for x in args.epsilon.split(",")),
-            trials=args.trials,
-            seed=args.seed,
-            sampler=args.sampler,
-        )
-        run_dir = out / f"grid{size}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        cells = run_experiment(spec, run_dir / "results.csv")
+    for text in args.sizes.split(","):
+        try:
+            size = int(text)
+            run_dir = out / f"grid{size}"
+            spec = ExperimentSpec(
+                model=ModelSpec.grid(size, WeightRule.constant(args.theta)),
+                n_values=tuple(int(x) for x in args.n.split(",")),
+                epsilons=tuple(float(x) for x in args.epsilon.split(",")),
+                trials=args.trials,
+                seed=args.seed,
+                sampler=args.sampler,
+            )
+            cells = run_experiment(spec, run_dir / "results.csv")
+        except ValueError as exc:
+            print(f"grid_success_curve: grid {text}: {exc}", file=sys.stderr)
+            return 1
         summary = experiment_summary(spec, cells)
         (run_dir / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n"
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         print(f"grid {size}x{size} (p={size * size}):")
         for eps, n_star in summary["min_n_at_target"].items():

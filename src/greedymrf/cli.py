@@ -104,9 +104,9 @@ def _parse_map_flags(args: argparse.Namespace) -> tuple[tuple[str, str], ...]:
 def _ingest(args: argparse.Namespace) -> DiscreteDataset:
     rules = _parse_map_flags(args)
     alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
+    if (args.participation is None) != (args.missing is None):
+        raise DatasetError("--participation and --missing must be given together")
     if args.participation is not None:
-        if args.missing is None:
-            raise DatasetError("--participation requires --missing to name the absent token")
         # With the missing token in it, a one-token file has a 2-symbol raw alphabet.
         raw = load_csv(args.input, missing=args.missing)
         kept = filter_participation(raw, args.missing, args.participation)

@@ -3,6 +3,7 @@ learn from sampled datasets and record the exact-recovery rate per cell."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,15 +37,15 @@ class ExperimentSpec:
             raise ValueError("n values must be strictly ascending")
         if not self.n_values or not self.epsilons:
             raise ValueError("need at least one n and one epsilon")
-        if self.n_values[0] < 1 or not all(eps > 0.0 for eps in self.epsilons):
-            raise ValueError("need every n >= 1 and every epsilon > 0")
+        if self.n_values[0] < 1 or not all(0.0 < eps < math.inf for eps in self.epsilons):
+            raise ValueError("need every n >= 1 and every epsilon positive and finite")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
         if not 0.0 < self.success_target <= 1.0:
             raise ValueError("success target must lie in (0, 1]")
         if self.sampler not in ("exact", "gibbs"):
             raise ValueError("sampler must be 'exact' or 'gibbs'")
-        # Rejects bad Gibbs settings here, before any sampling.
+        # Rejects a negative seed and bad Gibbs settings here, before any sampling.
         GibbsConfig(seed=self.seed, burn_in=self.gibbs_burn_in, thinning=self.gibbs_thinning)
 
 
@@ -84,29 +85,27 @@ def run_experiment(
     """Sweep (n, epsilon) cells, writing one CSV row per cell as it finishes
     so partial results survive a capacity failure mid-grid.
 
-    Trial t samples with seed ``spec.seed ^ t`` at every n. The exact sampler
-    draws each n afresh. The Gibbs sampler runs one chain per trial, all
-    trials as one batch, to the largest n: each n's datasets are the first n
-    rows of the trials' chains, so no row is sampled twice."""
+    Trial t samples once, with seed ``spec.seed ^ t``, to the largest n, before
+    ``results_path`` is opened; each n's datasets are the first n rows of the
+    trials' draws. The Gibbs sampler runs one chain per trial, all in a batch."""
     model = build(spec.model)
     truth = set(model.graph.edges)
-    joint = exact_joint(model) if spec.sampler == "exact" else None
     seeds = [spec.seed ^ trial for trial in range(spec.trials)]
-    if joint is None:
-        chains = GibbsChains(model, [
-            GibbsConfig(seed, spec.gibbs_burn_in, spec.gibbs_thinning) for seed in seeds])
-        samples = chains.draw(spec.n_values[-1])
-        names = [f"v{k}" for k in range(model.p)]
+    if spec.sampler == "exact":
+        joint = exact_joint(model)
+        samples = [exact_sample(joint, spec.n_values[-1], seed).values for seed in seeds]
+    else:
+        cfgs = [GibbsConfig(seed, spec.gibbs_burn_in, spec.gibbs_thinning) for seed in seeds]
+        samples = GibbsChains(model, cfgs).draw(spec.n_values[-1])
+    names = [f"v{k}" for k in range(model.p)]
     cells: list[CellResult] = []
     results_path.parent.mkdir(parents=True, exist_ok=True)
     with open(results_path, "w", encoding="utf-8") as fh:
         fh.write(RESULTS_HEADER + "\n")
         for n in spec.n_values:
-            if joint is not None:
-                datasets = [exact_sample(joint, n, seed) for seed in seeds]
-            else:
-                datasets = [DiscreteDataset(names, SPIN_ALPHABET, rows[:n]) for rows in samples]
-            rhats = (None, None) if joint is not None else chain_rhats(model.graph, samples[:, :n])
+            datasets = [DiscreteDataset(names, SPIN_ALPHABET, rows[:n]) for rows in samples]
+            rhats = (chain_rhats(model.graph, samples[:, :n]) if spec.sampler == "gibbs"
+                     else (None, None))
             if any(r is not None and r > RHAT_LIMIT for r in rhats):
                 _log_unmixed(n, rhats)
             for eps in spec.epsilons:

@@ -184,15 +184,16 @@ WEIGHT_RULES: Grammar = {
 
 def _resolve(grammar: Grammar, what: str, name: str, params: tuple[float, ...]) -> tuple:
     """``name``'s builder and arguments, whole numbers as ``int``. Raises ValueError for an
-    unknown name, a wrong count, or a parameter not finite or, if whole, not integral."""
+    unknown name, a wrong count, or a parameter not finite or, if whole, not integral or
+    negative (every whole-number parameter is a count or a seed)."""
     if name not in grammar:
         raise ValueError(f"unknown {what} {name!r}")
     builder, kinds = grammar[name]
     if len(params) != len(kinds):
         raise ValueError(f"{what} {name!r} takes {len(kinds)} parameter(s)")
     for (label, kind), x in zip(kinds, params):
-        if not math.isfinite(x) or (kind is int and x != int(x)):
-            must = "a whole number" if kind is int else "finite"
+        if not math.isfinite(x) or (kind is int and (x != int(x) or x < 0)):
+            must = "a whole number >= 0" if kind is int else "finite"
             raise ValueError(f"{what} {name!r}: {label} must be {must}, got {x!r}")
     return builder, tuple(kind(x) for (_, kind), x in zip(kinds, params))
 
@@ -202,7 +203,7 @@ def grammar_help(grammar: Grammar) -> str:
     forms = " | ".join(f"{name}:{','.join(label for label, _ in kinds)}"
                        for name, (_, kinds) in grammar.items())
     whole = dict.fromkeys(label for _, kinds in grammar.values() for label, k in kinds if k is int)
-    return f"{forms} ({', '.join(whole)}: whole numbers)"
+    return f"{forms} ({', '.join(whole)}: whole numbers >= 0)"
 
 
 def build(spec: ModelSpec) -> IsingModel:

@@ -27,6 +27,8 @@ class GibbsConfig:
     def __post_init__(self) -> None:
         if self.thinning < 1 or (self.burn_in is not None and self.burn_in < 0):
             raise ValueError("need gibbs thinning >= 1 and burn-in >= 0")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got {self.seed}")
 
 
 def coupling_matrix(m: IsingModel, position: Sequence[int] | None = None) -> np.ndarray:
@@ -93,6 +95,11 @@ class GibbsChains:
         order = sorted(range(m.p), key=lambda v: (colour[v], v))
         self._column = sorted(range(m.p), key=order.__getitem__)  # site -> position in order
         w = coupling_matrix(m, self._column)
+        # A column sum of |2W| is the largest field a site sees; W is symmetric,
+        # so its rows are its columns, each summed without a p x p copy.
+        with np.errstate(over="ignore"):
+            if not all(np.isfinite(2.0 * np.abs(col).sum()) for col in w):
+                raise ValueError("model energy is not finite: an edge weight is too large")
         # With bits b = (x + 1) / 2, the field x @ W is b @ 2W - sum(W); the
         # kernel keeps bits and moves sum(W) onto the threshold.
         self._offset = w.sum(axis=0)

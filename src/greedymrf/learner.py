@@ -41,8 +41,8 @@ class LearnerConfig:
     symmetrization: str = "AND"
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_neighborhood is not None and self.max_neighborhood < 1:
             raise ValueError("neighborhood cap must be >= 1 when present")
         if self.symmetrization not in ("AND", "OR"):

@@ -68,13 +68,16 @@ def sample_size_bound(
         raise ValueError("invalid bound inputs")
     log = math.log2 if log_base2 else math.log
     d2 = max_degree + 2
-    value = (
-        2.0**15
-        * epsilon**-4
-        * float(alphabet_size) ** (4 * d2)
-        * (d2 * log(2 * alphabet_size) + 2 * log(num_vars / delta))
-    )
-    return math.ceil(value)
+    try:
+        value = (
+            2.0**15
+            * epsilon**-4
+            * float(alphabet_size) ** (4 * d2)
+            * (d2 * log(2 * alphabet_size) + 2 * log(num_vars / delta))
+        )
+        return math.ceil(value)
+    except OverflowError:
+        raise ValueError("the sample size bound exceeds the float range") from None
 
 
 @dataclass(frozen=True)
@@ -130,10 +133,14 @@ BOUND_INPUTS = tuple(dict.fromkeys(k for _, needs, _, _ in BOUNDS for k in needs
 
 def all_bound_reports(*, log_base2: bool = True, **inputs: float | None) -> list[BoundReport]:
     """A report for every row of :data:`BOUNDS` whose inputs are all
-    supplied (not None), in table order."""
+    supplied (not None), in table order. Raises ValueError for an input
+    that is not finite."""
     unknown = sorted(set(inputs) - set(BOUND_INPUTS))
     if unknown:
         raise TypeError(f"unknown bound inputs: {', '.join(unknown)}")
+    infinite = [k for k, x in inputs.items() if x is not None and not math.isfinite(x)]
+    if infinite:
+        raise ValueError(f"bound inputs must be finite: {', '.join(infinite)}")
     out: list[BoundReport] = []
     for name, needs, evaluate, formula in BOUNDS:
         if all(inputs.get(k) is not None for k in needs):

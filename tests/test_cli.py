@@ -134,6 +134,14 @@ class TestLearn:
                    "--out-dir", str(tmp_path / "x")])
         assert rc != 0
 
+    def test_missing_needs_participation_flag(self, tmp_path, capsys):
+        _, f = sample_csv(tmp_path, ModelSpec.chain(3, WeightRule.constant(0.5)), 100, 2)
+        out = tmp_path / "x"
+        rc = main(["learn", str(f), "--epsilon", "0.1", "--missing", "Q", "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     def copied_pair_csv(self, tmp_path):
         # Column b copies column a, so the one true edge is a-b.
         rng = np.random.default_rng(8)
@@ -359,10 +367,11 @@ class TestExperiment:
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 2
 
-    def test_gibbs_datasets_are_prefixes_of_one_chain_per_trial(self, tmp_path):
+    @pytest.mark.parametrize("sampler", ["exact", "gibbs"])
+    def test_datasets_are_prefixes_of_one_draw_per_trial(self, tmp_path, sampler):
         spec = ExperimentSpec(
             model=ModelSpec.grid(3, WeightRule.constant(0.4)), n_values=(30, 70, 120),
-            epsilons=(0.05, 0.1), trials=3, seed=9, sampler="gibbs",
+            epsilons=(0.05, 0.1), trials=3, seed=9, sampler=sampler,
             gibbs_burn_in=20, gibbs_thinning=2,
         )
         seen = []
@@ -378,9 +387,60 @@ class TestExperiment:
             for trial, ds in enumerate(cell):
                 assert np.array_equal(ds.values, largest[trial].values[:n])
         model = build(spec.model)
+        if sampler == "exact":
+            # The same rows as an n-row draw with the trial's seed at every n.
+            joint = exact_joint(model)
+            for cell, n in zip(by_cell, (30, 30, 70, 70, 120, 120)):
+                for trial, ds in enumerate(cell):
+                    assert ds == exact_sample(joint, n, 9 ^ trial)
+            return
         for trial, ds in enumerate(largest):
             cfg = GibbsConfig(seed=9 ^ trial, burn_in=20, thinning=2)
             assert ds == gibbs_sample(model, 120, cfg)
+
+    @pytest.mark.parametrize("sampler, draw", [
+        ("exact", "greedymrf.experiment.exact_sample"),
+        ("gibbs", "greedymrf.experiment.GibbsChains.draw"),
+    ])
+    def test_sampler_failure_leaves_no_results(self, tmp_path, sampler, draw):
+        spec = ExperimentSpec(
+            model=ModelSpec.chain(3, WeightRule.constant(0.5)), n_values=(20, 40),
+            epsilons=(0.1,), trials=3, seed=1, sampler=sampler, gibbs_burn_in=5,
+        )
+        out = tmp_path / "out"
+        with mock.patch(draw, side_effect=RuntimeError("sampler failed")):
+            with pytest.raises(RuntimeError, match="sampler failed"):
+                run_experiment(spec, out / "results.csv")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sampler", ["exact", "gibbs"])
+    def test_negative_seed_rejected_before_sampling(self, tmp_path, capsys, sampler):
+        out = tmp_path / "out"
+        rc = main(["experiment", "--model", "chain:3", "--theta", "const:0.5", "--n", "50",
+                   "--epsilon", "0.1", "--seed", "-1", "--sampler", sampler,
+                   "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "greedymrf experiment: need seed >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_gibbs_fields_that_overflow_are_rejected(self, tmp_path, capsys):
+        def run(theta):
+            out = tmp_path / theta
+            rc = main(["experiment", "--model", "chain:3", "--theta", theta, "--sampler", "gibbs",
+                       "--n", "50", "--epsilon", "0.1", "--trials", "2", "--gibbs-burn-in", "10",
+                       "--out-dir", str(out)])
+            return rc, capsys.readouterr().err, out
+
+        rc, err, out = run("const:1e308")
+        assert rc == 1
+        assert err == ("greedymrf experiment: model energy is not finite: "
+                       "an edge weight is too large\n")
+        assert not out.exists()
+        # The largest field here, 8e307, is finite: the chains run (without a warning).
+        rc, err, out = run("const:1e307")
+        assert rc == 0 and err == ""
+        assert len((out / "results.csv").read_text().splitlines()) == 2
 
     def test_summary_reports_chain_rhat(self, tmp_path):
         def run(sub, *flags):
@@ -465,6 +525,9 @@ class TestRejectedModels:
         ("chain:3", "const:inf"),
         ("chain:3", "const:1e308"),
         ("grid:1", "const:0.5"),
+        ("er:10,0.3,-1", "const:0.5"),
+        ("chain:3", "randsign:0.5,-1"),
+        ("chain:3", "uniform:0.1,0.5,-3"),
     ])
     @pytest.mark.parametrize("command", ["oracle", "experiment"])
     def test_one_line_and_no_directory(self, tmp_path, capsys, command, model, theta):
@@ -496,6 +559,30 @@ class TestRejectedModels:
         for table in (MODEL_FAMILIES, WEIGHT_RULES):
             for name, (_, kinds) in table.items():
                 assert f"{name}:{','.join(label for label, _ in kinds)}" in text
+
+
+class TestNonFiniteInputs:
+    """An infinite threshold or bound input, or a bound past the float range,
+    exits 1 with one stderr line and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--model", "chain:3", "--theta", "const:0.5", "--epsilon", "inf"],
+        ["experiment", "--model", "chain:3", "--theta", "const:0.5", "--n", "50",
+         "--epsilon", "0.1,inf"],
+        ["bounds", "--beta", "0.1", "--gamma", "inf", "--max-degree", "2", "--json"],
+        ["bounds", "--epsilon", "0.1", "--max-degree", "100", "--alphabet-size", "10",
+         "--num-vars", "10", "--delta", "0.1"],
+    ])
+    def test_one_line_and_no_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        if argv[0] != "bounds":
+            argv = argv + ["--out-dir", str(out)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"greedymrf {argv[0]}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
 
 
 @pytest.mark.slow

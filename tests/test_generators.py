@@ -176,6 +176,7 @@ class TestGrammarTables:
         bad = [math.inf, -math.inf, math.nan]
         if kinds[at][1] is int:
             bad.append(data.draw(st.floats(-100, 100).filter(lambda x: x != int(x))))
+            bad.append(float(data.draw(st.integers(-10**6, -1))))
         params[at] = data.draw(st.sampled_from(bad))
         return tuple(params)
 
@@ -205,6 +206,18 @@ class TestGrammarTables:
     def test_reported_model_strings_are_rejected(self, text):
         with pytest.raises(ValueError, match="must be a whole number"):
             parse_model_string(text)
+
+    @pytest.mark.parametrize("parse, text, label", [
+        (parse_weight_string, "randsign:0.5,-1", "SEED"),
+        (parse_weight_string, "uniform:0.1,0.5,-3", "SEED"),
+        (parse_model_string, "er:10,0.3,-1", "SEED"),
+        (parse_model_string, "grid:-3", "K"),
+        (parse_model_string, "tree:2,-1", "DEPTH"),
+    ])
+    def test_negative_whole_numbers_are_rejected(self, parse, text, label):
+        with pytest.raises(ValueError, match=f"'{text.split(':')[0]}': {label} must be a "
+                                             "whole number >= 0"):
+            parse(text)
 
     def test_reported_weight_string_is_rejected(self):
         with pytest.raises(ValueError, match="SEED must be a whole number"):

@@ -183,6 +183,13 @@ class TestSampling:
         b = exact_sample(j, 100, seed=9)
         assert a == b
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**63), n=st.integers(1, 400), more=st.integers(0, 3200))
+    def test_exact_sample_rows_are_prefixes_of_a_longer_draw(self, seed, n, more):
+        j = exact_joint(sampler_model("grid:3"))
+        longer = exact_sample(j, n + more, seed)
+        assert np.array_equal(longer.values[:n], exact_sample(j, n, seed).values)
+
     def test_gibbs_full_conditional(self):
         m = const_model(ModelSpec.chain(3, WeightRule.constant(0.5)))
         # middle site with both neighbors at +1

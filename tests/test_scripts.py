@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -38,3 +40,19 @@ def test_grid_success_curve_writes_a_run_per_size(tmp_path):
     assert rows[0] == "n,epsilon,trials,successes,success_rate,mean_runtime_s"
     assert len(rows) == 3
     assert (out / "grid3" / "summary.json").is_file()
+
+
+@pytest.mark.parametrize("size, error", [
+    ("1", "grid needs k >= 2"),
+    ("x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_grid_success_curve_rejects_a_size_in_one_line(tmp_path, size, error):
+    out = tmp_path / "runs"
+    proc = run_script(
+        "grid_success_curve.py",
+        ["--sizes", size, "--trials", "2", "--n", "100", "--out-dir", str(out)],
+        tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"grid_success_curve: grid {size}: {error}\n"
+    assert not out.exists()
