@@ -26,9 +26,11 @@ from .dataset import (
 )
 from .entropy import DistributionSource, EmpiricalSource, ExactSource, mutual_information
 from .experiment import ExperimentSpec, experiment_summary, run_experiment
-from .generators import MODEL_FAMILIES, WEIGHT_RULES, build, grammar_help, spec_from_strings
+from .generators import (
+    MODEL_FAMILIES, WEIGHT_RULES, build, grammar_help, model_size, spec_from_strings,
+)
 from .learner import LearnResult, LearnerConfig, chow_liu, learn_structure, prune_result
-from .models import MarkovGraph, exact_joint, to_dot, write_edge_list
+from .models import MarkovGraph, check_enumerable, exact_joint, to_dot, write_edge_list
 from .theory import BOUND_INPUTS, all_bound_reports
 
 
@@ -122,7 +124,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    model = build(spec_from_strings(args.model, args.theta))
+    spec = spec_from_strings(args.model, args.theta)
+    check_enumerable(model_size(spec))
+    model = build(spec)
     src: DistributionSource = ExactSource(exact_joint(model))
     if args.chow_liu:
         tree = chow_liu(src)

@@ -4,8 +4,8 @@ A dataset is an immutable n x p matrix of alphabet indices plus the alphabet
 itself. All probability estimation elsewhere in the package reduces to
 counting rows of this matrix, so the counting backend lives here too: a count
 of dataset rows is a ``bincount`` over the mixed-radix cell codes built by
-:func:`cell_codes`, or, for a greedy step with few cells, popcounts over the
-dataset's packed bit planes. Only the queried columns are read, which keeps
+:func:`cell_codes`, or, for a batch of greedy steps with few cells, popcounts
+over the dataset's packed bit planes. Only the queried columns are read, which keeps
 queries feasible when p is large and only the query set is small.
 """
 
@@ -25,12 +25,18 @@ _MAX_DENSE_CELLS = 1 << 24
 # One extension-count bincount reads at most this many (variable, row)
 # elements and fills at most this many cells, unless one variable needs more.
 _CHUNK_ELEMENTS = 1 << 18
-# A greedy step whose (|alphabet| - 1) * m is at most this is counted by
-# popcounts over bit planes. Bincount against planes, one binary step, 2 vCPUs:
+# A batch of greedy steps whose m = |alphabet|^(|C|+1) cells fit the rows and
+# whose (|alphabet| - 1) * m is at most this is counted by popcounts over bit
+# planes. Bincount against planes, one binary step, 2 vCPUs:
 # n=5000, p=100 took 2.4 against 0.3 ms at m=2, 1.4 ms at m=32 and 2.7 ms
 # at m=64; n=100000, p=20 took 10.5 against 1.4, 6 and 10.6 ms. The plane
 # time grows with m and the bincount's does not, so they meet near m=64.
 _PLANE_CELLS = 32
+# The plane ANDs of a batch of steps go to one buffer of at most this many
+# words (256 KiB), which stays in cache while it is counted: on grid10-sized
+# planes, m=32, 2 vCPUs, 256-512 KiB blocks took 0.60-0.63 ms per step
+# against 0.68 ms for 1 MiB and 0.81 ms for 128 KiB.
+_PLANE_WORDS = 1 << 15
 # CSV files are read this many bytes at a time and tokenised a block at a
 # time, each block cut at the last line break read. A block's arrays peak at
 # about 20-25 times its bytes for 1-2 byte tokens, so this bounds ingest's
@@ -119,75 +125,121 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
 
 
 def extension_counts(
-    ds: DiscreteDataset,
-    given: Sequence[int],
-    i: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Row counts of (x_k, given, x_i) and of (x_k, given) for every
-    variable k of ``ds``, a chunk of consecutive variables at a time.
+    ds: DiscreteDataset, nodes: Sequence[int], given: Sequence[Sequence[int]]
+) -> Iterator[tuple[tuple[int | slice, int | slice], np.ndarray, np.ndarray]]:
+    """Row counts of (x_k, given[j], x_i) and of (x_k, given[j]) for every
+    step j of a batch, i = ``nodes[j]``, and every variable k of ``ds``; the
+    given sets all have one size.
 
-    Yields pairs ``(joint, marginal)`` with one row per variable of the
-    chunk. A row holds that variable's row counts in no fixed layout; empty
-    cells are zeros or left out. When q^(|given|+1) exceeds the row count,
-    the (given, x_i) cells are renumbered to the m <= rows occupied ones. A
-    chunk holds max(1, _CHUNK_ELEMENTS // max(rows, q*m)) variables. When
-    (q-1)*m <= _PLANE_CELLS and the dataset has bit planes, a chunk is
-    counted by popcounts of its planes against each cell's packed rows;
-    otherwise by one bincount, and a variable whose q*m cells outnumber
-    max(_CHUNK_ELEMENTS, rows) is counted over its occupied cells only. No
-    array here is longer than that, but for the (m, rows) boolean one-hot
-    that the cells are packed from. Both ways yield the same arrays.
-    Raises :class:`CapacityError` before any counting when the given cells
-    do not fit an int64 code.
+    Yields ``(at, joint, marginal)``: ``at`` indexes a block of a
+    (len(nodes), p) array, and ``joint`` and ``marginal`` have that block's
+    shape plus a last axis holding one (step, variable) pair's row counts,
+    in no fixed layout (empty cells are zeros or left out) and whatever the
+    rest of the batch. When the m = q^(|given|+1) cells fit the rows,
+    (q-1)*m <= _PLANE_CELLS and the dataset has bit planes, the batch is
+    counted by popcounts (:func:`_plane_counts`). Otherwise each step is
+    counted alone: its cells are renumbered to the m <= rows occupied ones
+    when q^(|given|+1) exceeds the rows, and each chunk of
+    max(1, _CHUNK_ELEMENTS // max(rows, q*m)) variables is counted by one
+    bincount, or, when q*m exceeds max(_CHUNK_ELEMENTS, rows), each
+    variable over its occupied cells. Both ways yield the same arrays, and
+    no array here is longer than max(_CHUNK_ELEMENTS, rows). Raises
+    :class:`CapacityError` before any counting when the given cells do not
+    fit an int64 code.
     """
     digits, q, rows = ds.values.T, ds.alphabet.size, ds.n
-    code = cell_codes(digits, given, q)
-    if q ** len(given) * q > rows:
-        code = np.unique(code, return_inverse=True)[1] * q + digits[i]
-        cells, code = np.unique(code, return_inverse=True)
-    else:
-        code = code * q + digits[i]
-        cells = np.arange(q ** len(given) * q)
-    m = cells.size
-    # Joint cell c lies in given cell cells[c] // q. ``cells`` is sorted, so
-    # among sorted keys x_k*m + c each (x_k, given cell) is one run.
-    given_of = cells // q
-
-    def runs(keys: np.ndarray) -> np.ndarray:
-        group = keys // m * (given_of[-1] + 1) + given_of[keys % m]
-        return np.flatnonzero(np.diff(group, prepend=-1))
-
-    if q * m > max(_CHUNK_ELEMENTS, rows):
-        for column in digits:
-            keys, inverse = np.unique(np.multiply(column, m, dtype=np.int64) + code,
-                                      return_inverse=True)
-            joint = np.bincount(inverse)
-            yield joint[None], np.add.reduceat(joint, runs(keys))[None]
+    nodes = np.asarray(nodes, dtype=np.intp)
+    given = np.asarray(given, dtype=np.intp).reshape(nodes.size, -1)
+    cells = q ** given.shape[1] * q
+    if cells <= rows and (q - 1) * cells <= _PLANE_CELLS and (planes := ds.bit_planes()) is not None:
+        yield from _plane_counts(planes, nodes, given, rows)
         return
-    chunk = max(1, _CHUNK_ELEMENTS // max(rows, q * m))
-    starts = runs(np.arange(q * m))
-    if (q - 1) * m <= _PLANE_CELLS and (planes := ds.bit_planes()) is not None:
-        # Rows with x_k = v >= 1 in cell c are the set bits of plane (k, v)
-        # AND cell c; those with x_k = 0 are the rest of cell c.
-        cell_bits = _pack_words(code == np.arange(m)[:, None])
-        totals = np.bincount(code, minlength=m)
+    for j, (i, own) in enumerate(zip(nodes, given)):
+        code = cell_codes(digits, own, q)
+        if cells > rows:
+            code = np.unique(code, return_inverse=True)[1] * q + digits[i]
+            found, code = np.unique(code, return_inverse=True)
+        else:
+            code = code * q + digits[i]
+            found = np.arange(cells)
+        m = found.size
+        if q * m > max(_CHUNK_ELEMENTS, rows):
+            for k, column in enumerate(digits):
+                keys, inverse = np.unique(np.multiply(column, m, dtype=np.int64) + code,
+                                          return_inverse=True)
+                joint = np.bincount(inverse)
+                yield (j, k), joint, np.add.reduceat(joint, _runs(keys, found // q))
+            continue
+        chunk = max(1, _CHUNK_ELEMENTS // max(rows, q * m))
+        starts = _runs(np.arange(q * m), found // q)
         for start in range(0, digits.shape[0], chunk):
-            block = planes[start : start + chunk, :, None] & cell_bits
-            ones = np.bitwise_count(block).sum(axis=-1, dtype=np.int64)
-            joint = np.concatenate([(totals - ones.sum(axis=1))[:, None], ones], axis=1)
-            joint = joint.reshape(-1, q * m)
-            yield joint, np.add.reduceat(joint, starts, axis=1)
-        return
-    for start in range(0, digits.shape[0], chunk):
-        block = digits[start : start + chunk]
-        size = block.shape[0]
-        # idx = (k*q + x_k)*m + code, built in place: the same broadcast
-        # expression over the small-int digits runs several times slower.
-        idx = np.multiply(block, m, dtype=np.int64)
-        idx += code
-        idx += (np.arange(size) * (q * m))[:, None]
-        joint = np.bincount(idx.ravel(), minlength=size * q * m).reshape(size, q * m)
-        yield joint, np.add.reduceat(joint, starts, axis=1)
+            block = digits[start : start + chunk]
+            size = block.shape[0]
+            # idx = (k*q + x_k)*m + code, built in place: the same broadcast
+            # expression over the small-int digits runs several times slower.
+            idx = np.multiply(block, m, dtype=np.int64)
+            idx += code
+            idx += (np.arange(size) * (q * m))[:, None]
+            joint = np.bincount(idx.ravel(), minlength=size * q * m).reshape(size, q * m)
+            del idx  # so the next chunk's idx is not made while this one is held
+            yield (j, slice(start, start + size)), joint, np.add.reduceat(joint, starts, axis=1)
+
+
+def _runs(keys: np.ndarray, given_of: np.ndarray) -> np.ndarray:
+    """Starts of the runs of equal (x_k, given cell) among sorted keys
+    x_k*m + c, where joint cell c lies in given cell ``given_of[c]`` and
+    ``given_of`` is sorted."""
+    m = given_of.size
+    group = keys // m * (given_of[-1] + 1) + given_of[keys % m]
+    return np.flatnonzero(np.diff(group, prepend=-1))
+
+
+def _plane_counts(
+    planes: np.ndarray, nodes: np.ndarray, given: np.ndarray, rows: int
+) -> Iterator[tuple[tuple[slice, slice], np.ndarray, np.ndarray]]:
+    """:func:`extension_counts` of a batch whose m = q^(|given|+1) cells
+    fit the rows, from the (p, q-1, words) bit planes of its dataset.
+
+    A cell's rows are the AND of its variables' value rows: plane v-1 for
+    x = v >= 1, the rows in no plane for x = 0. Those with x_k = v >= 1 are
+    the set bits of plane (k, v) AND the cell; those with x_k = 0 are the
+    rest. The ANDs of as many steps by all p variables as fit, or of one
+    step by a run of them, go to one reused buffer: one (step, variable)
+    pair's words or more, else at most _PLANE_WORDS, and at most a one-step
+    chunk of variables by _PLANE_CELLS plane rows.
+    """
+    p, q, words = planes.shape[0], planes.shape[1] + 1, planes.shape[2]
+    m = q ** given.shape[1] * q
+    chunk = min(p, max(1, _CHUNK_ELEMENTS // rows))
+    pair = (q - 1) * m * words
+    ands = np.empty(max(pair, min(chunk * _PLANE_CELLS * words, _PLANE_WORDS)), dtype=np.uint64)
+    ones = np.empty(ands.size, dtype=np.uint8)
+    steps, width = max(1, ands.size // pair // p), min(p, ands.size // pair)
+    present = _pack_words(np.ones(rows, dtype=bool))
+    for a in range(0, nodes.size, steps):
+        # (steps, |given|+1, q, words): the value rows of each cell variable.
+        values = planes[np.column_stack((given[a : a + steps], nodes[a : a + steps]))]
+        zero = present & ~np.bitwise_or.reduce(values, axis=2, keepdims=True)
+        values = np.concatenate((zero, values), axis=2)
+        cells = values[:, 0]
+        for digit in range(1, values.shape[1]):
+            cells = (cells[:, :, None] & values[:, digit, None]).reshape(len(values), -1, words)
+        joint = np.empty((len(values), p, q, m), dtype=np.int64)
+        for b in range(0, p, width):
+            shape = (len(planes[b : b + width]), q - 1) + cells.shape
+            block = np.bitwise_and(planes[b : b + width, :, None, None], cells,
+                                   out=ands[: np.prod(shape)].reshape(shape))
+            counts = np.bitwise_count(block, out=ones[: block.size].reshape(shape))
+            # A row's popcounts sum to at most ``rows``: the narrowest sum is fastest.
+            counts = counts.sum(axis=-1, dtype=np.min_scalar_type(rows))
+            joint[:, b : b + width, 1:] = counts.transpose(2, 0, 1, 3)
+        totals = np.bitwise_count(cells).sum(axis=-1, dtype=np.int64)
+        joint[:, :, 0] = totals[:, None] - joint[:, :, 1:].sum(axis=2)
+        # Joint cell x_k*m + c lies in given cell (x_k, c // q). Adding the
+        # q strided slices is many times faster than a sum over an axis of q.
+        by_x = joint.reshape(len(values), p, -1, q)
+        yield ((slice(a, a + steps), slice(None)), joint.reshape(len(values), p, -1),
+               sum(by_x[..., x] for x in range(q)))
 
 
 class DiscreteDataset:
@@ -199,7 +251,10 @@ class DiscreteDataset:
     for concurrent read access.
     """
 
-    def __init__(self, names: Sequence[str], alphabet: Alphabet, values: np.ndarray):
+    def __init__(self, names: Sequence[str], alphabet: Alphabet, values: np.ndarray,
+                 *, _owned: bool = False):
+        # ``_owned``: ``values`` is already a column-major array of the
+        # alphabet's dtype that nothing else refers to, so it is kept uncopied.
         values = np.asarray(values)
         if values.ndim != 2:
             raise DatasetError("values must be a 2-d array")
@@ -216,7 +271,8 @@ class DiscreteDataset:
             raise DatasetError("value index outside alphabet range")
         self.names = tuple(str(x) for x in names)
         self.alphabet = alphabet
-        self.values = np.array(values, dtype=np.min_scalar_type(alphabet.size - 1), order="F")
+        self.values = np.array(values, dtype=np.min_scalar_type(alphabet.size - 1), order="F",
+                               copy=None if _owned else True)
         self.values.setflags(write=False)
         self._planes: np.ndarray | None = None
 
@@ -335,7 +391,13 @@ def _relabel(
     alph = Alphabet(tuple(sorted({*mapped.values(), *extra})) if alphabet is None else alphabet)
     lut = np.zeros(len(tokens), dtype=np.min_scalar_type(alph.size - 1))
     lut[list(mapped)] = [alph.index_of(token) for token in mapped.values()]
-    return DiscreteDataset(names, alph, lut[codes])
+    # The looked-up ids go straight to column order, a block of rows at a
+    # time, so no second full-size array is made.
+    values = np.empty(codes.shape, dtype=lut.dtype, order="F")
+    rows = max(1, _BLOCK_BYTES // codes.shape[1])
+    for start in range(0, len(codes), rows):
+        values[start : start + rows] = lut[codes[start : start + rows]]
+    return DiscreteDataset(names, alph, values, _owned=True)
 
 
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:

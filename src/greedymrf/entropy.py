@@ -27,9 +27,9 @@ class DistributionSource:
     """Answers marginal-probability queries over variable subsets.
 
     Subclasses provide ``_cells``, the cells of one marginal that may be
-    nonzero, and ``_extension_entropies``, the scores of one greedy step;
-    entropies are cached per sorted variable tuple. Sources are immutable and
-    thread-safe.
+    nonzero, and ``_extension_entropies``, the scores of a batch of greedy
+    steps; entropies are cached per sorted variable tuple. Sources are
+    immutable and thread-safe.
     """
 
     p: int
@@ -74,21 +74,29 @@ class DistributionSource:
             self._entropy_cache[variables] = got
         return got
 
-    def extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
-        """H(X_i | X_given, X_k) in bits for every variable k, indexed by k.
+    def extension_entropies(self, steps: Iterable[tuple[int, Iterable[int]]]) -> np.ndarray:
+        """H(X_i | X_given, X_k) in bits for every step (i, given) of a batch
+        and every variable k: row j is step j, indexed by k.
 
-        Each entry is H(given, i, k) - H(given, k), from marginals the source
-        builds for the whole step at once. For k in ``given`` the entry is
-        H(X_i | X_given); for k = i it is 0.
+        Every given set has the same size. Each entry is H(given, i, k) -
+        H(given, k), from marginals the source builds for the whole batch at
+        once; a row does not depend on the rest of the batch. For k in
+        ``given`` the entry is H(X_i | X_given); for k = i it is 0.
         """
-        given = self.check_subset(given)
-        if not 0 <= i < self.p:
-            raise IndexError(f"variable index {i} out of range for p={self.p}")
-        if i in given:
-            raise ValueError(f"target variable {i} appears in the conditioning set")
-        return self._extension_entropies(i, given)
+        nodes, sets = [], []
+        for i, given in steps:
+            given = self.check_subset(given)
+            if not 0 <= i < self.p:
+                raise IndexError(f"variable index {i} out of range for p={self.p}")
+            if i in given:
+                raise ValueError(f"target variable {i} appears in the conditioning set")
+            nodes.append(i)
+            sets.append(given)
+        if len({len(given) for given in sets}) > 1:
+            raise ValueError("the steps of a batch need conditioning sets of one size")
+        return self._extension_entropies(nodes, sets) if nodes else np.zeros((0, self.p))
 
-    def _extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
+    def _extension_entropies(self, nodes: list[int], given: list[tuple[int, ...]]) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -105,10 +113,12 @@ class EmpiricalSource(DistributionSource):
         codes, counts = self.dataset.joint_counts(variables)
         return codes, counts / self.dataset.n
 
-    def _extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
+    def _extension_entropies(self, nodes: list[int], given: list[tuple[int, ...]]) -> np.ndarray:
         n = self.dataset.n
-        return np.concatenate([_entropies(joint, n) - _entropies(marginal, n)
-                               for joint, marginal in extension_counts(self.dataset, given, i)])
+        out = np.empty((len(nodes), self.p))
+        for at, joint, marginal in extension_counts(self.dataset, nodes, given):
+            out[at] = _entropies(joint, n) - _entropies(marginal, n)
+        return out
 
 
 class ExactSource(DistributionSource):
@@ -126,7 +136,11 @@ class ExactSource(DistributionSource):
     def _cells(self, variables: tuple[int, ...]) -> tuple[slice, np.ndarray]:
         return slice(None), self.joint.dense_marginal(variables)
 
-    def _extension_entropies(self, i: int, given: tuple[int, ...]) -> np.ndarray:
+    def _extension_entropies(self, nodes: list[int], given: list[tuple[int, ...]]) -> np.ndarray:
+        # Each node's table sums are its own, so the batch is a loop.
+        return np.array([self._step(i, own) for i, own in zip(nodes, given)]).reshape(-1, self.p)
+
+    def _step(self, i: int, given: tuple[int, ...]) -> np.ndarray:
         base = tuple(sorted(given + (i,)))
         candidates = [k for k in range(self.p) if k not in base]
         out = np.zeros(self.p)

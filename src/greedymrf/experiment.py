@@ -10,10 +10,10 @@ from pathlib import Path
 
 from .dataset import SPIN_ALPHABET, DiscreteDataset
 from .entropy import EmpiricalSource
-from .generators import ModelSpec, build
-from .gibbs import GibbsChains, GibbsConfig, chain_rhats
+from .generators import ModelSpec, build, model_size
+from .gibbs import GibbsChains, GibbsConfig, chain_rhats, check_couplings
 from .learner import LearnerConfig, learn_structure
-from .models import exact_joint, exact_sample
+from .models import check_enumerable, exact_joint, exact_sample
 
 RESULTS_HEADER = "n,epsilon,trials,successes,success_rate,mean_runtime_s"
 # Gibbs chains whose R-hat exceeds this are logged as not mixed.
@@ -47,6 +47,8 @@ class ExperimentSpec:
             raise ValueError("sampler must be 'exact' or 'gibbs'")
         # Rejects a negative seed and bad Gibbs settings here, before any sampling.
         GibbsConfig(seed=self.seed, burn_in=self.gibbs_burn_in, thinning=self.gibbs_thinning)
+        # And a model past its sampler's cap, before the graph is built.
+        (check_enumerable if self.sampler == "exact" else check_couplings)(model_size(self.model))
 
 
 @dataclass(frozen=True)

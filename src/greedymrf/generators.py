@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -161,17 +161,27 @@ def _random_sign_weights(edges: list[Edge], theta: float, seed: int) -> dict[Edg
     return {e: theta * (1.0 if rng.random() < 0.5 else -1.0) for e in edges}
 
 
+def _tree_size(degree: int, depth: int) -> int:
+    """Vertices of the complete tree; past depth 62 a tree of degree >= 2 is
+    counted to depth 62 only, which is already more than 2^62 vertices."""
+    if degree < 2:
+        return depth + 1 if degree else 1
+    return (degree ** (min(depth, 62) + 1) - 1) // (degree - 1)
+
+
 #: A grammar maps each name to its builder and its parameters, each a
 #: (name, kind) pair: kind ``int`` is a whole number, ``float`` a finite real.
-Grammar = dict[str, tuple[Callable[..., Any], tuple[tuple[str, type], ...]]]
+#: A model family's row ends with its size: the vertex count of the graph
+#: its builder would make from the same parameters, with nothing built.
+Grammar = dict[str, tuple[Any, ...]]
 #: Model families; each builder takes the parameters and returns the graph.
 MODEL_FAMILIES: Grammar = {
-    "grid": (grid_graph, (("K", int),)),
-    "chain": (chain_graph, (("P", int),)),
-    "cycle": (cycle_graph, (("P", int),)),
-    "tree": (complete_dary_tree_graph, (("D", int), ("DEPTH", int))),
-    "counterexample": (counterexample_graph, (("D", int),)),
-    "er": (erdos_renyi_graph, (("P", int), ("PROB", float), ("SEED", int))),
+    "grid": (grid_graph, (("K", int),), lambda k: k * k),
+    "chain": (chain_graph, (("P", int),), lambda p: p),
+    "cycle": (cycle_graph, (("P", int),), lambda p: p),
+    "tree": (complete_dary_tree_graph, (("D", int), ("DEPTH", int)), _tree_size),
+    "counterexample": (counterexample_graph, (("D", int),), lambda d: d + 2),
+    "er": (erdos_renyi_graph, (("P", int), ("PROB", float), ("SEED", int)), lambda p, *_: p),
 }
 #: Weight rules; each builder takes the sorted edges and the parameters and
 #: returns every edge's weight. A zero weight fails in :class:`IsingModel`.
@@ -188,7 +198,7 @@ def _resolve(grammar: Grammar, what: str, name: str, params: tuple[float, ...]) 
     negative (every whole-number parameter is a count or a seed)."""
     if name not in grammar:
         raise ValueError(f"unknown {what} {name!r}")
-    builder, kinds = grammar[name]
+    builder, kinds = grammar[name][:2]
     if len(params) != len(kinds):
         raise ValueError(f"{what} {name!r} takes {len(kinds)} parameter(s)")
     for (label, kind), x in zip(kinds, params):
@@ -201,9 +211,16 @@ def _resolve(grammar: Grammar, what: str, name: str, params: tuple[float, ...]) 
 def grammar_help(grammar: Grammar) -> str:
     """Every entry with its parameters, 'grid:K | ...', then the whole-number ones."""
     forms = " | ".join(f"{name}:{','.join(label for label, _ in kinds)}"
-                       for name, (_, kinds) in grammar.items())
-    whole = dict.fromkeys(label for _, kinds in grammar.values() for label, k in kinds if k is int)
+                       for name, (_, kinds, *_) in grammar.items())
+    whole = dict.fromkeys(label for _, kinds, *_ in grammar.values() for label, k in kinds if k is int)
     return f"{forms} ({', '.join(whole)}: whole numbers >= 0)"
+
+
+def model_size(spec: ModelSpec) -> int:
+    """The number of vertices ``build(spec)`` would make, from the checked
+    parameters alone, so a capacity check can fail before anything is built."""
+    _, args = _resolve(MODEL_FAMILIES, "model family", spec.family, spec.params)
+    return MODEL_FAMILIES[spec.family][2](*args)
 
 
 def build(spec: ModelSpec) -> IsingModel:

@@ -31,6 +31,13 @@ class GibbsConfig:
             raise ValueError(f"need seed >= 0, got {self.seed}")
 
 
+def check_couplings(p: int) -> None:
+    """Raise :class:`CapacityError` when a p x p coupling matrix is past the
+    dense-table cap (p > 4096)."""
+    if p * p > _MAX_DENSE_CELLS:
+        raise CapacityError(f"a {p} x {p} coupling matrix exceeds the dense-table cap")
+
+
 def coupling_matrix(m: IsingModel, position: Sequence[int] | None = None) -> np.ndarray:
     """The symmetric p x p matrix W = 2*Theta: W[u, v] = 2*theta_uv on each
     edge, 0 elsewhere. For +-1 spins x, site v's local field is h_v = x @ W[:, v]
@@ -38,8 +45,7 @@ def coupling_matrix(m: IsingModel, position: Sequence[int] | None = None) -> np.
     ``position``, site v is row and column ``position[v]`` instead of v.
     Raises :class:`CapacityError` before allocating when p^2 exceeds the
     dense-table cap (p > 4096)."""
-    if m.p * m.p > _MAX_DENSE_CELLS:
-        raise CapacityError(f"a {m.p} x {m.p} coupling matrix exceeds the dense-table cap")
+    check_couplings(m.p)
     at = range(m.p) if position is None else position
     w = np.zeros((m.p, m.p))
     for (u, v), t in m.theta.items():

@@ -4,9 +4,11 @@ post-process, symmetrization into a graph, and the Chow-Liu tree baseline.
 Per node, the greedy pass starts from an empty conditioning set and repeatedly
 adds the candidate giving the lowest conditional entropy of the node, stopping
 as soon as the best remaining candidate improves the current conditional
-entropy by no more than epsilon/2. On finite samples this can admit spurious
-vertices; the prune step removes candidates whose deletion costs no more than
-epsilon/2 of conditional entropy, weakest contributor first.
+entropy by no more than epsilon/2. No pass reads another's state, so all
+nodes' passes run in lockstep rounds, each scored from one batched table. On
+finite samples this can admit spurious vertices; the prune step removes
+candidates whose deletion costs no more than epsilon/2 of conditional
+entropy, weakest contributor first.
 """
 
 from __future__ import annotations
@@ -131,47 +133,65 @@ def _lowest(hs: np.ndarray) -> int:
 def greedy_neighborhood(
     src: DistributionSource, i: int, cfg: LearnerConfig
 ) -> NeighborhoodTrace:
-    """Grow the estimated neighborhood of node ``i`` one argmin pick at a time.
+    """The greedy pass of node ``i`` alone (:func:`_greedy_passes` of one node)."""
+    return _greedy_passes(src, [i], cfg)[0]
 
-    Each step scores every remaining candidate from one table
-    (:meth:`DistributionSource.extension_entropies`). A candidate is accepted
-    only if it lowers the current conditional entropy by more than epsilon/2
-    plus the ``TIE_TOL`` slack; candidates within that slack of the minimum
-    are tied, and the lowest vertex index wins.
+
+def _greedy_passes(
+    src: DistributionSource, nodes: Sequence[int], cfg: LearnerConfig
+) -> list[NeighborhoodTrace]:
+    """Grow the estimated neighborhood of every node of ``nodes`` one argmin
+    pick at a time, all passes in lockstep.
+
+    Round s scores step s of every pass still running from one batched table
+    (:meth:`DistributionSource.extension_entropies`); no pass reads another's
+    state, so each trace is the one its node would get alone. A candidate is
+    accepted only if it lowers the current conditional entropy by more than
+    epsilon/2 plus the ``TIE_TOL`` slack; candidates within that slack of the
+    minimum are tied, and the lowest vertex index wins.
     """
     if src.p < 2:
         raise ValueError("need at least two variables")
-    if not 0 <= i < src.p:
-        raise IndexError(f"vertex {i} out of range for p={src.p}")
+    for i in nodes:
+        if not 0 <= i < src.p:
+            raise IndexError(f"vertex {i} out of range for p={src.p}")
     cap = cfg.max_neighborhood if cfg.max_neighborhood is not None else src.p - 1
-    chosen: list[int] = []
-    picks: list[Pick] = []
-    current = conditional_entropy(src, i, chosen)
-    rejected, gain = None, None
-    while True:
-        candidates = [k for k in range(src.p) if k != i and k not in chosen]
-        if not candidates:
-            reason = STOP_EXHAUSTED
+    chosen: list[list[int]] = [[] for _ in nodes]
+    picks: list[list[Pick]] = [[] for _ in nodes]
+    current = [conditional_entropy(src, i, ()) for i in nodes]
+    stops: list[tuple] = [()] * len(nodes)
+    running = list(range(len(nodes)))
+    # Every running pass has made the same number of picks: the round's.
+    for size in range(src.p):
+        if not running:
             break
-        if len(chosen) >= cap:
-            reason = STOP_CAP
+        if size == src.p - 1 or size >= cap:
+            for j in running:
+                stops[j] = (STOP_EXHAUSTED if size == src.p - 1 else STOP_CAP,)
             break
-        hs = src.extension_entropies(i, tuple(chosen))[candidates]
-        best = _lowest(hs)
-        best_k, best_h = candidates[best], float(hs[best])
-        if current - best_h <= cfg.epsilon / 2.0 + _slack(current):
-            reason, rejected, gain = STOP_THRESHOLD, best_k, current - best_h
-            break
-        runner_up, margin = None, None
-        if len(candidates) > 1:
-            rest = hs.copy()
-            rest[best] = np.inf
-            second = _lowest(rest)
-            runner_up, margin = candidates[second], float(hs[second]) - best_h
-        picks.append(Pick(best_k, current, best_h, runner_up, margin))
-        chosen.append(best_k)
-        current = best_h
-    return NeighborhoodTrace(i, tuple(picks), reason, rejected, gain)
+        rows = src.extension_entropies([(nodes[j], chosen[j]) for j in running])
+        still = []
+        for j, hs in zip(running, rows):
+            # The node and its picks are no candidates; ties still go to the
+            # lowest index, which is the variable's own.
+            hs[nodes[j]] = np.inf
+            hs[chosen[j]] = np.inf
+            best = _lowest(hs)
+            best_h = float(hs[best])
+            if current[j] - best_h <= cfg.epsilon / 2.0 + _slack(current[j]):
+                stops[j] = (STOP_THRESHOLD, best, current[j] - best_h)
+                continue
+            runner_up, margin = None, None
+            if size < src.p - 2:  # another candidate is left
+                hs[best] = np.inf
+                runner_up = _lowest(hs)
+                margin = float(hs[runner_up]) - best_h
+            picks[j].append(Pick(best, current[j], best_h, runner_up, margin))
+            chosen[j].append(best)
+            current[j] = best_h
+            still.append(j)
+        running = still
+    return [NeighborhoodTrace(i, tuple(picks[j]), *stops[j]) for j, i in enumerate(nodes)]
 
 
 def symmetrize(
@@ -198,8 +218,9 @@ def symmetrize(
 
 
 def learn_structure(src: DistributionSource, cfg: LearnerConfig) -> LearnResult:
-    """Run the greedy pass for every vertex and symmetrize the estimates."""
-    traces = tuple(greedy_neighborhood(src, i, cfg) for i in range(src.p))
+    """Run the greedy pass of every vertex, in lockstep, and symmetrize the
+    estimates."""
+    traces = tuple(_greedy_passes(src, range(src.p), cfg))
     graph, asym = symmetrize([t.picked for t in traces], src.p, cfg.symmetrization)
     return LearnResult(traces=traces, graph=graph, asymmetric_pairs=asym, config=cfg)
 

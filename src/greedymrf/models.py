@@ -243,11 +243,16 @@ class JointDistribution:
         return marginal(self.table, range(self.p), variables).flatten()  # always a copy
 
 
+def check_enumerable(p: int) -> None:
+    """Raise :class:`CapacityError` when a p-variable table is past ENUMERATION_CAP."""
+    if p > ENUMERATION_CAP:
+        raise CapacityError(f"exact enumeration needs p <= {ENUMERATION_CAP}, got {p}")
+
+
 def exact_joint(m: IsingModel) -> JointDistribution:
     """Enumerate the full 2^p table of a model; p is capped at ENUMERATION_CAP."""
     p = m.p
-    if p > ENUMERATION_CAP:
-        raise CapacityError(f"exact enumeration needs p <= {ENUMERATION_CAP}, got {p}")
+    check_enumerable(p)
     # Axis w of the (2,) * p table is variable w: spin -1 at index 0, +1 at 1.
     spins = [np.array([-1.0, 1.0]).reshape((2,) + (1,) * (p - 1 - w)) for w in range(p)]
     energy = np.zeros((2,) * p)
@@ -269,10 +274,16 @@ def exact_sample(j: JointDistribution, n: int, seed: int) -> DiscreteDataset:
     cdf = np.cumsum(j.probs)
     cdf[-1] = 1.0
     cells = np.searchsorted(cdf, rng.random(n), side="right")
-    cells = np.minimum(cells, j.probs.size - 1)
-    values = np.stack(np.unravel_index(cells, (j.alphabet.size,) * j.p), axis=1)
-    names = [f"v{k}" for k in range(j.p)]
-    return DiscreteDataset(names, j.alphabet, values)
+    np.minimum(cells, j.probs.size - 1, out=cells)
+    # Peel the base-q digits of each cell index, the last variable's first,
+    # straight into the dataset's column-major array of small ints.
+    q = j.alphabet.size
+    values = np.empty((n, j.p), dtype=np.min_scalar_type(q - 1), order="F")
+    digit = np.empty_like(cells)
+    for column in reversed(values.T):
+        np.divmod(cells, q, out=(cells, digit))
+        column[:] = digit
+    return DiscreteDataset([f"v{k}" for k in range(j.p)], j.alphabet, values, _owned=True)
 
 
 def find(parent: list[int], u: int) -> int:

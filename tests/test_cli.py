@@ -550,6 +550,30 @@ class TestRejectedModels:
         assert main(argv) == (1 if sampler == "exact" else 0)
         assert out.exists() == (sampler == "gibbs")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--model", "grid:300"], "exact enumeration needs p <= 24, got 90000"),
+        (["oracle", "--model", "chain:200000"], "exact enumeration needs p <= 24, got 200000"),
+        (["oracle", "--model", "grid:1e9"], "exact enumeration needs p <= 24, got 10**18"),
+        (["oracle", "--model", "tree:2,1e12"], "exact enumeration needs p <= 24, got "),
+        (["oracle", "--model", "er:25,0.5,1"], "exact enumeration needs p <= 24, got 25"),
+        (["experiment", "--model", "grid:5", "--n", "50"],
+         "exact enumeration needs p <= 24, got 25"),
+        (["experiment", "--model", "grid:65", "--n", "50", "--sampler", "gibbs"],
+         "a 4225 x 4225 coupling matrix exceeds the dense-table cap"),
+    ])
+    def test_models_past_a_cap_fail_before_they_are_built(self, tmp_path, capsys, monkeypatch,
+                                                         argv, message):
+        # p comes from the family's parameters; the graph is never built.
+        for module in ("cli", "experiment"):
+            monkeypatch.setattr(f"greedymrf.{module}.build", mock.Mock(side_effect=AssertionError))
+        out = tmp_path / "out"
+        rc = main(argv + ["--theta", "const:0.5", "--epsilon", "0.1", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"greedymrf {argv[0]}: {message.replace('10**18', str(10**18))}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["oracle", "experiment"])
     def test_help_lists_every_table_entry(self, capsys, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "200")  # argparse breaks words longer than a line
@@ -557,7 +581,7 @@ class TestRejectedModels:
             main([command, "--help"])
         text = capsys.readouterr().out
         for table in (MODEL_FAMILIES, WEIGHT_RULES):
-            for name, (_, kinds) in table.items():
+            for name, (_, kinds, *_) in table.items():
                 assert f"{name}:{','.join(label for label, _ in kinds)}" in text
 
 

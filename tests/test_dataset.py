@@ -108,9 +108,12 @@ class TestLoadCsv:
                              ids=["votes", "grid"])
     def test_ingest_peak_is_compact_ids_and_a_bounded_block(self, tmp_path, symbols):
         # The file is tokenised a block at a time into ids of a byte each, so
-        # the peak is a few bytes per cell plus one block's arrays, never
-        # the file's text or int64 ids. Short tokens put the most tokens,
-        # and so the largest arrays, in a block.
+        # the peak is two bytes per cell (the ids, then the ids and the
+        # dataset's column-major values, which take the looked-up ids
+        # straight) plus a few blocks' arrays, never the file's text or int64
+        # ids. Short tokens put the most tokens, and so the largest arrays,
+        # in a block. Holding a C-order lookup and its copy as well read
+        # three bytes per cell.
         rows, p = 50000, 20
         f = tmp_path / "t.csv"
         tokens = np.random.default_rng(0).choice(symbols, size=(rows, p))
@@ -122,7 +125,24 @@ class TestLoadCsv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * rows * p + 32 * dataset._BLOCK_BYTES
+        assert peak <= 2 * rows * p + 16 * dataset._BLOCK_BYTES
+
+    def test_the_constructor_copies_even_a_column_major_array(self, tmp_path):
+        # Only relabelling hands over the array it built; a caller's array
+        # is copied, so the dataset stays immutable.
+        values = np.asfortranarray(np.random.default_rng(1).integers(0, 2, size=(50, 3)),
+                                   dtype=np.uint8)
+        ds = make_ds(values)
+        assert not np.shares_memory(ds.values, values)
+        values[0, 0] ^= 1
+        assert ds.values[0, 0] != values[0, 0]
+        f = tmp_path / "t.csv"
+        write_csv(ds, f)
+        loaded = load_csv(f)
+        remapped = remap_values(loaded, (("a", "b"), ("b", "a")))
+        assert loaded == ds and np.array_equal(remapped.values, 1 - ds.values)
+        for got in (ds, loaded, remapped):
+            assert got.values.flags.f_contiguous and not got.values.flags.writeable
 
     def test_one_leading_byte_order_mark_is_skipped(self, tmp_path):
         f = tmp_path / "t.csv"

@@ -39,6 +39,11 @@ def empirical(rows, q=2):
     return EmpiricalSource(DiscreteDataset(names, Alphabet(symbols), np.asarray(rows)))
 
 
+def step(src, i, given):
+    """H(X_i | X_given, X_k) for every k, from a batch of one step."""
+    return src.extension_entropies([(i, given)])[0]
+
+
 def counts_source(*counts):
     """Single binary variable with the given value counts."""
     rows = [[0]] * counts[0] + [[1]] * counts[1]
@@ -306,7 +311,7 @@ def check_extension_entropies(src, table, i, given, rows):
     and the per-candidate path, with chunks of one, some and all variables."""
     for chunk in (1, 2, src.p):
         with mock.patch.object(dataset, "_CHUNK_ELEMENTS", chunk * rows):
-            hs = src.extension_entropies(i, given)
+            hs = step(src, i, given)
         assert hs.shape == (src.p,)
         for k in range(src.p):
             assert abs(hs[k] - cond_entropy_bits(table, i, given + (k,))) <= 1e-9
@@ -357,18 +362,19 @@ class TestExtensionEntropies:
         # cells and 5 of the 81 (given, x_3) cells
         rows = [[0, 0, 0, 0, 1], [0, 0, 0, 1, 1], [1, 2, 0, 0, 0], [2, 2, 2, 1, 2], [1, 2, 0, 2, 2]]
         src = empirical(rows, q=3)
-        blocks = list(extension_counts(src.dataset, (0, 1, 2), 3))
-        assert [(j.shape, g.shape) for j, g in blocks] == [((5, 3 * 5), (5, 3 * 3))]
-        joint, marginal = blocks[0]
+        blocks = list(extension_counts(src.dataset, [3], [(0, 1, 2)]))
+        assert [(at, j.shape, g.shape) for at, j, g in blocks] == [
+            ((0, slice(0, 5)), (5, 3 * 5), (5, 3 * 3))]
+        _, joint, marginal = blocks[0]
         assert (joint.sum(axis=1) == 5).all() and (marginal.sum(axis=1) == 5).all()
 
     def test_large_alphabet_tables_stay_within_the_chunk_bound(self):
         # 300 symbols over 1000 rows: a step needs up to 300 * 1000 cells per
         # variable, more than _CHUNK_ELEMENTS once |C| >= 1, so those steps
-        # count occupied cells only; no bincount may outgrow the bound.
+        # count occupied cells only; no bincount may outgrow the bound, in a
+        # round of every node's steps or in one step.
         rows = np.random.default_rng(5).integers(0, 300, size=(1000, 5))
         src = empirical(rows, q=300)
-        res = learn_structure(src, LearnerConfig(epsilon=0.05))
         sizes = []
         bincount = np.bincount
 
@@ -377,11 +383,15 @@ class TestExtensionEntropies:
             sizes.append(out.size)
             return out
 
+        with mock.patch("numpy.bincount", side_effect=recorded):
+            res = learn_structure(src, LearnerConfig(epsilon=0.05))
+        assert 0 < max(sizes) <= max(dataset._CHUNK_ELEMENTS, 1000)
+
         for t in res.traces:
             chosen: tuple = ()
             for pick in t.picks:
                 with mock.patch("numpy.bincount", side_effect=recorded):
-                    hs = src.extension_entropies(t.node, tuple(sorted(chosen)))
+                    hs = step(src, t.node, tuple(sorted(chosen)))
                 assert hs[pick.vertex] == pytest.approx(pick.entropy_after, abs=1e-9)
                 for k in range(src.p):
                     if k != t.node and k not in chosen:
@@ -392,21 +402,72 @@ class TestExtensionEntropies:
         assert 0 < max(sizes) <= max(dataset._CHUNK_ELEMENTS, 1000)
         assert src.dataset._planes is None
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 200), st.integers(3, 7), st.integers(0, 2**16),
+           st.sampled_from([1, 64, 1 << 18]), st.sampled_from([1, 256, 1 << 15]), st.data())
+    def test_a_batch_row_is_its_one_step_row_bit_for_bit(self, q, n, p, seed, chunk, words,
+                                                          data):
+        # Copied and negated columns leave some nodes few occupied cells and
+        # others many, so a batch past the rows mixes steps of different m;
+        # small chunks and plane buffers split a batch into many blocks and
+        # send steps with many cells to the occupied-key branch.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, q, size=(n, p))
+        rows[:, 1] = rows[:, 0]
+        rows[:, 2] = q - 1 - rows[:, 0]
+        src = empirical(rows, q=q)
+        size = data.draw(st.integers(0, p - 2))
+        nodes = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * p))
+        steps = [(i, tuple(sorted(data.draw(st.permutations([v for v in range(p) if v != i]))[:size])))
+                 for i in nodes]
+        with mock.patch.multiple(dataset, _CHUNK_ELEMENTS=chunk, _PLANE_WORDS=words):
+            batch = src.extension_entropies(steps)
+            alone = [step(src, i, given_vars) for i, given_vars in steps]
+        assert batch.shape == (len(steps), p)
+        for row, want in zip(batch, alone):
+            assert np.array_equal(row, want)
+
+    def test_batches_need_one_given_size_and_valid_steps(self):
+        src = empirical([[0, 1, 0], [1, 1, 0]])
+        assert src.extension_entropies([]).shape == (0, 3)
+        with pytest.raises(ValueError, match="one size"):
+            src.extension_entropies([(0, (1,)), (1, ())])
+        with pytest.raises(IndexError):
+            src.extension_entropies([(0, ()), (3, ())])
+
+    def test_a_plane_round_stays_within_a_few_plane_buffers(self):
+        # grid10-sized data, n = 5000 and p = 100: a round of all 100 nodes'
+        # plane steps ANDs into one reused buffer, so its peak does not grow
+        # with the nodes. One step at m = 32 allocated about 2.2 MiB when
+        # each chunk of variables got a new block.
+        rows = np.random.default_rng(0).integers(0, 2, size=(5000, 100))
+        src = empirical(rows)
+        src.extension_entropies([(0, ())])  # builds the planes
+        for size in range(5):
+            steps = [(i, tuple((i + 1 + k) % 100 for k in range(size))) for i in range(100)]
+            tracemalloc.start()
+            try:
+                src.extension_entropies(steps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 8 * dataset._PLANE_WORDS
+
     def test_target_in_given_rejected(self):
         with pytest.raises(ValueError):
-            empirical([[0, 1, 0]]).extension_entropies(1, (0, 1))
+            step(empirical([[0, 1, 0]]), 1, (0, 1))
 
     def test_too_wide_given_fails_before_counting(self):
         rows = np.random.default_rng(3).integers(0, 2, size=(6, 65)).tolist()
         src = empirical(rows)
         table = row_table(rows)
         widest = tuple(range(62))
-        hs = src.extension_entropies(64, widest)
+        hs = step(src, 64, widest)
         for k in (62, 63):
             assert abs(hs[k] - cond_entropy_bits(table, 64, widest + (k,))) <= 1e-9
         with mock.patch("numpy.bincount", side_effect=AssertionError("counted")):
             with pytest.raises(CapacityError):
-                src.extension_entropies(64, tuple(range(63)))
+                step(src, 64, tuple(range(63)))
 
 
 def count_table(rows):
@@ -419,9 +480,18 @@ def count_table(rows):
 
 
 def step_blocks(src, i, given):
-    """The concatenated (joint, marginal) counts of one step."""
-    blocks = list(extension_counts(src.dataset, given, i))
-    return [np.concatenate(part) for part in zip(*blocks)]
+    """The (joint, marginal) counts of one step, one row per variable; every
+    variable's row is yielded once."""
+    blocks = list(extension_counts(src.dataset, [i], [given]))
+    out = []
+    for part in (1, 2):
+        rows = np.full((1, src.p, blocks[0][part].shape[-1]), -1, dtype=blocks[0][part].dtype)
+        for block in blocks:
+            assert (rows[block[0]] == -1).all()
+            rows[block[0]] = block[part]
+        assert (rows >= 0).all()
+        out.append(rows[0])
+    return out
 
 
 class TestBitPlaneCounts:
@@ -443,14 +513,14 @@ class TestBitPlaneCounts:
         size = data.draw(st.integers(narrow + 1, p - 1) if wide and narrow + 1 < p
                          else st.integers(0, min(narrow, p - 1)))
         given_vars = tuple(sorted(data.draw(st.permutations(others))[:size]))
-        hs = src.extension_entropies(i, given_vars)
+        hs = step(src, i, given_vars)
         table = count_table(rows)
         for k in range(p):
             assert abs(hs[k] - cond_entropy_bits(table, i, given_vars + (k,))) <= 1e-12
         planes = step_blocks(src, i, given_vars)
         with mock.patch.object(dataset, "_PLANE_CELLS", 0):
             bincounts = step_blocks(src, i, given_vars)
-            assert np.array_equal(src.extension_entropies(i, given_vars), hs)
+            assert np.array_equal(step(src, i, given_vars), hs)
         for got, want in zip(planes, bincounts):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -459,13 +529,13 @@ class TestBitPlaneCounts:
         src = empirical(rows)
         ds = src.dataset
         # |C| = 5 occupies 64 (C, x_i) cells, beyond the cutoff
-        src.extension_entropies(0, (1, 2, 3, 4, 5))
+        step(src, 0, (1, 2, 3, 4, 5))
         assert ds._planes is None
         with mock.patch.object(dataset, "_pack_words", wraps=dataset._pack_words) as pack:
-            src.extension_entropies(0, (1,))
+            step(src, 0, (1,))
             planes = ds._planes
             built = pack.call_count
-            src.extension_entropies(3, (1, 2))
+            step(src, 3, (1, 2))
             assert ds._planes is planes and pack.call_count == built + 1
         assert planes.shape == (9, 1, 16) and not planes.flags.writeable
         assert planes.nbytes <= ds.values.nbytes
@@ -513,7 +583,7 @@ class TestAxisSums:
         i, drawn = draw_target_and_given(data, p)
         everyone_else = tuple(v for v in range(p) if v != i)
         for given_vars in (drawn, (), everyone_else):
-            hs = src.extension_entropies(i, given_vars)
+            hs = step(src, i, given_vars)
             for k in range(p):
                 assert abs(hs[k] - cond_entropy_bits(table, i, given_vars + (k,))) <= 1e-9
 
@@ -584,7 +654,7 @@ class TestAxisSums:
         src = ExactSource(JointDistribution(16, SPIN_ALPHABET, w / w.sum()))
         tracemalloc.start()
         try:
-            src.extension_entropies(i, given_vars)
+            step(src, i, given_vars)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

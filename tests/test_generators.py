@@ -14,6 +14,7 @@ from greedymrf.generators import (
     build,
     max_theta_for_tree_decay,
     model_from_strings,
+    model_size,
     parse_model_string,
     parse_weight_string,
 )
@@ -167,6 +168,7 @@ class TestGrammarTables:
         model = model_from_strings(grammar_text(family, fargs), grammar_text(rule, rargs))
         expect = build(spec)
         assert model.graph == expect.graph and model.theta == expect.theta
+        assert model_size(spec) == expect.p
 
     @staticmethod
     def bad_params(data, kinds):

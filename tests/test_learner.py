@@ -17,7 +17,7 @@ from greedymrf.learner import (
     prune_neighborhood,
     prune_result,
 )
-from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint
+from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint, exact_sample
 from greedymrf.theory import model_gap
 
 from _oracle import cond_entropy_bits, greedy_first_pick, ising_table, mutual_information_bits
@@ -140,6 +140,20 @@ class TestLearnStructure:
         assert g_and.edges == frozenset()
         assert g_or.edges == frozenset({(0, 1)})
         assert asym == ((0, 1),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 6), st.integers(2, 3), st.integers(0, 2**16), st.booleans(),
+           st.sampled_from([None, 1, 2]), st.floats(0.001, 0.2), st.integers(1, 400))
+    def test_lockstep_traces_are_each_nodes_own(self, p, q, seed, exact, cap, eps, n):
+        # learn_structure runs every node's pass in one round loop; each
+        # trace, floats included, is the one greedy_neighborhood gives alone.
+        # A peaked random table makes dependent variables and long passes.
+        w = np.random.default_rng(seed).random(q**p) ** 4
+        joint = JointDistribution(p, Alphabet(tuple(f"s{k}" for k in range(q))), w / w.sum())
+        src = ExactSource(joint) if exact else EmpiricalSource(exact_sample(joint, n, seed))
+        cfg = LearnerConfig(epsilon=eps, max_neighborhood=cap)
+        alone = tuple(greedy_neighborhood(src, i, cfg) for i in range(p))
+        assert learn_structure(src, cfg).traces == alone
 
     def test_result_to_dict_round_trips_edges(self):
         _, src = exact_source(ModelSpec.chain(3, WeightRule.constant(0.5)))

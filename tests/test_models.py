@@ -183,6 +183,42 @@ class TestSampling:
         b = exact_sample(j, 100, seed=9)
         assert a == b
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 300), p=st.integers(1, 6),
+           q=st.integers(2, 4))
+    def test_exact_sample_digits_equal_unravel_index(self, seed, n, p, q):
+        from greedymrf.dataset import Alphabet
+        from greedymrf.models import JointDistribution
+
+        rng = np.random.default_rng(seed)
+        w = rng.random(q**p) * (rng.random(q**p) < 0.7)
+        w[-1] += 0.1
+        j = JointDistribution(p, Alphabet(tuple(f"s{k}" for k in range(q))), w / w.sum())
+        ds = exact_sample(j, n, seed)
+        cdf = np.cumsum(j.probs)
+        cdf[-1] = 1.0
+        cells = np.searchsorted(cdf, np.random.default_rng(seed).random(n), side="right")
+        want = np.stack(np.unravel_index(np.minimum(cells, q**p - 1), (q,) * p), axis=1)
+        assert np.array_equal(ds.values, want)
+        assert ds.values.dtype == np.uint8 and ds.values.flags.f_contiguous
+        assert not ds.values.flags.writeable
+
+    def test_exact_sample_peak_is_the_rows_and_three_int64_columns(self):
+        # The digits of the cell indices are peeled straight into the uint8
+        # column-major rows: beside them only the uniforms, the cell indices,
+        # one digit column (8 bytes a row each) and the cdf. unravel_index
+        # and a stacked int64 copy took 26 MiB here.
+        j = exact_joint(model_from_strings("grid:4", "const:0.5"))
+        exact_sample(j, 10, 0)  # first-call imports stay untraced
+        n = 100000
+        tracemalloc.start()
+        try:
+            ds = exact_sample(j, n, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ds.values.nbytes + 3 * 8 * n + j.probs.nbytes
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**63), n=st.integers(1, 400), more=st.integers(0, 3200))
     def test_exact_sample_rows_are_prefixes_of_a_longer_draw(self, seed, n, more):
