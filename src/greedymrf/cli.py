@@ -27,7 +27,12 @@ from .dataset import (
 from .entropy import DistributionSource, EmpiricalSource, ExactSource, mutual_information
 from .experiment import ExperimentSpec, experiment_summary, run_experiment
 from .generators import (
-    MODEL_FAMILIES, WEIGHT_RULES, build, grammar_help, model_size, spec_from_strings,
+    MODEL_FAMILIES,
+    WEIGHT_RULES,
+    build,
+    grammar_help,
+    model_size,
+    spec_from_strings,
 )
 from .learner import LearnResult, LearnerConfig, chow_liu, learn_structure, prune_result
 from .models import MarkovGraph, check_enumerable, exact_joint, to_dot, write_edge_list

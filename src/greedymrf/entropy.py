@@ -138,7 +138,7 @@ class ExactSource(DistributionSource):
 
     def _extension_entropies(self, nodes: list[int], given: list[tuple[int, ...]]) -> np.ndarray:
         # Each node's table sums are its own, so the batch is a loop.
-        return np.array([self._step(i, own) for i, own in zip(nodes, given)]).reshape(-1, self.p)
+        return np.array([self._step(i, own) for i, own in zip(nodes, given)])
 
     def _step(self, i: int, given: tuple[int, ...]) -> np.ndarray:
         base = tuple(sorted(given + (i,)))

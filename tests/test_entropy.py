@@ -499,8 +499,10 @@ class TestBitPlaneCounts:
     @given(st.integers(2, 4), st.integers(1, 300), st.integers(3, 7), st.integers(0, 2**16),
            st.booleans(), st.data())
     def test_matches_oracle_and_the_bincount(self, q, n, p, seed, wide, data):
-        # n mod 64 varies, so the last word of every plane has padding bits;
-        # copied and negated columns give steps with few occupied cells
+        # n mod 64 varies, so the last word of every plane has padding bits,
+        # which the value-0 rows of a cell must not count; copied and negated
+        # columns give steps with few occupied cells, which the bincount
+        # counts whatever the plane cutoff
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, q, size=(n, p))
         rows[:, 1] = rows[:, 0]
