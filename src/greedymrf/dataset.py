@@ -124,12 +124,19 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
+def _fits_planes(cells: int, q: int, rows: int) -> bool:
+    """Whether a batch of greedy steps of ``cells`` cells each is counted by
+    popcounts over bit planes, given the dataset has them."""
+    return cells <= rows and (q - 1) * cells <= _PLANE_CELLS
+
+
 def extension_counts(
-    ds: DiscreteDataset, nodes: Sequence[int], given: Sequence[Sequence[int]]
+    ds: DiscreteDataset, nodes: Sequence[int], given: Sequence[Sequence[int]],
+    carried: dict | None = None, carry: dict | None = None,
 ) -> Iterator[tuple[tuple[int | slice, int | slice], np.ndarray, np.ndarray]]:
     """Row counts of (x_k, given[j], x_i) and of (x_k, given[j]) for every
     step j of a batch, i = ``nodes[j]``, and every variable k of ``ds``; the
-    given sets all have one size.
+    given sets all have one size and are sorted.
 
     Yields ``(at, joint, marginal)``: ``at`` indexes a block of a
     (len(nodes), p) array, and ``joint`` and ``marginal`` have that block's
@@ -146,13 +153,21 @@ def extension_counts(
     no array here is longer than max(_CHUNK_ELEMENTS, rows). Raises
     :class:`CapacityError` before any counting when the given cells do not
     fit an int64 code.
+
+    ``carried`` and ``carry`` hold the plane tables of whole batches, keyed
+    by (node, sorted given tuple). A plane step takes (pops) the entry of
+    ``carried`` whose given set is its own less one variable, if there is
+    one, and counts from it only the cells where that variable is nonzero.
+    ``carry`` receives this batch's plane tables when the next size of
+    step is counted by planes too. The yielded counts never depend on
+    either.
     """
     digits, q, rows = ds.values.T, ds.alphabet.size, ds.n
     nodes = np.asarray(nodes, dtype=np.intp)
     given = np.asarray(given, dtype=np.intp).reshape(nodes.size, -1)
     cells = q ** given.shape[1] * q
-    if cells <= rows and (q - 1) * cells <= _PLANE_CELLS and (planes := ds.bit_planes()) is not None:
-        yield from _plane_counts(planes, nodes, given, rows)
+    if _fits_planes(cells, q, rows) and (planes := ds.bit_planes()) is not None:
+        yield from _plane_counts(planes, nodes, given, rows, carried or {}, carry)
         return
     for j, (i, own) in enumerate(zip(nodes, given)):
         code = cell_codes(digits, own, q)
@@ -194,52 +209,118 @@ def _runs(keys: np.ndarray, given_of: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(group, prepend=-1))
 
 
+def _cell_bits(planes: np.ndarray, variables: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """(steps, q^width, words) row bits of every cell over each step's
+    ``variables`` (a (steps, width) array), mixed-radix indexed with the
+    first variable most significant. A cell's rows are the AND of its
+    variables' value rows: plane v-1 for x = v >= 1, the rows in no plane
+    (of those in ``present``) for x = 0."""
+    steps, words = len(variables), planes.shape[2]
+    values = planes[variables]
+    zero = present & ~np.bitwise_or.reduce(values, axis=2, keepdims=True)
+    values = np.concatenate((zero, values), axis=2)
+    cells = values[:, 0]
+    for digit in range(1, values.shape[1]):
+        cells = (cells[:, :, None] & values[:, digit, None]).reshape(steps, -1, words)
+    return cells
+
+
 def _plane_counts(
-    planes: np.ndarray, nodes: np.ndarray, given: np.ndarray, rows: int
+    planes: np.ndarray, nodes: np.ndarray, given: np.ndarray, rows: int,
+    carried: dict, carry: dict | None,
 ) -> Iterator[tuple[tuple[slice, slice], np.ndarray, np.ndarray]]:
     """:func:`extension_counts` of a batch whose m = q^(|given|+1) cells
     fit the rows, from the (p, q-1, words) bit planes of its dataset.
 
-    A cell's rows are the AND of its variables' value rows: plane v-1 for
-    x = v >= 1, the rows in no plane for x = 0. Those with x_k = v >= 1 are
-    the set bits of plane (k, v) AND the cell; those with x_k = 0 are the
-    rest. The ANDs of as many steps by all p variables as fit, or of one
-    step by a run of them, go to one reused buffer: one (step, variable)
-    pair's words or more, else at most _PLANE_WORDS, and at most a one-step
-    chunk of variables by _PLANE_CELLS plane rows.
+    Cell c over (given, x_i) is counted by its rows (:func:`_cell_bits`):
+    those with x_k = v >= 1 are the set bits of plane (k, v) AND the cell;
+    those with x_k = 0 are the rest. A step with a carried table of last
+    round, whose given set lacked one variable g, ANDs only the cells with
+    x_g >= 1; a cell with x_g = 0 has last round's counts of its cell less
+    those of its x_g >= 1 cells. The ANDs of as many steps by all p
+    variables as fit, or of one step by a run of them, go to one reused
+    buffer: one (step, variable) pair's words or more, else at most
+    _PLANE_WORDS, and at most a one-step chunk of variables by
+    _PLANE_CELLS plane rows.
     """
     p, q, words = planes.shape[0], planes.shape[1] + 1, planes.shape[2]
-    m = q ** given.shape[1] * q
+    size = given.shape[1]
+    m = q ** size * q
+    small = np.min_scalar_type(rows)
     chunk = min(p, max(1, _CHUNK_ELEMENTS // rows))
-    pair = (q - 1) * m * words
-    ands = np.empty(max(pair, min(chunk * _PLANE_CELLS * words, _PLANE_WORDS)), dtype=np.uint64)
+    ands = np.empty(max((q - 1) * m * words, min(chunk * _PLANE_CELLS * words, _PLANE_WORDS)),
+                    dtype=np.uint64)
     ones = np.empty(ands.size, dtype=np.uint8)
-    steps, width = max(1, ands.size // pair // p), min(p, ands.size // pair)
     present = _pack_words(np.ones(rows, dtype=bool))
-    for a in range(0, nodes.size, steps):
-        # (steps, |given|+1, q, words): the value rows of each cell variable.
-        values = planes[np.column_stack((given[a : a + steps], nodes[a : a + steps]))]
-        zero = present & ~np.bitwise_or.reduce(values, axis=2, keepdims=True)
-        values = np.concatenate((zero, values), axis=2)
-        cells = values[:, 0]
-        for digit in range(1, values.shape[1]):
-            cells = (cells[:, :, None] & values[:, digit, None]).reshape(len(values), -1, words)
-        joint = np.empty((len(values), p, q, m), dtype=np.int64)
-        for b in range(0, p, width):
-            shape = (len(planes[b : b + width]), q - 1) + cells.shape
-            block = np.bitwise_and(planes[b : b + width, :, None, None], cells,
+    # (position of the new variable among the cell variables, counts, totals)
+    # of each step that takes a table of last round.
+    prior = [_take_carried(carried, i, own) for i, own in zip(nodes.tolist(), given.tolist())]
+    keep = carry is not None and _fits_planes(q * m, q, rows)
+    a = 0
+    while a < nodes.size:
+        old = prior[a] is not None
+        counted = m // q * (q - 1) if old else m
+        pair = (q - 1) * counted * words
+        end = min(nodes.size, a + max(1, ands.size // pair // p))
+        b = next((j for j in range(a + 1, end) if (prior[j] is not None) != old), end)
+        width = min(p, ands.size // pair)
+        variables = np.column_stack((given[a:b], nodes[a:b]))
+        if old:
+            at = np.array([prior[j][0] for j in range(a, b)])
+            new = variables[np.arange(b - a), at]
+            variables = variables[np.arange(size + 1) != at[:, None]].reshape(b - a, size)
+        cells = _cell_bits(planes, variables, present)
+        if old:  # (steps, x_new - 1, last round's cell)
+            cells = (planes[new][:, :, None] & cells[:, None]).reshape(b - a, -1, words)
+        joint = np.empty((b - a, p, q, m), dtype=np.int64)
+        nonzero = np.empty((b - a, p, q - 1, counted), dtype=small) if old else joint[:, :, 1:]
+        for c in range(0, p, width):
+            shape = (len(planes[c : c + width]), q - 1) + cells.shape
+            block = np.bitwise_and(planes[c : c + width, :, None, None], cells,
                                    out=ands[: np.prod(shape)].reshape(shape))
             counts = np.bitwise_count(block, out=ones[: block.size].reshape(shape))
             # A row's popcounts sum to at most ``rows``: the narrowest sum is fastest.
-            counts = counts.sum(axis=-1, dtype=np.min_scalar_type(rows))
-            joint[:, b : b + width, 1:] = counts.transpose(2, 0, 1, 3)
+            counts = counts.sum(axis=-1, dtype=small)
+            nonzero[:, c : c + width] = counts.transpose(2, 0, 1, 3)
         totals = np.bitwise_count(cells).sum(axis=-1, dtype=np.int64)
+        if old:
+            # New cell c = (hi, x_new, lo) lies in last round's cell (hi, lo),
+            # where lo runs over the ``below`` cells of the variables after
+            # the new one; the counted cells are (x_new - 1, hi, lo).
+            totals, counted_totals = np.empty((b - a, m), dtype=np.int64), totals
+            for j, (at, table, total) in enumerate(prior[a:b]):
+                below = q ** (size - at)
+                got = nonzero[j].reshape(p, q - 1, q - 1, -1, below)
+                out = joint[j, :, 1:].reshape(p, q - 1, -1, q, below)
+                out[:, :, :, 1:] = got.transpose(0, 1, 3, 2, 4)
+                out[:, :, :, 0] = table.reshape(p, q - 1, -1, below) - got.sum(axis=2, dtype=small)
+                got = counted_totals[j].reshape(q - 1, -1, below)
+                out = totals[j].reshape(-1, q, below)
+                out[:, 1:] = got.transpose(1, 0, 2)
+                out[:, 0] = total.reshape(-1, below) - got.sum(axis=0)
         joint[:, :, 0] = totals[:, None] - joint[:, :, 1:].sum(axis=2)
+        if keep:
+            kept, kept_totals = joint[:, :, 1:].astype(small), totals.astype(small)
+            for j in range(b - a):
+                carry[int(nodes[a + j]), tuple(given[a + j].tolist())] = (kept[j], kept_totals[j])
         # Joint cell x_k*m + c lies in given cell (x_k, c // q). Adding the
         # q strided slices is many times faster than a sum over an axis of q.
-        by_x = joint.reshape(len(values), p, -1, q)
-        yield ((slice(a, a + steps), slice(None)), joint.reshape(len(values), p, -1),
+        by_x = joint.reshape(b - a, p, -1, q)
+        yield ((slice(a, b), slice(None)), joint.reshape(b - a, p, -1),
                sum(by_x[..., x] for x in range(q)))
+        a = b
+
+
+def _take_carried(carried: dict, node: int, given: list[int]
+                  ) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(position of g in ``given``, counts, totals) of the entry of
+    ``carried`` for ``node`` over ``given`` less one variable g, removed
+    from ``carried``; None when there is none."""
+    for at in range(len(given) if carried else 0):
+        entry = carried.pop((node, tuple(given[:at] + given[at + 1 :])), None)
+        if entry is not None:
+            return (at, *entry)
+    return None
 
 
 class DiscreteDataset:

@@ -28,12 +28,17 @@ class DistributionSource:
 
     Subclasses provide ``_cells``, the cells of one marginal that may be
     nonzero, and ``_extension_entropies``, the scores of a batch of greedy
-    steps; entropies are cached per sorted variable tuple. Sources are
-    immutable and thread-safe.
+    steps; entropies are cached per sorted variable tuple. The distribution
+    of a source never changes, and it is safe to query from several threads.
+    Besides the entropy cache, a source may hold count tables of its last
+    batch of greedy steps for the next batch to refine; no result depends
+    on whether they are there.
     """
 
     p: int
     alphabet: Alphabet
+    #: What the masses of ``_cells`` sum to.
+    _total: float = 1.0
 
     def __init__(self) -> None:
         self._entropy_cache: dict[tuple[int, ...], float] = {}
@@ -53,7 +58,8 @@ class DistributionSource:
         cells = self.alphabet.size ** len(variables)
         if cells > _MAX_DENSE_CELLS:
             raise CapacityError(f"dense marginal over {len(variables)} variables too large")
-        index, probs = self._cells(variables)
+        index, mass = self._cells(variables)
+        probs = mass if self._total == 1.0 else mass / self._total
         if isinstance(index, slice):
             return probs
         out = np.zeros(cells)
@@ -62,17 +68,38 @@ class DistributionSource:
 
     def _cells(self, variables: tuple[int, ...]) -> tuple[np.ndarray | slice, np.ndarray]:
         """(index into the dense marginal over the sorted ``variables``; the
-        probabilities there). The index is an array of mixed-radix codes, and
-        every other cell of the marginal is zero, or ``slice(None)`` when the
-        probabilities are the whole marginal, in a fresh array."""
+        masses there, which sum to ``_total``). The index is an array of
+        sorted mixed-radix codes, and every other cell of the marginal is
+        zero, or ``slice(None)`` when the masses are the whole marginal, in
+        a fresh array."""
         raise NotImplementedError
 
     def entropy_bits(self, variables: tuple[int, ...]) -> float:
         got = self._entropy_cache.get(variables)
         if got is None:
-            got = _entropy_of_probs(self._cells(variables)[1])
+            got = float(_entropies(self._cells(variables)[1], self._total))
             self._entropy_cache[variables] = got
         return got
+
+    def removal_entropies(self, i: int, given: Iterable[int]) -> tuple[float, np.ndarray]:
+        """H(X_i | X_given) and, for each j of the sorted ``given``,
+        H(X_i | X_given without j), in bits: each an entropy difference of
+        marginals summed out of one ``_cells`` table over given + (i,)."""
+        given = self.check_subset(given)
+        if i in given:
+            raise ValueError(f"target variable {i} appears in the conditioning set")
+        both = self.check_subset(given + (i,))
+        q, at = self.alphabet.size, both.index(i)
+        table = self._cells(both)
+        rest = _sum_out(table, q, len(both), at)
+        h_rest = _entropies(rest[1], self._total)
+        without = np.empty(len(given))
+        for pos, j in enumerate(given):
+            # j's position among both, and i's once j is gone
+            skip = pos + (pos >= at)
+            h_i = _entropies(_sum_out(table, q, len(both), skip)[1], self._total)
+            without[pos] = h_i - _entropies(_sum_out(rest, q, len(given), pos)[1], self._total)
+        return float(_entropies(table[1], self._total) - h_rest), without
 
     def extension_entropies(self, steps: Iterable[tuple[int, Iterable[int]]]) -> np.ndarray:
         """H(X_i | X_given, X_k) in bits for every step (i, given) of a batch
@@ -108,15 +135,19 @@ class EmpiricalSource(DistributionSource):
         self.dataset = ds
         self.p = ds.p
         self.alphabet = ds.alphabet
+        self._total = ds.n
+        # The plane tables of the last batch of steps (see extension_counts).
+        self._carried: dict = {}
 
     def _cells(self, variables: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        codes, counts = self.dataset.joint_counts(variables)
-        return codes, counts / self.dataset.n
+        return self.dataset.joint_counts(variables)
 
     def _extension_entropies(self, nodes: list[int], given: list[tuple[int, ...]]) -> np.ndarray:
         n = self.dataset.n
         out = np.empty((len(nodes), self.p))
-        for at, joint, marginal in extension_counts(self.dataset, nodes, given):
+        carried, self._carried = self._carried, {}
+        for at, joint, marginal in extension_counts(self.dataset, nodes, given, carried,
+                                                    self._carried):
             out[at] = _entropies(joint, n) - _entropies(marginal, n)
         return out
 
@@ -166,6 +197,24 @@ def _candidate_marginals(
         for part in (candidates[:half], candidates[half:]):
             keep = tuple(sorted(base + tuple(part)))
             yield from _candidate_marginals(marginal(table, axes, keep), keep, base, part)
+
+
+def _sum_out(table: tuple[np.ndarray | slice, np.ndarray], q: int, width: int, axis: int
+             ) -> tuple[np.ndarray | slice, np.ndarray]:
+    """A ``_cells`` table over ``width`` sorted variables with the one at
+    position ``axis`` summed out. Sparse cells stay sorted and their masses
+    are summed in code order, so integer counts sum exactly."""
+    index, mass = table
+    below = q ** (width - axis - 1)
+    if isinstance(index, slice):
+        return index, mass.reshape(-1, q, below).sum(axis=1).ravel()
+    reduced = index // (q * below) * below + index % below
+    if q ** (width - 1) > len(index):  # more cells than the table holds: sort its codes
+        codes, inverse = np.unique(reduced, return_inverse=True)
+        return codes, np.bincount(inverse, weights=mass)
+    mass = np.bincount(reduced, weights=mass)
+    codes = np.flatnonzero(mass)
+    return codes, mass[codes]
 
 
 def _entropies(mass: np.ndarray, total: float) -> np.ndarray:

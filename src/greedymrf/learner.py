@@ -231,25 +231,23 @@ def prune_neighborhood(
     """Drop candidates that stop contributing once the rest are conditioned on.
 
     Each round recomputes, for every member j, the entropy cost of removing it
-    from the conditioning set; the smallest contributor (lowest index among
-    gains within the ``TIE_TOL`` slack of the minimum) is deleted while its
-    gain is <= epsilon/2 plus that slack, until the set is stable.
+    from the conditioning set, all from one marginal
+    (:meth:`DistributionSource.removal_entropies`); the smallest contributor
+    (lowest index among gains within the ``TIE_TOL`` slack of the minimum) is
+    deleted while its gain is <= epsilon/2 plus that slack, until the set is
+    stable.
     """
     kept = sorted(set(candidate_set))
     for j in kept:
         if j == i:
             raise ValueError("candidate set must not contain the node itself")
     while kept:
-        h_full = conditional_entropy(src, i, kept)
+        h_full, without = src.removal_entropies(i, kept)
         slack = _slack(h_full)
-        gains = [
-            (conditional_entropy(src, i, [k for k in kept if k != j]) - h_full, j)
-            for j in kept
-        ]
-        low = min(g for g, _ in gains)
-        gain, weakest = next((g, j) for g, j in gains if g <= low + slack)
-        if gain <= cfg.epsilon / 2.0 + slack:
-            kept.remove(weakest)
+        gains = without - h_full
+        weakest = int(np.flatnonzero(gains <= gains.min() + slack)[0])
+        if gains[weakest] <= cfg.epsilon / 2.0 + slack:
+            del kept[weakest]
         else:
             break
     return tuple(kept)
