@@ -85,8 +85,10 @@ class GibbsChains:
 
     A sweep updates the classes of :func:`greedy_colouring` in turn, lowest
     colour first. No two sites of a class are adjacent, so a whole class is
-    one update across every chain: its local fields are ``spins @ W[:, class]``
-    with W from :func:`coupling_matrix`. Chain b starts from
+    one update across every chain: its local fields are ``W[class] @ spins``
+    with W from :func:`coupling_matrix` and the spins held site-major,
+    (sites, chains), so that each class's rows of W, fields, thresholds and
+    spins are contiguous blocks. Chain b starts from
     ``default_rng(cfgs[b].seed).integers(0, 2, size=p)``; the same generator
     then gives one uniform per site update, sweep after sweep, sites in class
     order. A chain's rows therefore depend on its own config only, not on the
@@ -111,12 +113,12 @@ class GibbsChains:
         self._offset = w.sum(axis=0)
         w *= 2.0
         ends = list(accumulate(colour.count(c) for c in range(max(colour) + 1)))
-        # W is symmetric, so a class's columns are the transpose of its rows:
-        # a contiguous view of the one p x p matrix, not a copy.
-        self._classes = [(slice(a, b), w[a:b].T) for a, b in zip([0] + ends, ends)]
+        # W is symmetric, so a class's columns are its rows: a contiguous view
+        # of the one p x p matrix, not a copy.
+        self._classes = [(slice(a, b), w[a:b]) for a, b in zip([0] + ends, ends)]
         self._rngs = [np.random.default_rng(c.seed) for c in cfgs]
         first = np.array([r.integers(0, 2, size=m.p) for r in self._rngs]).reshape(-1, m.p)
-        self._bits = first[:, order].astype(np.float64)
+        self._bits = np.ascontiguousarray(first[:, order].T, dtype=np.float64)  # (p, chains)
         burn_in, self._thinning = cfgs[0].burn_in, cfgs[0].thinning
         self._burn = 1000 * m.p if burn_in is None else burn_in
 
@@ -125,33 +127,36 @@ class GibbsChains:
         spin -1, 1 for +1), shaped (chains, rows, p). The first call runs the
         burn-in first; each row follows ``thinning`` further sweeps."""
         bits = self._bits
-        chains, p = bits.shape
+        p, chains = bits.shape
         sweeps = self._burn + rows * self._thinning
         block = max(1, min(sweeps, _BLOCK_DOUBLES // (chains * p)))
         # A site turns +1 when u < sigmoid(h), that is when log(u) - log1p(-u) < h.
-        logit = np.empty((chains, block, p))
-        scratch = np.empty((block, p))
-        steps = [(logit[:, :, s], w, np.empty((chains, w.shape[1])), bits[:, s])
+        # Each chain's thresholds are made in its own block, then laid out
+        # (sweep, site, chain) beside the other chains'.
+        logit = np.empty((block, p, chains))
+        u, v = np.empty((block, p)), np.empty((block, p))
+        steps = [(logit[:, s], w, np.empty((w.shape[0], chains)), bits[s])
                  for s, w in self._classes]
         out = np.empty((chains, rows, p), dtype=np.uint8)
         row, take_at = 0, self._burn + self._thinning
         dot, less = np.dot, np.less
         for start in range(0, sweeps, block):
             size = min(block, sweeps - start)
-            for rng, u in zip(self._rngs, logit):
-                u, v = u[:size], scratch[:size]
-                rng.random(out=u)
-                np.log1p(np.negative(u, out=v), out=v)
+            for b, rng in enumerate(self._rngs):
+                here, other = u[:size], v[:size]
+                rng.random(out=here)
+                np.log1p(np.negative(here, out=other), out=other)
                 with np.errstate(divide="ignore"):  # u = 0 gives -inf: always +1
-                    np.log(u, out=u)
-                u -= v
-                u += self._offset
+                    np.log(here, out=here)
+                here -= other
+                here += self._offset
+                logit[:size, :, b] = here
             for t in range(size):
                 for threshold, w, field, class_bits in steps:
-                    dot(bits, w, field)
-                    less(threshold[:, t], field, class_bits)
+                    dot(w, bits, field)
+                    less(threshold[t], field, class_bits)
                 if start + t + 1 == take_at:
-                    out[:, row] = bits
+                    out[:, row] = bits.T
                     row += 1
                     take_at += self._thinning
         self._burn = 0
