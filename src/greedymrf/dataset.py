@@ -252,8 +252,10 @@ def _plane_counts(
                     dtype=np.uint64)
     ones = np.empty(ands.size, dtype=np.uint8)
     present = _pack_words(np.ones(rows, dtype=bool))
-    # (position of the new variable among the cell variables, counts, totals)
-    # of each step that takes a table of last round.
+    # (position of the new variable among the cell variables, table) of each
+    # step that takes a table of last round. A table holds the x_k >= 1
+    # counts of every variable k, (p*(q-1), cells), over a row of the cells'
+    # totals, in the smallest dtype that holds the rows.
     prior = [_take_carried(carried, i, own) for i, own in zip(nodes.tolist(), given.tolist())]
     keep = carry is not None and _fits_planes(q * m, q, rows)
     a = 0
@@ -288,21 +290,24 @@ def _plane_counts(
             # where lo runs over the ``below`` cells of the variables after
             # the new one; the counted cells are (x_new - 1, hi, lo).
             totals, counted_totals = np.empty((b - a, m), dtype=np.int64), totals
-            for j, (at, table, total) in enumerate(prior[a:b]):
+            for j, (at, table) in enumerate(prior[a:b]):
                 below = q ** (size - at)
                 got = nonzero[j].reshape(p, q - 1, q - 1, -1, below)
                 out = joint[j, :, 1:].reshape(p, q - 1, -1, q, below)
                 out[:, :, :, 1:] = got.transpose(0, 1, 3, 2, 4)
-                out[:, :, :, 0] = table.reshape(p, q - 1, -1, below) - got.sum(axis=2, dtype=small)
+                out[:, :, :, 0] = (table[:-1].reshape(p, q - 1, -1, below)
+                                   - got.sum(axis=2, dtype=small))
                 got = counted_totals[j].reshape(q - 1, -1, below)
                 out = totals[j].reshape(-1, q, below)
                 out[:, 1:] = got.transpose(1, 0, 2)
-                out[:, 0] = total.reshape(-1, below) - got.sum(axis=0)
+                out[:, 0] = table[-1].reshape(-1, below) - got.sum(axis=0)
         joint[:, :, 0] = totals[:, None] - joint[:, :, 1:].sum(axis=2)
         if keep:
-            kept, kept_totals = joint[:, :, 1:].astype(small), totals.astype(small)
+            tables = np.empty((b - a, p * (q - 1) + 1, m), dtype=small)
+            tables[:, :-1] = joint[:, :, 1:].reshape(b - a, -1, m)
+            tables[:, -1] = totals
             for j in range(b - a):
-                carry[int(nodes[a + j]), tuple(given[a + j].tolist())] = (kept[j], kept_totals[j])
+                carry[int(nodes[a + j]), tuple(given[a + j].tolist())] = tables[j]
         # Joint cell x_k*m + c lies in given cell (x_k, c // q). Adding the
         # q strided slices is many times faster than a sum over an axis of q.
         by_x = joint.reshape(b - a, p, -1, q)
@@ -311,15 +316,14 @@ def _plane_counts(
         a = b
 
 
-def _take_carried(carried: dict, node: int, given: list[int]
-                  ) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """(position of g in ``given``, counts, totals) of the entry of
-    ``carried`` for ``node`` over ``given`` less one variable g, removed
-    from ``carried``; None when there is none."""
+def _take_carried(carried: dict, node: int, given: list[int]) -> tuple[int, np.ndarray] | None:
+    """(position of g in ``given``, table) of the entry of ``carried`` for
+    ``node`` over ``given`` less one variable g, removed from ``carried``;
+    None when there is none."""
     for at in range(len(given) if carried else 0):
-        entry = carried.pop((node, tuple(given[:at] + given[at + 1 :])), None)
-        if entry is not None:
-            return (at, *entry)
+        table = carried.pop((node, tuple(given[:at] + given[at + 1 :])), None)
+        if table is not None:
+            return at, table
     return None
 
 

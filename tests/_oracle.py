@@ -42,6 +42,33 @@ def mutual_information_bits(table, i, j):
     return entropy_bits(marginal(table, (i,))) - cond_entropy_bits(table, i, (j,))
 
 
+def prune_neighborhood(table, i, candidates, epsilon, tie_tol):
+    """The prune rule from brute-force conditional entropies: while the set
+    is not empty, find the member whose removal raises H(X_i | X_rest)
+    least, the lowest index among rises within tie_tol * max(1, |H|) of the
+    least, and drop it if its rise is at most epsilon/2 plus that slack.
+
+    Returns (kept, closest): ``closest`` is the smallest distance of any
+    rise from a cut it was compared against, so a caller can tell a case
+    that float rounding could decide.
+    """
+    kept = sorted(set(candidates))
+    closest = math.inf
+    while kept:
+        h_full = cond_entropy_bits(table, i, kept)
+        slack = tie_tol * max(1.0, abs(h_full))
+        rises = [cond_entropy_bits(table, i, [k for k in kept if k != j]) - h_full for j in kept]
+        low = min(rises)
+        closest = min([closest] + [abs(r - (low + slack)) for r in rises])
+        weakest = next(pos for pos, r in enumerate(rises) if r <= low + slack)
+        cut = epsilon / 2.0 + slack
+        closest = min(closest, abs(rises[weakest] - cut))
+        if rises[weakest] > cut:
+            break
+        del kept[weakest]
+    return tuple(kept), closest
+
+
 def conditional_prob(table, target_vars, target_vals, given_vars, given_vals):
     """P(X_target = target_vals | X_given = given_vals) from the table."""
     num = 0.0

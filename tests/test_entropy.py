@@ -448,10 +448,17 @@ class TestExtensionEntropies:
             tracemalloc.start()
             try:
                 src.extension_entropies(steps)
-                _, peak = tracemalloc.get_traced_memory()
+                held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak <= 4 * 8 * dataset._PLANE_WORDS
+            # The tables held for the next round: each step's x_k >= 1 counts
+            # and cell totals in uint16, about 320 KiB at m = 16, plus half a
+            # KiB for its key and view; none once the next round leaves the
+            # planes.
+            m = 2 ** (size + 1)
+            tables = 100 * (100 + 1) * m * 2 if 2 * m <= dataset._PLANE_CELLS else 0
+            assert held <= tables + 512 * len(steps) + 16 * 1024
 
     def test_target_in_given_rejected(self):
         with pytest.raises(ValueError):
@@ -559,6 +566,68 @@ class TestBitPlaneCounts:
             assert ds._planes is None
         if q > 9:
             assert planes is None
+
+
+class TestCarriedTables:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 300), st.integers(3, 8), st.integers(0, 2**16),
+           st.data())
+    def test_a_warm_source_gives_a_fresh_sources_rows_bit_for_bit(self, q, n, p, seed, data):
+        # Rounds of lockstep passes in random pick orders, so each round's
+        # new variable lands at any sorted position; each round takes a
+        # random subset of the nodes, so a batch mixes steps with a table of
+        # last round and steps without one, and the rounds run on past the
+        # bit planes.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, q, size=(n, p))
+        rows[:, 1] = rows[:, 0]
+        src = empirical(rows, q=q)
+        orders = {i: data.draw(st.permutations([v for v in range(p) if v != i])) for i in range(p)}
+        take, taken, rounds = dataset._take_carried, [], []
+
+        def recorded(*args):
+            got = take(*args)
+            taken.append(got is not None)
+            return got
+
+        with mock.patch.object(dataset, "_take_carried", side_effect=recorded):
+            for size in range(min(p - 1, 6)):
+                rounds.append(data.draw(st.sets(st.sampled_from(range(p)), min_size=1)))
+                steps = [(i, tuple(sorted(orders[i][:size]))) for i in sorted(rounds[-1])]
+                warm = src.extension_entropies(steps)
+                assert np.array_equal(warm, empirical(rows, q=q).extension_entropies(steps))
+        # On binary data of 8 or more rows, a node of rounds 0 and 1 takes
+        # its round-0 table.
+        if q == 2 and n >= 8 and rounds[0] & rounds[1]:
+            assert any(taken)
+
+    def test_lockstep_rounds_count_only_the_new_variables_nonzero_cells(self):
+        rows = np.random.default_rng(2).integers(0, 2, size=(3000, 12))
+        src = empirical(rows)
+        ands = []
+        bitwise_and = np.bitwise_and
+
+        def recorded(x, y, **kwargs):
+            ands.append(np.broadcast_shapes(x.shape, y.shape)[3])  # cells per step
+            return bitwise_and(x, y, **kwargs)
+
+        for size in range(6):
+            steps = [(i, tuple((i + 1 + k) % 12 for k in range(size))) for i in range(12)]
+            ands.clear()
+            with mock.patch("numpy.bitwise_and", side_effect=recorded):
+                src.extension_entropies(steps)
+            # Round 0 and the rounds past the planes count in full; the
+            # planes of rounds 1-4 AND half the cells of a full count.
+            want = {0: [2], 5: []}.get(size, [2 ** size])
+            assert sorted(set(ands)) == want
+            m = 2 ** (size + 1)
+            held = src._carried
+            if 2 * m <= dataset._PLANE_CELLS:
+                assert len(held) == 12
+                for table in held.values():
+                    assert table.shape == (12 + 1, m) and table.dtype == np.uint16
+            else:
+                assert not held
 
 
 def random_table(seed, p, q):

@@ -20,7 +20,13 @@ from greedymrf.learner import (
 from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint, exact_sample
 from greedymrf.theory import model_gap
 
-from _oracle import cond_entropy_bits, greedy_first_pick, ising_table, mutual_information_bits
+from _oracle import (
+    cond_entropy_bits,
+    greedy_first_pick,
+    ising_table,
+    mutual_information_bits,
+)
+from _oracle import prune_neighborhood as oracle_prune
 
 
 def exact_source(spec):
@@ -181,6 +187,55 @@ class TestPrune:
     def test_empty_set(self):
         _, src = exact_source(ModelSpec.chain(3, WeightRule.constant(0.5)))
         assert prune_neighborhood(src, 0, (), LearnerConfig(epsilon=0.05)) == ()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(3, 7), st.integers(2, 3), st.integers(1, 150), st.integers(0, 2**16),
+           st.floats(0.001, 0.6), st.data())
+    def test_empirical_prune_matches_the_oracle(self, p, q, n, seed, eps, data):
+        # Copied and negated columns tie their removal costs; a set of all
+        # other variables has q^p cells, more than the rows when n < q^p.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, q, size=(n, p))
+        rows[:, 1] = rows[:, 0]
+        rows[:, 2] = q - 1 - rows[:, 0]
+        names = [f"v{k}" for k in range(p)]
+        src = EmpiricalSource(DiscreteDataset(names, Alphabet(tuple("abc"[:q])), rows))
+        table: dict = {}
+        for row in map(tuple, rows.tolist()):
+            table[row] = table.get(row, 0) + 1
+        table = {state: c / n for state, c in table.items()}
+        self.check_against_oracle(src, table, p, eps, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["grid:3", "cycle:6", "star", "random"]), st.integers(0, 2**16),
+           st.floats(0.001, 0.6), st.data())
+    def test_exact_prune_matches_the_oracle(self, name, seed, eps, data):
+        # Constant couplings on symmetric graphs tie removal costs exactly.
+        if name == "random":
+            q = 2 + seed % 2
+            w = np.random.default_rng(seed).random(q**5) ** 4
+            joint = JointDistribution(5, Alphabet(tuple("abc"[:q])), w / w.sum())
+            table = dict(zip(np.ndindex(*(q,) * 5), joint.probs.tolist()))
+        else:
+            spec = {"grid:3": ModelSpec.grid(3, WeightRule.constant(0.5)),
+                    "cycle:6": ModelSpec.cycle(6, WeightRule.constant(0.4)),
+                    "star": ModelSpec.complete_dary_tree(5, 1, WeightRule.constant(0.6))}[name]
+            model = build(spec)
+            joint = exact_joint(model)
+            table = {tuple((x + 1) // 2 for x in spins): pr
+                     for spins, pr in ising_table(model.p, dict(model.theta)).items()}
+        self.check_against_oracle(ExactSource(joint), table, joint.p, eps, data)
+
+    @staticmethod
+    def check_against_oracle(src, table, p, eps, data):
+        i = data.draw(st.integers(0, p - 1))
+        others = [v for v in range(p) if v != i]
+        candidates = data.draw(st.one_of(st.just(()), st.just(tuple(others)),
+                                          st.lists(st.sampled_from(others), unique=True)))
+        want, closest = oracle_prune(table, i, candidates, eps, TIE_TOL)
+        # A rise within float rounding of a cut could go either way.
+        assume(closest > 1e-11)
+        assert prune_neighborhood(src, i, candidates, LearnerConfig(epsilon=eps)) == want
 
     def test_prune_result_restores_counterexample(self):
         degree = 4
