@@ -11,6 +11,7 @@ queries feasible when p is large and only the query set is small.
 
 from __future__ import annotations
 
+import math
 from codecs import BOM_UTF8
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -257,7 +258,10 @@ def _plane_counts(
     # counts of every variable k, (p*(q-1), cells), over a row of the cells'
     # totals, in the smallest dtype that holds the rows.
     prior = [_take_carried(carried, i, own) for i, own in zip(nodes.tolist(), given.tolist())]
-    keep = carry is not None and _fits_planes(q * m, q, rows)
+    # This batch's tables, one block for the batch, when the next round fits.
+    kept = None
+    if carry is not None and _fits_planes(q * m, q, rows):
+        kept = np.empty((nodes.size, p * (q - 1) + 1, m), dtype=small)
     a = 0
     while a < nodes.size:
         old = prior[a] is not None
@@ -279,7 +283,7 @@ def _plane_counts(
         for c in range(0, p, width):
             shape = (len(planes[c : c + width]), q - 1) + cells.shape
             block = np.bitwise_and(planes[c : c + width, :, None, None], cells,
-                                   out=ands[: np.prod(shape)].reshape(shape))
+                                   out=ands[: math.prod(shape)].reshape(shape))
             counts = np.bitwise_count(block, out=ones[: block.size].reshape(shape))
             # A row's popcounts sum to at most ``rows``: the narrowest sum is fastest.
             counts = counts.sum(axis=-1, dtype=small)
@@ -302,12 +306,10 @@ def _plane_counts(
                 out[:, 1:] = got.transpose(1, 0, 2)
                 out[:, 0] = table[-1].reshape(-1, below) - got.sum(axis=0)
         joint[:, :, 0] = totals[:, None] - joint[:, :, 1:].sum(axis=2)
-        if keep:
-            tables = np.empty((b - a, p * (q - 1) + 1, m), dtype=small)
-            tables[:, :-1] = joint[:, :, 1:].reshape(b - a, -1, m)
-            tables[:, -1] = totals
-            for j in range(b - a):
-                carry[int(nodes[a + j]), tuple(given[a + j].tolist())] = tables[j]
+        if kept is not None:
+            kept[a:b, :-1] = joint[:, :, 1:].reshape(b - a, -1, m)
+            kept[a:b, -1] = totals
+            carry.update(zip(zip(nodes[a:b].tolist(), map(tuple, given[a:b].tolist())), kept[a:b]))
         # Joint cell x_k*m + c lies in given cell (x_k, c // q). Adding the
         # q strided slices is many times faster than a sum over an axis of q.
         by_x = joint.reshape(b - a, p, -1, q)

@@ -209,7 +209,7 @@ def _sum_out(table: tuple[np.ndarray | slice, np.ndarray], q: int, width: int, a
     if isinstance(index, slice):
         return index, mass.reshape(-1, q, below).sum(axis=1).ravel()
     reduced = index // (q * below) * below + index % below
-    if q ** (width - 1) > len(index):  # more cells than the table holds: sort its codes
+    if q ** (width - 1) > len(index):  # cells outnumber the occupied ones: sort the codes
         codes, inverse = np.unique(reduced, return_inverse=True)
         return codes, np.bincount(inverse, weights=mass)
     mass = np.bincount(reduced, weights=mass)

@@ -134,7 +134,7 @@ class GibbsChains:
         # Each chain's thresholds are made in its own block, then laid out
         # (sweep, site, chain) beside the other chains'.
         logit = np.empty((block, p, chains))
-        u, v = np.empty((block, p)), np.empty((block, p))
+        uniforms, scratch = np.empty((block, p)), np.empty((block, p))
         steps = [(logit[:, s], w, np.empty((w.shape[0], chains)), bits[s])
                  for s, w in self._classes]
         out = np.empty((chains, rows, p), dtype=np.uint8)
@@ -143,14 +143,14 @@ class GibbsChains:
         for start in range(0, sweeps, block):
             size = min(block, sweeps - start)
             for b, rng in enumerate(self._rngs):
-                here, other = u[:size], v[:size]
-                rng.random(out=here)
-                np.log1p(np.negative(here, out=other), out=other)
+                u, v = uniforms[:size], scratch[:size]
+                rng.random(out=u)
+                np.log1p(np.negative(u, out=v), out=v)
                 with np.errstate(divide="ignore"):  # u = 0 gives -inf: always +1
-                    np.log(here, out=here)
-                here -= other
-                here += self._offset
-                logit[:size, :, b] = here
+                    np.log(u, out=u)
+                u -= v
+                u += self._offset
+                logit[:size, :, b] = u
             for t in range(size):
                 for threshold, w, field, class_bits in steps:
                     dot(w, bits, field)
