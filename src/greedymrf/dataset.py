@@ -168,7 +168,7 @@ def extension_counts(
     given = np.asarray(given, dtype=np.intp).reshape(nodes.size, -1)
     cells = q ** given.shape[1] * q
     if _fits_planes(cells, q, rows) and (planes := ds.bit_planes()) is not None:
-        yield from _plane_counts(planes, nodes, given, rows, carried or {}, carry)
+        yield from _plane_counts(planes, nodes, given, rows, carried, carry)
         return
     for j, (i, own) in enumerate(zip(nodes, given)):
         code = cell_codes(digits, own, q)
@@ -210,39 +210,23 @@ def _runs(keys: np.ndarray, given_of: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(group, prepend=-1))
 
 
-def _cell_bits(planes: np.ndarray, variables: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """(steps, q^width, words) row bits of every cell over each step's
-    ``variables`` (a (steps, width) array), mixed-radix indexed with the
-    first variable most significant. A cell's rows are the AND of its
-    variables' value rows: plane v-1 for x = v >= 1, the rows in no plane
-    (of those in ``present``) for x = 0."""
-    steps, words = len(variables), planes.shape[2]
-    values = planes[variables]
-    zero = present & ~np.bitwise_or.reduce(values, axis=2, keepdims=True)
-    values = np.concatenate((zero, values), axis=2)
-    cells = values[:, 0]
-    for digit in range(1, values.shape[1]):
-        cells = (cells[:, :, None] & values[:, digit, None]).reshape(steps, -1, words)
-    return cells
-
-
 def _plane_counts(
     planes: np.ndarray, nodes: np.ndarray, given: np.ndarray, rows: int,
-    carried: dict, carry: dict | None,
+    carried: dict | None, carry: dict | None,
 ) -> Iterator[tuple[tuple[slice, slice], np.ndarray, np.ndarray]]:
     """:func:`extension_counts` of a batch whose m = q^(|given|+1) cells
     fit the rows, from the (p, q-1, words) bit planes of its dataset.
 
-    Cell c over (given, x_i) is counted by its rows (:func:`_cell_bits`):
-    those with x_k = v >= 1 are the set bits of plane (k, v) AND the cell;
-    those with x_k = 0 are the rest. A step with a carried table of last
-    round, whose given set lacked one variable g, ANDs only the cells with
-    x_g >= 1; a cell with x_g = 0 has last round's counts of its cell less
-    those of its x_g >= 1 cells. The ANDs of as many steps by all p
-    variables as fit, or of one step by a run of them, go to one reused
-    buffer: one (step, variable) pair's words or more, else at most
-    _PLANE_WORDS, and at most a one-step chunk of variables by
-    _PLANE_CELLS plane rows.
+    A cell's rows are the AND of its variables' value rows: plane v-1 for
+    x = v >= 1, the rows in no plane for x = 0. Those with x_k = v >= 1 are
+    the set bits of plane (k, v) AND the cell; those with x_k = 0 are the
+    rest. A step with a carried table of last round, whose given set lacked
+    one variable g, ANDs only the cells with x_g >= 1; a cell with x_g = 0
+    has last round's counts of its cell less those of its x_g >= 1 cells.
+    The ANDs of as many steps by all p variables as fit, or of one step by
+    a run of them, go to one reused buffer: one (step, variable) pair's
+    words or more, else at most _PLANE_WORDS, and at most a one-step chunk
+    of variables by _PLANE_CELLS plane rows.
     """
     p, q, words = planes.shape[0], planes.shape[1] + 1, planes.shape[2]
     size = given.shape[1]
@@ -275,7 +259,13 @@ def _plane_counts(
             at = np.array([prior[j][0] for j in range(a, b)])
             new = variables[np.arange(b - a), at]
             variables = variables[np.arange(size + 1) != at[:, None]].reshape(b - a, size)
-        cells = _cell_bits(planes, variables, present)
+        # (steps, cell variables, q, words): the value rows of each variable.
+        values = planes[variables]
+        zero = present & ~np.bitwise_or.reduce(values, axis=2, keepdims=True)
+        values = np.concatenate((zero, values), axis=2)
+        cells = values[:, 0]
+        for digit in range(1, values.shape[1]):
+            cells = (cells[:, :, None] & values[:, digit, None]).reshape(b - a, -1, words)
         if old:  # (steps, x_new - 1, last round's cell)
             cells = (planes[new][:, :, None] & cells[:, None]).reshape(b - a, -1, words)
         joint = np.empty((b - a, p, q, m), dtype=np.int64)
@@ -294,8 +284,8 @@ def _plane_counts(
             # where lo runs over the ``below`` cells of the variables after
             # the new one; the counted cells are (x_new - 1, hi, lo).
             totals, counted_totals = np.empty((b - a, m), dtype=np.int64), totals
-            for j, (at, table) in enumerate(prior[a:b]):
-                below = q ** (size - at)
+            for j, (pos, table) in enumerate(prior[a:b]):
+                below = q ** (size - pos)
                 got = nonzero[j].reshape(p, q - 1, q - 1, -1, below)
                 out = joint[j, :, 1:].reshape(p, q - 1, -1, q, below)
                 out[:, :, :, 1:] = got.transpose(0, 1, 3, 2, 4)
@@ -318,7 +308,8 @@ def _plane_counts(
         a = b
 
 
-def _take_carried(carried: dict, node: int, given: list[int]) -> tuple[int, np.ndarray] | None:
+def _take_carried(carried: dict | None, node: int, given: list[int]
+                  ) -> tuple[int, np.ndarray] | None:
     """(position of g in ``given``, table) of the entry of ``carried`` for
     ``node`` over ``given`` less one variable g, removed from ``carried``;
     None when there is none."""

@@ -2,6 +2,8 @@
 distribution-distance bounds, checked against brute-force references."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from itertools import product
 from unittest import mock
@@ -600,6 +602,34 @@ class TestCarriedTables:
         # its round-0 table.
         if q == 2 and n >= 8 and rounds[0] & rounds[1]:
             assert any(taken)
+
+    def test_threads_sharing_a_source_get_a_fresh_sources_rows(self):
+        # Six threads run lockstep rounds on one source, so the tables one
+        # batch keeps are taken, or missed, by another thread's batch.
+        rows = np.random.default_rng(8).integers(0, 2, size=(700, 10))
+        rounds = [[(i, tuple((i + 1 + k) % 10 for k in range(size))) for i in range(10)]
+                  for size in range(6)]
+        want = [empirical(rows).extension_entropies(steps) for steps in rounds]
+        src, failures = empirical(rows), []
+
+        def work():
+            for _ in range(20):
+                for steps, expected in zip(rounds, want):
+                    if not np.array_equal(src.extension_entropies(steps), expected):
+                        failures.append(steps)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
 
     def test_lockstep_rounds_count_only_the_new_variables_nonzero_cells(self):
         rows = np.random.default_rng(2).integers(0, 2, size=(3000, 12))
