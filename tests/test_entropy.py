@@ -613,7 +613,7 @@ class TestCarriedTables:
         src, failures = empirical(rows), []
 
         def work():
-            for _ in range(20):
+            for _ in range(8):
                 for steps, expected in zip(rounds, want):
                     if not np.array_equal(src.extension_entropies(steps), expected):
                         failures.append(steps)
