@@ -25,7 +25,6 @@ from .entropy import (
     check_entropy_l1_bound,
     check_pinsker,
     conditional_entropy,
-    entropy,
     l1_distance,
     mutual_information,
 )

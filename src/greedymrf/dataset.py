@@ -43,9 +43,11 @@ _PLANE_WORDS = 1 << 15
 # about 20-25 times its bytes for 1-2 byte tokens, so this bounds ingest's
 # transient memory.
 _BLOCK_BYTES = 1 << 16
-# A token of at most this many bytes is keyed exactly by one uint64.
+# A token of at most this many bytes is keyed exactly by one uint64; a
+# longer one by _LONG_KEY plus its place among its block's long tokens.
 _KEY_BYTES = 7
 _KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(_KEY_BYTES + 1)], dtype=np.uint64)
+_LONG_KEY = (_KEY_BYTES + 1) << 56
 
 
 class DatasetError(ValueError):
@@ -494,11 +496,12 @@ def _blocks(fh: BinaryIO) -> Iterator[bytes]:
         yield bytes(buf + b"\n")
 
 
-def _tokens(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """Keys of the tokens of ``block`` outside blank lines, in order, and
-    whether each ends its row; None when a token is longer than
-    ``_KEY_BYTES``. A key holds the token's bytes, little-endian, under its
-    length in the top byte, so equal keys are equal tokens.
+def _tokens(block: bytes) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+    """Keys of the tokens of ``block`` outside blank lines, in order,
+    whether each ends its row, and the block's distinct tokens longer than
+    ``_KEY_BYTES``. A short token's key holds its bytes, little-endian,
+    under its length in the top byte; a long one's is ``_LONG_KEY`` plus
+    its place in that list. So equal keys are equal tokens.
     """
     data = np.frombuffer(block + bytes(_KEY_BYTES), dtype=np.uint8)
     text = data[: len(block)]
@@ -506,8 +509,7 @@ def _tokens(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     brk |= text == ord("\r")
     ends = np.flatnonzero(brk | (text == ord(",")))
     sizes = np.diff(ends, prepend=-1) - 1
-    if sizes.max() > _KEY_BYTES:
-        return None
+    longest = sizes.max()
     # A token that ends a line is the last field of its row, or, when empty
     # and right after a line break (or the block's start), a blank line.
     eol = brk[ends]
@@ -516,29 +518,40 @@ def _tokens(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     # words[i] is the 8 bytes from text[i] on, an unaligned view that the
     # _KEY_BYTES spare bytes of data keep inside the buffer.
     words = np.ndarray((len(text),), dtype="<u8", buffer=data, strides=(1,))
-    keys = words[ends - sizes] & _KEY_MASKS[sizes]
+    keyed = np.minimum(sizes, _KEY_BYTES) if longest > _KEY_BYTES else sizes
+    keys = words[ends - sizes] & _KEY_MASKS[keyed]
     keys |= sizes.astype(np.uint64) << np.uint64(56)
-    return keys, eol[kept]
+    longs: list[bytes] = []
+    if longest <= _KEY_BYTES:
+        return keys, eol[kept], longs
+    # Long keys are replaced by one sort per length of the text's fixed-width
+    # records. The lengths go in a set: a plain np.unique imports numpy.ma.
+    for size in set(sizes[sizes > _KEY_BYTES].tolist()):
+        at = np.flatnonzero(sizes == size)
+        records = np.ndarray((len(text) - size + 1,), dtype=f"V{size}", buffer=data, strides=(1,))
+        found, inverse = np.unique(records[ends[at] - size], return_inverse=True)
+        keys[at] = inverse + (_LONG_KEY + len(longs))
+        longs += found.tolist()
+    return keys, eol[kept], longs
 
 
 def _block_ids(block: bytes, p: int, ids: dict[str, int], path: str | Path,
-               row: int) -> np.ndarray | None:
+               row: int) -> np.ndarray:
     """Raw-token ids of the body rows in ``block``, row-major, for a file
     whose rows before the block number ``row``. New tokens join ``ids`` in
-    the order they first occur. None, with ``ids`` untouched, when a token
-    is longer than ``_KEY_BYTES``. Raises :class:`ParseError` at the first
+    the order they first occur. Raises :class:`ParseError` at the first
     row that does not decode or does not hold ``p`` fields.
     """
-    if (tokenised := _tokens(block)) is None:
-        return None
-    keys, eol = tokenised
+    keys, eol, longs = _tokens(block)
     if not keys.size:
         return np.zeros(0, dtype=np.uint8)
     distinct, inverse = np.unique(keys, return_inverse=True)
     tokens: list[str | None] = []
     for key in distinct.tolist():
+        size = key >> 56
+        raw = longs[key - _LONG_KEY] if size > _KEY_BYTES else key.to_bytes(8, "little")[:size]
         try:
-            tokens.append(key.to_bytes(8, "little")[: key >> 56].decode("utf-8"))
+            tokens.append(raw.decode("utf-8"))
         except UnicodeDecodeError:
             tokens.append(None)
     fields = np.diff(np.flatnonzero(eol), prepend=-1)
@@ -551,9 +564,9 @@ def _block_ids(block: bytes, p: int, ids: dict[str, int], path: str | Path,
     if ragged.size:
         raise ParseError(f"{path}: body row {row + ragged[0] + 1} has {fields[ragged[0]]} "
                          f"fields, expected {p}")
-    new = [k for k, t in enumerate(tokens) if t not in ids]
-    for k in sorted(new, key=lambda k: np.argmax(inverse == k)):
-        ids[tokens[k]] = len(ids)
+    if any(t not in ids for t in tokens):  # one walk of the block, in order
+        for k in dict.fromkeys(inverse.tolist()):
+            ids.setdefault(tokens[k], len(ids))
     lut = np.array([ids[t] for t in tokens], dtype=np.min_scalar_type(len(ids) - 1))
     return lut[inverse]
 
@@ -589,18 +602,6 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
                     raise ParseError(f"{path}: header is not valid UTF-8") from None
                 block = block[len(header):]
             part = _block_ids(block, len(names), ids, path, rows)
-            if part is None:  # a token too long to key: split the block's lines
-                line_ids: list[int] = []
-                for rownum, line in enumerate(filter(None, block.splitlines()), start=rows + 1):
-                    try:
-                        toks = line.decode("utf-8").split(",")
-                    except UnicodeDecodeError:
-                        raise ParseError(f"{path}: body row {rownum} is not valid UTF-8") from None
-                    if len(toks) != len(names):
-                        raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, "
-                                         f"expected {len(names)}")
-                    line_ids.extend([ids.setdefault(t, len(ids)) for t in toks])
-                part = np.array(line_ids, dtype=np.min_scalar_type(len(ids) - 1))
             rows += part.size // len(names)
             parts.append(part)
     if names is None:

@@ -1,8 +1,10 @@
 """End-to-end command-line behaviour: artifacts, determinism, schemas."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import greedymrf
 from greedymrf.cli import main
 from greedymrf.entropy import EmpiricalSource
 from greedymrf.experiment import ExperimentSpec, run_experiment
@@ -301,6 +304,15 @@ def test_library_modules_do_not_import_the_cli():
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert "greedymrf.experiment" in loaded and "greedymrf.cli" not in loaded
+
+
+def test_each_submodule_attribute_is_the_module():
+    # A top-level re-export named like its module would shadow it, and
+    # ``import greedymrf.entropy as m`` would bind that name instead.
+    for info in pkgutil.iter_modules(greedymrf.__path__, "greedymrf."):
+        if info.name != "greedymrf.__main__":
+            importlib.import_module(info.name)
+            assert getattr(greedymrf, info.name.split(".")[1]) is sys.modules[info.name]
 
 
 def test_bench_tracer_finds_every_layer():

@@ -104,8 +104,9 @@ class TestLoadCsv:
         f.write_bytes(b"\n\nc0,c1\r\na,b\r\n\r\nb,a")
         assert load_csv(f).values.tolist() == [[0, 1], [1, 0]]
 
-    @pytest.mark.parametrize("symbols", [("Yea", "Nay", "Absent"), ("1", "-1")],
-                             ids=["votes", "grid"])
+    @pytest.mark.parametrize("symbols", [("Yea", "Nay", "Absent"), ("1", "-1"),
+                                         ("democrat", "republican", "abstained")],
+                             ids=["votes", "grid", "party"])
     def test_ingest_peak_is_compact_ids_and_a_bounded_block(self, tmp_path, symbols):
         # The file is tokenised a block at a time into ids of a byte each, so
         # the peak is two bytes per cell (the ids, then the ids and the
@@ -113,7 +114,8 @@ class TestLoadCsv:
         # straight) plus a few blocks' arrays, never the file's text or int64
         # ids. Short tokens put the most tokens, and so the largest arrays,
         # in a block. Holding a C-order lookup and its copy as well read
-        # three bytes per cell.
+        # three bytes per cell. Tokens longer than a key are sorted by
+        # length in each block, within the same bound.
         rows, p = 50000, 20
         f = tmp_path / "t.csv"
         tokens = np.random.default_rng(0).choice(symbols, size=(rows, p))
@@ -162,7 +164,7 @@ class TestLoadCsv:
         # A row that is both ragged and undecodable is reported undecodable.
         (b"a,b\nx,y\nx\xc3\n", "body row 2 is not valid UTF-8"),
         (b"a,b\nx,y\nx\nx,\xed\xa0\x80\n", "body row 2 has 1 fields"),
-        # Tokens too long for a key take the line loop.
+        # Tokens too long for a key are checked in the same order.
         (b"a,b\nlong token,y\ny,\xfflong token\n", "body row 2 is not valid UTF-8"),
     ])
     def test_invalid_utf8_names_the_row(self, tmp_path, text, where):
@@ -355,9 +357,11 @@ def line_loop_load_csv(path, options=IngestOptions()):
 
 BREAKS = (b"\n", b"\r", b"\r\n")
 # 0-12 bytes on both sides of the 7-byte key, ASCII and not; several strip
-# to one token ("\xa0" and " " are whitespace to str.strip).
+# to one token ("\xa0" and " " are whitespace to str.strip). The long ones
+# take 255 and 256 bytes, past a length byte, and more than a block.
 RAW_TOKENS = ("", "a", " a", "a\t", "b", "abcdefg", " abcdefg", "abcdefgh", "abcdefg\xa0",
-              "abcdefghijkl", "é", " é ", "日本", "日本語", " 日本 ", "😀", "x😀yz😀", "\x00")
+              "abcdefghijkl", "é", " é ", "日本", "日本語", " 日本 ", "😀", "x😀yz😀", "\x00",
+              "b" * 255, "é" * 128, "日" * (dataset._BLOCK_BYTES // 3 + 1))
 
 
 @st.composite
@@ -395,16 +399,21 @@ class TestTokeniserMatchesLineLoop:
             got = outcome(load_csv, f, opts)
         assert got == outcome(line_loop_load_csv, f, opts)
 
-    @pytest.mark.parametrize("name", ["votes", "grid"])
+    @pytest.mark.parametrize("name", ["votes", "grid", "party"])
     def test_bench_shaped_files(self, tmp_path, name):
         rng = np.random.default_rng(4)
-        symbols = ["Yea", "Nay", "Absent"] if name == "votes" else ["1", "-1"]
+        symbols = ["1", "-1"] if name == "grid" else ["Yea", "Nay", "Absent"]
+        table = rng.choice(symbols, size=(3000, 30)).astype(object)
+        if name == "party":  # long tokens in every block, and new ones too
+            table[:, 0] = rng.choice(["democrat", "republican"], size=3000)
+            table[:, 1] = [f"customer_{k:06d}" for k in rng.permutation(3000)]
         f = tmp_path / "d.csv"
-        f.write_text("\n".join([",".join(f"v{k}" for k in range(30))] + [
-            ",".join(row) for row in rng.choice(symbols, size=(3000, 30))]) + "\n")
+        f.write_text("\n".join([",".join(f"v{k}" for k in range(30))]
+                               + [",".join(row) for row in table]) + "\n")
+        assert f.stat().st_size > 3 * dataset._BLOCK_BYTES
         ds = load_csv(f)
         assert ds == line_loop_load_csv(f)
-        assert ds.values.dtype == np.uint8
+        assert ds.values.dtype == np.min_scalar_type(ds.alphabet.size - 1)
 
 
 TOKENS = ("a", "b", "c", "ab", "", "+1", "-1")
