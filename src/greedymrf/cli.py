@@ -15,17 +15,14 @@ import sys
 from pathlib import Path
 
 from .dataset import (
-    CapacityError,
     DatasetError,
     DiscreteDataset,
-    EmptyDatasetError,
     IngestOptions,
     filter_participation,
     load_csv,
     remap_values,
 )
 from .entropy import DistributionSource, EmpiricalSource, ExactSource, mutual_information
-from .experiment import ExperimentSpec, experiment_summary, run_experiment
 from .generators import (
     MODEL_FAMILIES,
     WEIGHT_RULES,
@@ -36,7 +33,6 @@ from .generators import (
 )
 from .learner import LearnResult, LearnerConfig, chow_liu, learn_structure, prune_result
 from .models import MarkovGraph, check_enumerable, exact_joint, to_dot, write_edge_list
-from .theory import BOUND_INPUTS, all_bound_reports
 
 
 def _write_json(doc: dict, path: Path) -> None:
@@ -148,6 +144,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    # Here, not at the top: learn and oracle never need experiment or gibbs.
+    from .experiment import ExperimentSpec, experiment_summary, run_experiment
+
     spec = ExperimentSpec(
         model=spec_from_strings(args.model, args.theta),
         n_values=tuple(int(x) for x in args.n.split(",")),
@@ -166,6 +165,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .theory import BOUND_INPUTS, all_bound_reports  # here, not at the top: only bounds uses it
+
     inputs = {k: getattr(args, k) for k in BOUND_INPUTS if getattr(args, k) is not None}
     reports = all_bound_reports(**inputs, log_base2=not args.natural_log)
     if not reports:
@@ -264,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, EmptyDatasetError, CapacityError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"greedymrf {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -262,8 +262,9 @@ def exact_joint(m: IsingModel) -> JointDistribution:
         energy -= energy.max()
     if not np.isfinite(energy.min()):  # an overflow above leaves a NaN or -inf
         raise ValueError("model energy is not finite: an edge weight is too large")
-    w = np.exp(energy)
-    return JointDistribution(p, SPIN_ALPHABET, w / w.sum())
+    np.exp(energy, out=energy)  # in place, so the table is the only 2^p array
+    energy /= energy.sum()
+    return JointDistribution(p, SPIN_ALPHABET, energy)
 
 
 def exact_sample(j: JointDistribution, n: int, seed: int) -> DiscreteDataset:

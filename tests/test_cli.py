@@ -306,6 +306,24 @@ def test_library_modules_do_not_import_the_cli():
     assert "greedymrf.experiment" in loaded and "greedymrf.cli" not in loaded
 
 
+def test_package_and_cli_import_only_what_they_run():
+    # The root re-exports nothing, and learn and oracle never load the
+    # experiment harness, the Gibbs sampler or the bound calculators.
+    code = (
+        "import sys\n"
+        "loaded = lambda: sorted(n for n in sys.modules if n.startswith('greedymrf.'))\n"
+        "import greedymrf\n"
+        "print(' '.join(loaded()))\n"
+        "import greedymrf.cli\n"
+        "print(' '.join(loaded()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    root, cli = (line.split() for line in proc.stdout.split("\n")[:2])
+    assert root == [] and "greedymrf.cli" in cli
+    assert not {"greedymrf.experiment", "greedymrf.gibbs", "greedymrf.theory"} & set(cli)
+
+
 def test_each_submodule_attribute_is_the_module():
     # A top-level re-export named like its module would shadow it, and
     # ``import greedymrf.entropy as m`` would bind that name instead.

@@ -140,6 +140,18 @@ class TestExactJoint:
         with pytest.raises(ValueError, match="not finite"):
             exact_joint(m)
 
+    def test_table_is_built_in_place(self):
+        # exp and the normalisation reuse the energy array: one 2^p table,
+        # plus numpy's 64 KiB ufunc buffer for the broadcast edge terms.
+        m = build(ModelSpec.grid(4, WeightRule.constant_magnitude_random_sign(0.5, 3)))
+        tracemalloc.start()
+        try:
+            j = exact_joint(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * j.probs.nbytes
+
     def test_separation_makes_conditional_local(self):
         # on a path 0-1-2 the middle vertex screens off the far end
         j = exact_joint(const_model(ModelSpec.chain(3, WeightRule.constant(0.5))))
