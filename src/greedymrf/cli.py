@@ -14,14 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .dataset import (
-    DatasetError,
-    DiscreteDataset,
-    IngestOptions,
-    filter_participation,
-    load_csv,
-    remap_values,
-)
+from .dataset import DatasetError, DiscreteDataset, IngestOptions, load_csv
 from .entropy import DistributionSource, EmpiricalSource, ExactSource, mutual_information
 from .generators import (
     MODEL_FAMILIES,
@@ -109,12 +102,8 @@ def _ingest(args: argparse.Namespace) -> DiscreteDataset:
     alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
     if (args.participation is None) != (args.missing is None):
         raise DatasetError("--participation and --missing must be given together")
-    if args.participation is not None:
-        # With the missing token in it, a one-token file has a 2-symbol raw alphabet.
-        raw = load_csv(args.input, missing=args.missing)
-        kept = filter_participation(raw, args.missing, args.participation)
-        return remap_values(kept, rules, alphabet)
-    return load_csv(args.input, IngestOptions(value_map=rules, alphabet=alphabet))
+    return load_csv(args.input, IngestOptions(value_map=rules, alphabet=alphabet),
+                    args.missing, args.participation)
 
 
 def cmd_learn(args: argparse.Namespace) -> int:

@@ -48,6 +48,9 @@ _BLOCK_BYTES = 1 << 16
 _KEY_BYTES = 7
 _KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(_KEY_BYTES + 1)], dtype=np.uint64)
 _LONG_KEY = (_KEY_BYTES + 1) << 56
+# Ingest's key table: 2^_SLOT_BITS slots, a key's slot the top bits of the
+# key times _HASH (2^64 over the golden ratio); _NO_KEY marks an empty slot.
+_SLOT_BITS, _HASH, _NO_KEY = 12, np.uint64(0x9E3779B97F4A7C15), np.uint64(2**64 - 1)
 
 
 class DatasetError(ValueError):
@@ -454,41 +457,68 @@ class IngestOptions:
 
 
 def _relabel(
-    names: Sequence[str], codes: np.ndarray, tokens: Sequence[str],
+    names: Sequence[str], codes: np.ndarray | list[np.ndarray], tokens: Sequence[str],
     rules: tuple[tuple[str, str], ...], alphabet: tuple[str, ...] | None,
-    extra: tuple[str, ...] = (),
+    extra: tuple[str, ...] = (), occur: bool = False, missing: str | None = None,
+    participation: float | None = None,
 ) -> DiscreteDataset:
     """Dataset of ``tokens[codes]`` after ``rules`` (the first rule whose
     source equals a token wins; its result is not mapped again), indexed in
     ``alphabet`` or else in the sorted mapped tokens that occur plus
-    ``extra``. Only the distinct tokens that occur are mapped and indexed.
+    ``extra``. Only the distinct tokens that occur (all, if ``occur``) are
+    mapped and indexed. With ``participation``, only the columns where at
+    least that share of cells are not ``missing`` are kept. ``codes`` is a
+    code matrix or a list of its row blocks, emptied as they are written.
     """
+    step = max(1, _BLOCK_BYTES // len(names))
+    parts = ([codes[r : r + step] for r in range(0, len(codes), step)]
+             if isinstance(codes, np.ndarray) else codes)
+    n, kept = sum(map(len, parts)), range(len(names))
+    if participation is not None:
+        if not 0.0 <= participation <= 1.0:
+            raise DatasetError(f"threshold {participation} outside [0, 1]")
+        lost = [k for k, t in enumerate(tokens) if t == missing]
+        absent = sum(((part == k).sum(axis=0) for part in parts for k in lost),
+                     np.zeros(len(names), dtype=np.int64))
+        kept = np.flatnonzero((n - absent) / n >= participation).tolist()
+        if not kept:
+            raise EmptyDatasetError("participation filter removed every column")
+    cols = slice(None) if (whole := len(kept) == len(names)) else kept
     first = dict(reversed(rules))
-    # Marking seen codes casts no copy of them to intp, as a bincount would.
-    seen = np.zeros(len(tokens), dtype=bool)
-    seen[codes] = True
-    mapped = {k: first.get(tokens[k], tokens[k]) for k in np.flatnonzero(seen).tolist()}
+    found: Sequence[int] = range(len(tokens))
+    if not (occur and whole):
+        # Marking seen codes casts no copy of them to intp, as a bincount would.
+        seen = np.zeros(len(tokens), dtype=bool)
+        for part in parts:
+            seen[part[:, cols]] = True
+        found = np.flatnonzero(seen).tolist()
+    mapped = {k: first.get(tokens[k], tokens[k]) for k in found}
     alph = Alphabet(tuple(sorted({*mapped.values(), *extra})) if alphabet is None else alphabet)
     lut = np.zeros(len(tokens), dtype=np.min_scalar_type(alph.size - 1))
     lut[list(mapped)] = [alph.index_of(token) for token in mapped.values()]
     # The looked-up ids go straight to column order, a block of rows at a
-    # time, so no second full-size array is made.
-    values = np.empty(codes.shape, dtype=lut.dtype, order="F")
-    rows = max(1, _BLOCK_BYTES // codes.shape[1])
-    for start in range(0, len(codes), rows):
-        values[start : start + rows] = lut[codes[start : start + rows]]
-    return DiscreteDataset(names, alph, values, _owned=True)
+    # time, each let go once written, so no second full-size array is made.
+    values = np.empty((n, len(kept)), dtype=lut.dtype, order="F")
+    at = 0
+    parts.reverse()
+    while parts:
+        part = parts.pop()[:, cols]
+        values[at : at + len(part)] = lut[part]
+        at += len(part)
+    return DiscreteDataset([names[c] for c in kept], alph, values, _owned=True)
 
 
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:
     """The bytes of ``fh`` after one leading UTF-8 byte-order mark, read
-    ``_BLOCK_BYTES`` at a time and yielded in pieces that end at the last
-    line break read; a file that ends without one gets a b"\\n"."""
+    ``_BLOCK_BYTES`` at a time, or as many as are carried past the last line
+    break, and yielded in pieces that end at the last line break read; a
+    file that ends without one gets a b"\\n"."""
     head = fh.read(len(BOM_UTF8))
     buf = bytearray(b"" if head == BOM_UTF8 else head)
-    while chunk := fh.read(_BLOCK_BYTES):
+    # Only the bytes just read are searched: a long line is read in linear time.
+    while chunk := fh.read(max(_BLOCK_BYTES, start := len(buf))):
         buf += chunk
-        cut = max(buf.rfind(b"\n"), buf.rfind(b"\r")) + 1
+        cut = max(buf.rfind(b"\n", start), buf.rfind(b"\r", start)) + 1
         if cut:
             yield bytes(buf[:cut])
             del buf[:cut]
@@ -496,12 +526,12 @@ def _blocks(fh: BinaryIO) -> Iterator[bytes]:
         yield bytes(buf + b"\n")
 
 
-def _tokens(block: bytes) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+def _tokens(block: bytes, longs: dict) -> tuple[np.ndarray, np.ndarray, dict[int, bytes]]:
     """Keys of the tokens of ``block`` outside blank lines, in order,
-    whether each ends its row, and the block's distinct tokens longer than
-    ``_KEY_BYTES``. A short token's key holds its bytes, little-endian,
-    under its length in the top byte; a long one's is ``_LONG_KEY`` plus
-    its place in that list. So equal keys are equal tokens.
+    whether each ends its row, and its tokens longer than ``_KEY_BYTES`` by
+    key. A short token's key holds its bytes, little-endian, under its
+    length in the top byte; a long one's is ``_LONG_KEY`` plus its place in
+    ``longs``, which a file's long tokens join. So equal keys are equal tokens.
     """
     data = np.frombuffer(block + bytes(_KEY_BYTES), dtype=np.uint8)
     text = data[: len(block)]
@@ -510,69 +540,89 @@ def _tokens(block: bytes) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
     ends = np.flatnonzero(brk | (text == ord(",")))
     sizes = np.diff(ends, prepend=-1) - 1
     longest = sizes.max()
-    # A token that ends a line is the last field of its row, or, when empty
-    # and right after a line break (or the block's start), a blank line.
     eol = brk[ends]
-    kept = (sizes > 0) | ~eol | ~np.concatenate(([True], eol[:-1]))
-    ends, sizes = ends[kept], sizes[kept]
+    if not sizes.all():
+        # An empty token that ends a line is the last field of its row, or,
+        # when right after a line break (or the block's start), a blank line.
+        kept = (sizes > 0) | ~eol | ~np.concatenate(([True], eol[:-1]))
+        ends, sizes, eol = ends[kept], sizes[kept], eol[kept]
     # words[i] is the 8 bytes from text[i] on, an unaligned view that the
     # _KEY_BYTES spare bytes of data keep inside the buffer.
     words = np.ndarray((len(text),), dtype="<u8", buffer=data, strides=(1,))
     keyed = np.minimum(sizes, _KEY_BYTES) if longest > _KEY_BYTES else sizes
-    keys = words[ends - sizes] & _KEY_MASKS[keyed]
-    keys |= sizes.astype(np.uint64) << np.uint64(56)
-    longs: list[bytes] = []
-    if longest <= _KEY_BYTES:
-        return keys, eol[kept], longs
+    # In-place steps hold at most four token-long arrays at once.
+    keys = words[ends - sizes]
+    keys &= _KEY_MASKS[keyed]
+    keys |= (sizes << 56).view(np.uint64)
+    here: dict[int, bytes] = {}
     # Long keys are replaced by one sort per length of the text's fixed-width
     # records. The lengths go in a set: a plain np.unique imports numpy.ma.
-    for size in set(sizes[sizes > _KEY_BYTES].tolist()):
+    for size in set(sizes[sizes > _KEY_BYTES].tolist()) if longest > _KEY_BYTES else ():
         at = np.flatnonzero(sizes == size)
         records = np.ndarray((len(text) - size + 1,), dtype=f"V{size}", buffer=data, strides=(1,))
         found, inverse = np.unique(records[ends[at] - size], return_inverse=True)
-        keys[at] = inverse + (_LONG_KEY + len(longs))
-        longs += found.tolist()
-    return keys, eol[kept], longs
+        place = [longs.setdefault(r, len(longs)) + _LONG_KEY for r in found.tolist()]
+        keys[at] = np.array(place, dtype=np.uint64)[inverse]
+        here.update(zip(place, found.tolist()))
+    return keys, eol, here
 
 
-def _block_ids(block: bytes, p: int, ids: dict[str, int], path: str | Path,
-               row: int) -> np.ndarray:
-    """Raw-token ids of the body rows in ``block``, row-major, for a file
-    whose rows before the block number ``row``. New tokens join ``ids`` in
-    the order they first occur. Raises :class:`ParseError` at the first
-    row that does not decode or does not hold ``p`` fields.
+def _block_ids(block: bytes, p: int, ids: dict[str, int], table: np.ndarray,
+               longs: dict[bytes, int], path: str | Path, row: int) -> np.ndarray:
+    """Raw-token ids of the body rows in ``block``, one row each, for a file
+    whose rows before the block number ``row``. Only keys that miss the
+    (key, id) slots of ``table`` are decoded; new tokens join ``ids`` in the
+    order they first occur, and the first key met in a free slot takes it.
+    Raises :class:`ParseError` at the first row that does not decode or
+    does not hold ``p`` fields.
     """
-    keys, eol, longs = _tokens(block)
+    keys, eol, here = _tokens(block, longs)
     if not keys.size:
-        return np.zeros(0, dtype=np.uint8)
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    tokens: list[str | None] = []
-    for key in distinct.tolist():
-        size = key >> 56
-        raw = longs[key - _LONG_KEY] if size > _KEY_BYTES else key.to_bytes(8, "little")[:size]
-        try:
-            tokens.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            tokens.append(None)
-    fields = np.diff(np.flatnonzero(eol), prepend=-1)
-    ragged = np.flatnonzero(fields != p)
-    if None in tokens:
-        bad = np.flatnonzero(np.isin(inverse, [k for k, t in enumerate(tokens) if t is None]))
-        at = np.count_nonzero(eol[: bad[0]])
-        if not ragged.size or at <= ragged[0]:
-            raise ParseError(f"{path}: body row {row + at + 1} is not valid UTF-8")
-    if ragged.size:
-        raise ParseError(f"{path}: body row {row + ragged[0] + 1} has {fields[ragged[0]]} "
-                         f"fields, expected {p}")
-    if any(t not in ids for t in tokens):  # one walk of the block, in order
-        for k in dict.fromkeys(inverse.tolist()):
-            ids.setdefault(tokens[k], len(ids))
-    lut = np.array([ids[t] for t in tokens], dtype=np.min_scalar_type(len(ids) - 1))
-    return lut[inverse]
+        return np.zeros((0, p), dtype=np.uint8)
+    slot = _slots(keys)
+    raw, miss = table[1, slot], np.flatnonzero(table[0, slot] != keys)
+    del slot  # so a block of misses is sorted without it
+    bad = None
+    if miss.size:
+        distinct, inverse = np.unique(keys[miss], return_inverse=True)
+        tokens: list[str | None] = []
+        for key in distinct.tolist():
+            text = here[key] if key >> 56 > _KEY_BYTES else key.to_bytes(8, "little")[: key >> 56]
+            try:
+                tokens.append(text.decode("utf-8"))
+            except UnicodeDecodeError:
+                tokens.append(None)
+        if None in tokens:
+            at = miss[np.isin(inverse, [k for k, t in enumerate(tokens) if t is None])][0]
+            bad = np.count_nonzero(eol[:at])
+        else:
+            for k in dict.fromkeys(inverse.tolist()):  # one walk of the misses, in order
+                ids.setdefault(tokens[k], len(ids))
+            found = np.array([ids[t] for t in tokens], dtype=np.uint64)
+            raw[miss] = found[inverse]
+            slot, first = np.unique(_slots(distinct), return_index=True)
+            free = table[0, slot] == _NO_KEY
+            table[:, slot[free]] = distinct[first[free]], found[first[free]]
+    # Every row holds p fields when every p-th token, and no other, ends one.
+    if keys.size % p or np.count_nonzero(eol) * p != keys.size or not eol[p - 1 :: p].all():
+        fields = np.diff(np.flatnonzero(eol), prepend=-1)
+        ragged = np.flatnonzero(fields != p)[0]
+        if bad is None or ragged < bad:
+            raise ParseError(f"{path}: body row {row + ragged + 1} has {fields[ragged]} "
+                             f"fields, expected {p}")
+    if bad is not None:
+        raise ParseError(f"{path}: body row {row + bad + 1} is not valid UTF-8")
+    return raw.astype(np.min_scalar_type(len(ids) - 1)).reshape(-1, p)
+
+
+def _slots(keys: np.ndarray) -> np.ndarray:
+    # An int64 index is not cast, as a uint64 one would be.
+    return ((keys * _HASH) >> np.uint64(64 - _SLOT_BITS)).view(np.int64)
 
 
 def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
-             missing: str | None = None) -> DiscreteDataset:
+             missing: str | None = None, participation: float | None = None
+             ) -> DiscreteDataset:
     """Load a header-first, comma-separated UTF-8 file into a dataset.
 
     Cells are stripped, then mapped by ``options.value_map``; the alphabet
@@ -581,11 +631,16 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
     contain commas. One leading UTF-8 byte-order mark is skipped. Rows end
     at a line break (LF, CRLF or CR); blank lines are skipped. A row that is
     not valid UTF-8 raises :class:`ParseError`, as does one with a wrong
-    field count. The file is tokenised a block of about ``_BLOCK_BYTES`` at
-    a time, so ingest holds the raw-token ids, in the smallest unsigned
-    dtype that holds them, not the file's text.
+    field count. With ``participation``, the result (or error) is that of
+    ``remap_values(filter_participation(load_csv(path, missing=missing),
+    missing, participation), value_map, alphabet)``, relabelled once.
+    The file is tokenised a block of about ``_BLOCK_BYTES`` at a time, its
+    keys looked up in a table carried across blocks, so ingest holds each
+    block's raw-token ids, in the smallest unsigned dtype that holds them,
+    and the kept columns' values, not the file's text.
     """
     ids: dict[str, int] = {}
+    table, longs = np.full((2, 1 << _SLOT_BITS), _NO_KEY), {}
     parts: list[np.ndarray] = []
     names: list[str] | None = None
     rows = 0
@@ -601,17 +656,20 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
                 except UnicodeDecodeError:
                     raise ParseError(f"{path}: header is not valid UTF-8") from None
                 block = block[len(header):]
-            part = _block_ids(block, len(names), ids, path, rows)
-            rows += part.size // len(names)
-            parts.append(part)
+            parts.append(_block_ids(block, len(names), ids, table, longs, path, rows))
+            rows += len(parts[-1])
     if names is None:
         raise ParseError(f"{path}: empty file")
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
-    codes = np.concatenate(parts, dtype=np.min_scalar_type(len(ids) - 1))
-    parts.clear()
-    return _relabel(names, codes.reshape(-1, len(names)), [t.strip() for t in ids],
-                    options.value_map, options.alphabet, () if missing is None else (missing,))
+    tokens, extra = [t.strip() for t in ids], () if missing is None else (missing,)
+    if participation is not None:  # the checks of the raw dataset the filter reads
+        Alphabet(tuple(sorted({*tokens, *extra})))
+        if len(set(names)) < len(names):
+            raise DatasetError("variable names must be unique")
+        extra = ()
+    return _relabel(names, parts, tokens, options.value_map, options.alphabet, extra,
+                    occur=True, missing=missing, participation=participation)
 
 
 def write_csv(ds: DiscreteDataset, path: str | Path) -> None:
@@ -639,13 +697,5 @@ def filter_participation(
     A ``missing_symbol`` outside the alphabet marks no entry missing. Sample
     rows are never dropped; column order is preserved.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise DatasetError(f"threshold {threshold} outside [0, 1]")
-    if missing_symbol in raw.alphabet.symbols:
-        present = (raw.values != raw.alphabet.index_of(missing_symbol)).sum(axis=0) / raw.n
-    else:
-        present = np.ones(raw.p)
-    kept = [c for c in range(raw.p) if present[c] >= threshold]
-    if not kept:
-        raise EmptyDatasetError("participation filter removed every column")
-    return DiscreteDataset([raw.names[c] for c in kept], raw.alphabet, raw.values[:, kept])
+    return _relabel(raw.names, raw.values, raw.alphabet.symbols, (), raw.alphabet.symbols,
+                    missing=missing_symbol, participation=threshold)

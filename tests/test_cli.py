@@ -114,14 +114,15 @@ class TestLearn:
         assert doc["variable_names"] == ["a", "b"]
         assert read_edge_list(out / "graph.edges").edges == frozenset()
 
-    def test_participation_ingest_relabels_twice(self, tmp_path, monkeypatch):
-        # the raw tokens are relabelled once inside load_csv and the kept
-        # columns once more for the value map, not once per column
+    def test_participation_ingest_relabels_once(self, tmp_path, monkeypatch):
+        # load_csv relabels the kept columns once, value map included,
+        # straight from the raw-token ids: no raw dataset is relabelled first
         from greedymrf import dataset
 
         calls = []
         relabel = dataset._relabel
-        monkeypatch.setattr(dataset, "_relabel", lambda *a: calls.append(1) or relabel(*a))
+        monkeypatch.setattr(dataset, "_relabel",
+                            lambda *a, **k: calls.append(1) or relabel(*a, **k))
         f = tmp_path / "v.csv"
         f.write_text("a,b,c\nYea,Nay,Absent\nNay,Nay,Yea\nYea,Absent,Absent\n")
         rc = main([
@@ -129,7 +130,7 @@ class TestLearn:
             "--missing", "Absent", "--participation", "0.6", "--epsilon", "0.1",
             "--out-dir", str(tmp_path / "out"),
         ])
-        assert rc == 0 and len(calls) == 2
+        assert rc == 0 and len(calls) == 1
 
     def test_participation_needs_missing_flag(self, tmp_path):
         _, f = sample_csv(tmp_path, ModelSpec.chain(3, WeightRule.constant(0.5)), 100, 2)

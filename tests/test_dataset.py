@@ -104,30 +104,42 @@ class TestLoadCsv:
         f.write_bytes(b"\n\nc0,c1\r\na,b\r\n\r\nb,a")
         assert load_csv(f).values.tolist() == [[0, 1], [1, 0]]
 
-    @pytest.mark.parametrize("symbols", [("Yea", "Nay", "Absent"), ("1", "-1"),
-                                         ("democrat", "republican", "abstained")],
-                             ids=["votes", "grid", "party"])
-    def test_ingest_peak_is_compact_ids_and_a_bounded_block(self, tmp_path, symbols):
+    @pytest.mark.parametrize("symbols, participation", [
+        (("Yea", "Nay", "Absent"), None), (("1", "-1"), None),
+        (("democrat", "republican", "abstained"), None),
+        (("Yea", "Nay", "Absent"), 0.9), (("1", "-1"), 0.9),
+        (("democrat", "republican", "abstained"), 0.9),
+    ], ids=["votes", "grid", "party", "votes-kept", "grid-kept", "party-kept"])
+    def test_ingest_peak_is_compact_ids_and_a_bounded_block(self, tmp_path, symbols,
+                                                            participation):
         # The file is tokenised a block at a time into ids of a byte each, so
-        # the peak is two bytes per cell (the ids, then the ids and the
-        # dataset's column-major values, which take the looked-up ids
-        # straight) plus a few blocks' arrays, never the file's text or int64
-        # ids. Short tokens put the most tokens, and so the largest arrays,
-        # in a block. Holding a C-order lookup and its copy as well read
-        # three bytes per cell. Tokens longer than a key are sorted by
-        # length in each block, within the same bound.
+        # the peak is a byte per cell (the ids) plus a byte per kept cell
+        # (the dataset's column-major values, which take the looked-up ids
+        # straight, each block of ids let go once written) plus a few
+        # blocks' arrays, never the file's text or int64 ids. Short tokens
+        # put the most tokens, and so the largest arrays, in a block. Holding
+        # a C-order lookup and its copy as well read three bytes per cell.
+        # Tokens longer than a key are sorted by length in each block, within
+        # the same bound. With a participation rule, half the columns miss
+        # half their cells and are dropped before any is relabelled.
         rows, p = 50000, 20
         f = tmp_path / "t.csv"
         tokens = np.random.default_rng(0).choice(symbols, size=(rows, p))
+        kept = p
+        if participation is not None:
+            tokens[: rows // 2, 1::2] = "?"
+            kept = p // 2
         f.write_text("\n".join([",".join(f"v{k}" for k in range(p))]
                                + [",".join(row) for row in tokens]) + "\n")
         tracemalloc.start()
         try:
-            load_csv(f)
+            ds = (load_csv(f) if participation is None
+                  else load_csv(f, missing="?", participation=participation))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * rows * p + 16 * dataset._BLOCK_BYTES
+        assert ds.p == kept
+        assert peak <= rows * p + rows * kept + 16 * dataset._BLOCK_BYTES
 
     def test_the_constructor_copies_even_a_column_major_array(self, tmp_path):
         # Only relabelling hands over the array it built; a caller's array
@@ -414,6 +426,63 @@ class TestTokeniserMatchesLineLoop:
         ds = load_csv(f)
         assert ds == line_loop_load_csv(f)
         assert ds.values.dtype == np.min_scalar_type(ds.alphabet.size - 1)
+
+
+VOTES = ("Yea", " Yea", "Nay", "Absent", "not voting", "棄権")
+
+
+@st.composite
+def vote_files(draw):
+    """Well-formed files of few tokens, long ones among them, in which a
+    token of the file, taken as missing, often drops some columns only."""
+    p = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from(VOTES), min_size=p, max_size=p),
+                         min_size=2, max_size=8))
+    return "".join(",".join(row) + "\n" for row in [[f"c{k}" for k in range(p)]] + rows).encode()
+
+
+# The stripped tokens of both kinds of file, and one that is in neither.
+STRIPPED = tuple(sorted({t.strip() for t in RAW_TOKENS + VOTES if len(t) < 300})) + ("Excused",)
+
+
+class TestParticipationIngestMatchesFilterThenRemap:
+    """One participation ingest must give the raw load, the column filter
+    and the remap done one after another, or an error of the same class,
+    whatever the blocks and however the key table's slots are shared."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=raw_csv_files() | vote_files(), block=st.integers(1, 48), data=st.data(),
+           threshold=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+           rules=st.lists(st.tuples(st.sampled_from(STRIPPED), st.sampled_from(STRIPPED)),
+                          max_size=4),
+           alphabet=st.none() | st.lists(st.sampled_from(STRIPPED), min_size=2, max_size=4,
+                                         unique=True),
+           # 1 puts every key of a length whose top bytes agree in one slot,
+           # and 0 every key in slot 0.
+           hash_=st.sampled_from([dataset._HASH, np.uint64(1), np.uint64(0)]))
+    def test_load_csv(self, tmp_path_factory, text, block, data, threshold, rules, alphabet,
+                      hash_):
+        # The missing token is one of the file's cells, or in no file.
+        cells = {t.strip() for t in text.decode().replace("\r", ",").replace("\n", ",").split(",")}
+        missing = data.draw(st.sampled_from(sorted(cells - {"c0", "c1", "c2", "c3"}) + ["Excused"]))
+        f = tmp_path_factory.mktemp("part") / "d.csv"
+        f.write_bytes(text)
+        rules = tuple(rules)
+        alphabet = None if alphabet is None else tuple(alphabet)
+        opts = IngestOptions(value_map=rules, alphabet=alphabet)
+
+        def classed(fn):
+            try:
+                return fn()
+            except DatasetError as err:
+                return type(err)
+
+        with mock.patch.object(dataset, "_BLOCK_BYTES", block), \
+                mock.patch.object(dataset, "_HASH", hash_):
+            got = classed(lambda: load_csv(f, opts, missing, threshold))
+        want = classed(lambda: remap_values(filter_participation(
+            load_csv(f, missing=missing), missing, threshold), rules, alphabet))
+        assert got == want
 
 
 TOKENS = ("a", "b", "c", "ab", "", "+1", "-1")
