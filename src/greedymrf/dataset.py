@@ -192,7 +192,7 @@ def extension_counts(
                 yield (j, k), joint, np.add.reduceat(joint, _runs(keys, found // q))
             continue
         chunk = max(1, _CHUNK_ELEMENTS // max(rows, q * m))
-        starts = _runs(np.arange(q * m), found // q)
+        starts = _runs(np.arange(q * m), found // q) if cells > rows else None
         for start in range(0, digits.shape[0], chunk):
             block = digits[start : start + chunk]
             size = block.shape[0]
@@ -203,7 +203,8 @@ def extension_counts(
             idx += (np.arange(size) * (q * m))[:, None]
             joint = np.bincount(idx.ravel(), minlength=size * q * m).reshape(size, q * m)
             del idx  # so the next chunk's idx is not made while this one is held
-            yield (j, slice(start, start + size)), joint, np.add.reduceat(joint, starts, axis=1)
+            marginal = _sum_x_i(joint, q) if starts is None else np.add.reduceat(joint, starts, axis=1)
+            yield (j, slice(start, start + size)), joint, marginal
 
 
 def _runs(keys: np.ndarray, given_of: np.ndarray) -> np.ndarray:
@@ -305,12 +306,16 @@ def _plane_counts(
             kept[a:b, :-1] = joint[:, :, 1:].reshape(b - a, -1, m)
             kept[a:b, -1] = totals
             carry.update(zip(zip(nodes[a:b].tolist(), map(tuple, given[a:b].tolist())), kept[a:b]))
-        # Joint cell x_k*m + c lies in given cell (x_k, c // q). Adding the
-        # q strided slices is many times faster than a sum over an axis of q.
-        by_x = joint.reshape(b - a, p, -1, q)
-        yield ((slice(a, b), slice(None)), joint.reshape(b - a, p, -1),
-               sum(by_x[..., x] for x in range(q)))
+        joint = joint.reshape(b - a, p, -1)
+        yield (slice(a, b), slice(None)), joint, _sum_x_i(joint, q)
         a = b
+
+
+def _sum_x_i(joint: np.ndarray, q: int) -> np.ndarray:
+    """Dense (x_k, given) counts of dense (x_k, given, x_i) counts on the last axis, as
+    the sum of the q strided x_i slices: many times faster than a sum over an axis of q."""
+    by_x = joint.reshape(joint.shape[:-1] + (-1, q))
+    return sum(by_x[..., x] for x in range(q))
 
 
 def _take_carried(carried: dict | None, node: int, given: list[int]

@@ -5,7 +5,8 @@ tables.
 All entropies are base-2 (bits) and come from one row-wise formula,
 :func:`_entropies`. The 0*log(0) convention is enforced by skipping zero
 cells, and conditional entropy is always computed as a difference of joint
-entropies so no 0/0 conditional cell can arise.
+entropies so no 0/0 conditional cell can arise. Datasets of at most 2^15
+rows look their count terms up in a table of the formula's own bits.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .models import JointDistribution, marginal
 
 #: Float slack for equality-style checks against exact sources.
 EXACT_TOL = 1e-12
+
+#: Largest row count whose count terms a dataset's source tabulates (256 KiB).
+_TERMS_MAX_ROWS = 1 << 15
 
 
 class DistributionSource:
@@ -39,6 +43,8 @@ class DistributionSource:
     alphabet: Alphabet
     #: What the masses of ``_cells`` sum to.
     _total: float = 1.0
+    #: For integer masses, the term of every count c = 0.._total, or None.
+    _terms: np.ndarray | None = None
 
     def __init__(self) -> None:
         self._entropy_cache: dict[tuple[int, ...], float] = {}
@@ -77,7 +83,7 @@ class DistributionSource:
     def entropy_bits(self, variables: tuple[int, ...]) -> float:
         got = self._entropy_cache.get(variables)
         if got is None:
-            got = float(_entropies(self._cells(variables)[1], self._total))
+            got = float(self._entropies(self._cells(variables)[1]))
             self._entropy_cache[variables] = got
         return got
 
@@ -92,14 +98,17 @@ class DistributionSource:
         q, at = self.alphabet.size, both.index(i)
         table = self._cells(both)
         rest = _sum_out(table, q, len(both), at)
-        h_rest = _entropies(rest[1], self._total)
+        h_rest = self._entropies(rest[1])
         without = np.empty(len(given))
         for pos, j in enumerate(given):
             # j's position among both, and i's once j is gone
             skip = pos + (pos >= at)
-            h_i = _entropies(_sum_out(table, q, len(both), skip)[1], self._total)
-            without[pos] = h_i - _entropies(_sum_out(rest, q, len(given), pos)[1], self._total)
-        return float(_entropies(table[1], self._total) - h_rest), without
+            h_i = self._entropies(_sum_out(table, q, len(both), skip)[1])
+            without[pos] = h_i - self._entropies(_sum_out(rest, q, len(given), pos)[1])
+        return float(self._entropies(table[1]) - h_rest), without
+
+    def _entropies(self, mass: np.ndarray) -> np.ndarray:
+        return _entropies(mass, self._total, self._terms)
 
     def extension_entropies(self, steps: Iterable[tuple[int, Iterable[int]]]) -> np.ndarray:
         """H(X_i | X_given, X_k) in bits for every step (i, given) of a batch
@@ -136,6 +145,9 @@ class EmpiricalSource(DistributionSource):
         self.p = ds.p
         self.alphabet = ds.alphabet
         self._total = ds.n
+        if ds.n <= _TERMS_MAX_ROWS:
+            self._terms = _plogp(np.arange(ds.n + 1) / ds.n)
+            self._terms.setflags(write=False)
         # The plane tables of the last batch of steps (see extension_counts).
         self._carried: dict = {}
 
@@ -143,12 +155,11 @@ class EmpiricalSource(DistributionSource):
         return self.dataset.joint_counts(variables)
 
     def _extension_entropies(self, nodes: list[int], given: list[tuple[int, ...]]) -> np.ndarray:
-        n = self.dataset.n
         out = np.empty((len(nodes), self.p))
         carried, self._carried = self._carried, {}
         for at, joint, marginal in extension_counts(self.dataset, nodes, given, carried,
                                                     self._carried):
-            out[at] = _entropies(joint, n) - _entropies(marginal, n)
+            out[at] = self._entropies(joint) - self._entropies(marginal)
         return out
 
 
@@ -203,7 +214,7 @@ def _sum_out(table: tuple[np.ndarray | slice, np.ndarray], q: int, width: int, a
              ) -> tuple[np.ndarray | slice, np.ndarray]:
     """A ``_cells`` table over ``width`` sorted variables with the one at
     position ``axis`` summed out. Sparse cells stay sorted and their masses
-    are summed in code order, so integer counts sum exactly."""
+    are summed in code order, and integer counts stay integers."""
     index, mass = table
     below = q ** (width - axis - 1)
     if isinstance(index, slice):
@@ -211,19 +222,31 @@ def _sum_out(table: tuple[np.ndarray | slice, np.ndarray], q: int, width: int, a
     reduced = index // (q * below) * below + index % below
     if q ** (width - 1) > len(index):  # cells outnumber the occupied ones: sort the codes
         codes, inverse = np.unique(reduced, return_inverse=True)
-        return codes, np.bincount(inverse, weights=mass)
-    mass = np.bincount(reduced, weights=mass)
-    codes = np.flatnonzero(mass)
-    return codes, mass[codes]
+        sums = np.bincount(inverse, weights=mass)
+    else:
+        sums = np.bincount(reduced, weights=mass)
+        codes = np.flatnonzero(sums)
+        sums = sums[codes]
+    # Float sums of integer counts are exact below 2^53, so the cast is too.
+    return codes, sums.astype(mass.dtype, copy=False)
 
 
-def _entropies(mass: np.ndarray, total: float) -> np.ndarray:
-    """Entropy in bits along the last axis of cell masses summing to ``total``."""
-    # Float probabilities are used as they are: dividing by 1.0 would only copy them.
-    probs = mass if total == 1.0 and mass.dtype.kind == "f" else mass / total
+def _plogp(probs: np.ndarray) -> np.ndarray:
+    """p*log2(p) of every probability, 0 where p is 0."""
     logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)
     logs *= probs
-    return -logs.sum(axis=-1)
+    return logs
+
+
+def _entropies(mass: np.ndarray, total: float, terms: np.ndarray | None = None) -> np.ndarray:
+    """Entropy in bits along the last axis of cell masses summing to ``total``.
+    Integer masses look their terms up in ``terms``, ``_plogp`` of c / total
+    for c = 0..total: the formula's bits, summed in the same order."""
+    if terms is not None and mass.dtype.kind in "iu":
+        return -terms.take(mass).sum(axis=-1)
+    # Float probabilities are used as they are: dividing by 1.0 would only copy them.
+    probs = mass if total == 1.0 and mass.dtype.kind == "f" else mass / total
+    return -_plogp(probs).sum(axis=-1)
 
 
 def _entropy_of_probs(probs: np.ndarray) -> float:

@@ -135,26 +135,30 @@ class GibbsChains:
         # (sweep, site, chain) beside the other chains'.
         logit = np.empty((block, p, chains))
         uniforms, scratch = np.empty((block, p)), np.empty((block, p))
-        steps = [(logit[:, s], w, np.empty((w.shape[0], chains)), bits[s])
+        # Comparing into bools and copying them is faster than comparing into
+        # floats; the ``dot`` method skips ``np.dot``'s dispatch, same product.
+        new = np.empty((p, chains), dtype=bool)
+        steps = [(logit[:, s], w.dot, np.empty((w.shape[0], chains)), new[s], bits[s])
                  for s, w in self._classes]
         out = np.empty((chains, rows, p), dtype=np.uint8)
         row, take_at = 0, self._burn + self._thinning
-        dot, less = np.dot, np.less
+        less = np.less
         for start in range(0, sweeps, block):
             size = min(block, sweeps - start)
-            for b, rng in enumerate(self._rngs):
-                u, v = uniforms[:size], scratch[:size]
-                rng.random(out=u)
-                np.log1p(np.negative(u, out=v), out=v)
-                with np.errstate(divide="ignore"):  # u = 0 gives -inf: always +1
+            u, v = uniforms[:size], scratch[:size]
+            with np.errstate(divide="ignore"):  # u = 0 gives -inf: always +1
+                for b, rng in enumerate(self._rngs):
+                    rng.random(out=u)
+                    np.log1p(np.negative(u, out=v), out=v)
                     np.log(u, out=u)
-                u -= v
-                u += self._offset
-                logit[:size, :, b] = u
+                    u -= v
+                    u += self._offset
+                    logit[:size, :, b] = u
             for t in range(size):
-                for threshold, w, field, class_bits in steps:
-                    dot(w, bits, field)
-                    less(threshold[t], field, class_bits)
+                for threshold, dot, field, class_new, class_bits in steps:
+                    dot(bits, field)
+                    less(threshold[t], field, class_new)
+                    class_bits[...] = class_new
                 if start + t + 1 == take_at:
                     out[:, row] = bits.T
                     row += 1

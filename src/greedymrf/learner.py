@@ -130,6 +130,12 @@ def _lowest(hs: np.ndarray) -> int:
     return int(np.flatnonzero(hs <= low + _slack(low))[0])
 
 
+def _lowest_rows(hs: np.ndarray) -> np.ndarray:
+    """:func:`_lowest` of every row of a 2-d array, in one pass."""
+    low = hs.min(axis=1)
+    return (hs <= (low + TIE_TOL * np.maximum(1.0, np.abs(low)))[:, None]).argmax(axis=1)
+
+
 def greedy_neighborhood(
     src: DistributionSource, i: int, cfg: LearnerConfig
 ) -> NeighborhoodTrace:
@@ -169,23 +175,24 @@ def _greedy_passes(
             for j in running:
                 stops[j] = (STOP_EXHAUSTED if size == src.p - 1 else STOP_CAP,)
             break
-        rows = src.extension_entropies([(nodes[j], chosen[j]) for j in running])
+        hs = src.extension_entropies([(nodes[j], chosen[j]) for j in running])
+        # The node and its picks are no candidates; ties still go to the
+        # lowest index, which is the variable's own.
+        at = np.arange(len(running))
+        hs[at[:, None], [[nodes[j], *chosen[j]] for j in running]] = np.inf
+        first = _lowest_rows(hs)
+        bests = zip(first.tolist(), hs[at, first].tolist())
+        seconds = [(None, None)] * len(running)
+        if size < src.p - 2:  # another candidate is left
+            hs[at, first] = np.inf
+            second = _lowest_rows(hs)
+            seconds = zip(second.tolist(), hs[at, second].tolist())
         still = []
-        for j, hs in zip(running, rows):
-            # The node and its picks are no candidates; ties still go to the
-            # lowest index, which is the variable's own.
-            hs[nodes[j]] = np.inf
-            hs[chosen[j]] = np.inf
-            best = _lowest(hs)
-            best_h = float(hs[best])
+        for j, (best, best_h), (runner_up, runner_h) in zip(running, bests, seconds):
             if current[j] - best_h <= cfg.epsilon / 2.0 + _slack(current[j]):
                 stops[j] = (STOP_THRESHOLD, best, current[j] - best_h)
                 continue
-            runner_up, margin = None, None
-            if size < src.p - 2:  # another candidate is left
-                hs[best] = np.inf
-                runner_up = _lowest(hs)
-                margin = float(hs[runner_up]) - best_h
+            margin = None if runner_up is None else runner_h - best_h
             picks[j].append(Pick(best, current[j], best_h, runner_up, margin))
             chosen[j].append(best)
             current[j] = best_h

@@ -16,8 +16,13 @@ from hypothesis import strategies as st
 from greedymrf import dataset
 from greedymrf.dataset import Alphabet, CapacityError, DiscreteDataset, extension_counts
 from greedymrf.entropy import (
+    _TERMS_MAX_ROWS,
+    EXACT_TOL,
     EmpiricalSource,
     ExactSource,
+    _entropies,
+    _plogp,
+    _sum_out,
     check_entropy_l1_bound,
     check_pinsker,
     conditional_entropy,
@@ -760,3 +765,93 @@ class TestAxisSums:
         finally:
             tracemalloc.stop()
         assert peak < bound * src.joint.probs.nbytes
+
+
+def formula_entropies(mass, total):
+    """The row-wise entropy formula of integer masses: each count divided by
+    the total, a masked log2, the product, one sum along the last axis."""
+    probs = mass / total
+    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)
+    logs *= probs
+    return -logs.sum(axis=-1)
+
+
+@st.composite
+def count_rows(draw):
+    """(n, integer rows of counts summing to n, 1-d or 2-d, zeros often)."""
+    n = draw(st.one_of(st.integers(1, 64), st.integers(1, _TERMS_MAX_ROWS),
+                       st.just(_TERMS_MAX_ROWS)))
+    width = draw(st.sampled_from([1, 2, 3, 4, 8, 16, 33, 64, 257]))
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 5)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    # Cells left out of a row's support are zeros; a support of one cell
+    # holds all n.
+    weights = rng.random(shape + (width,)) * (rng.random(shape + (width,)) < draw(
+        st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+    weights[..., rng.integers(width)] += 1e-3
+    mass = rng.multinomial(n, weights / weights.sum(axis=-1, keepdims=True))
+    return n, mass.astype(np.int64)
+
+
+def source_of_rows(n, p=3, seed=0):
+    return empirical(np.random.default_rng(seed).integers(0, 2, size=(n, p)))
+
+
+class TestTermTable:
+    @settings(max_examples=200, deadline=None)
+    @given(count_rows())
+    def test_table_entropies_are_the_formula_bits(self, drawn):
+        n, mass = drawn
+        terms = source_of_rows(n)._terms
+        got = _entropies(mass, n, terms)
+        want = formula_entropies(mass, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for row, h in zip(mass.reshape(-1, mass.shape[-1]), np.ravel(got)):
+            oracle = entropy_bits({k: c / n for k, c in enumerate(row.tolist())})
+            assert abs(h - oracle) <= EXACT_TOL
+
+    def test_table_only_up_to_the_row_bound(self):
+        assert source_of_rows(_TERMS_MAX_ROWS)._terms.shape == (_TERMS_MAX_ROWS + 1,)
+        assert source_of_rows(_TERMS_MAX_ROWS + 1)._terms is None
+        assert ExactSource(exact_joint(build(CHAIN3)))._terms is None
+
+    def test_sources_past_the_bound_give_the_tables_answers(self):
+        n = _TERMS_MAX_ROWS + 1
+        plain, tabled = source_of_rows(n, p=5, seed=3), source_of_rows(n, p=5, seed=3)
+        tabled._terms = _plogp(np.arange(n + 1) / n)
+        for src in (plain, tabled):
+            src.bits = (entropy(src, (0, 2, 4)),
+                        src.extension_entropies([(i, (3,)) for i in (0, 1, 2, 4)]).tobytes(),
+                        src.removal_entropies(1, (0, 2, 3)))
+        assert plain.bits[:2] == tabled.bits[:2]
+        assert plain.bits[2][0] == tabled.bits[2][0]
+        assert plain.bits[2][1].tobytes() == tabled.bits[2][1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 300), st.integers(2, 6), st.integers(0, 2**16),
+           st.data())
+    def test_a_source_without_its_table_gives_the_same_bits(self, q, n, p, seed, data):
+        # Greedy steps (plane, chunked and occupied-cell counts), pruning's
+        # summed-out tables and single entropies, with and without the table.
+        rows = np.random.default_rng(seed).integers(0, q, size=(n, p))
+        i = data.draw(st.integers(0, p - 1))
+        given_vars = tuple(sorted(data.draw(st.permutations([v for v in range(p) if v != i]))
+                                  [: data.draw(st.integers(0, p - 1))]))
+        got = []
+        for table in (True, False):
+            src = empirical(rows, q=q)
+            assert src._terms is not None
+            if not table:
+                src._terms = None
+            got.append((step(src, i, given_vars).tobytes(),
+                        entropy(src, given_vars + (i,)),
+                        *(x.tobytes() if isinstance(x, np.ndarray) else x
+                          for x in (src.removal_entropies(i, given_vars) if given_vars else ()))))
+        assert got[0] == got[1]
+
+    def test_pruning_sums_integer_counts_as_integers(self):
+        src = source_of_rows(500, p=6, seed=1)
+        table = src._cells((0, 2, 3, 5))
+        for axis in range(4):
+            codes, mass = _sum_out(table, 2, 4, axis)
+            assert mass.dtype == table[1].dtype and mass.sum() == 500

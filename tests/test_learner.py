@@ -6,11 +6,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greedymrf.dataset import SPIN_ALPHABET, Alphabet, DiscreteDataset
-from greedymrf.entropy import EmpiricalSource, ExactSource
+from greedymrf.entropy import DistributionSource, EmpiricalSource, ExactSource
 from greedymrf.generators import ModelSpec, WeightRule, build
 from greedymrf.learner import (
+    STOP_CAP,
+    STOP_EXHAUSTED,
+    STOP_THRESHOLD,
     TIE_TOL,
     LearnerConfig,
+    NeighborhoodTrace,
+    Pick,
+    _greedy_passes,
+    _lowest,
+    _lowest_rows,
+    _slack,
     chow_liu,
     greedy_neighborhood,
     learn_structure,
@@ -492,6 +501,89 @@ class TestNearFlips:
         assert (capped.stop_reason, capped.rejected, capped.rejected_gain) == ("cap", None, None)
         assert exhausted.stop_reason == "exhausted" and exhausted.rejected is None
         assert exhausted.picks[-1].runner_up is None and exhausted.picks[-1].margin is None
+
+
+def planted_rows(rng, shape, level):
+    """Entries at ``level`` plus 0, just under or just over one ``TIE_TOL``
+    slack, a few slacks or far above; some +inf; one entry of each row at
+    ``level`` itself and, in some rows, every other entry +inf."""
+    slack = TIE_TOL * np.maximum(1.0, np.abs(level))
+    steps = rng.choice([0.0, 0.5, 0.999, 1.001, 2.0, 1e6, np.inf], size=shape)
+    hs = level + steps * slack
+    rows = hs.reshape(-1, shape[-1])
+    lone = rng.random(len(rows)) < 0.2
+    rows[lone] = np.inf
+    at = rng.integers(shape[-1], size=len(rows))
+    rows[np.arange(len(rows)), at] = np.broadcast_to(level, shape)[..., 0].ravel()
+    return hs
+
+
+class PlantedSource(DistributionSource):
+    """H(X_i) = ``start[i]``, and step (i, C) scores ``rows[i, |C|]``."""
+
+    def __init__(self, start, rows):
+        super().__init__()
+        self.p, self._start, self._rows = len(start), start, rows
+
+    def entropy_bits(self, variables):
+        return float(self._start[variables[0]]) if variables else 0.0
+
+    def _extension_entropies(self, nodes, given):
+        return self._rows[nodes, [len(own) for own in given]]
+
+
+def reference_passes(src, nodes, cfg):
+    """The greedy passes with the tie rule applied row by row by ``_lowest``."""
+    cap = cfg.max_neighborhood if cfg.max_neighborhood is not None else src.p - 1
+    out = []
+    for i in nodes:
+        chosen, picks, current, stop = [], [], src.entropy_bits((i,)), None
+        for size in range(src.p):
+            if size == src.p - 1 or size >= cap:
+                stop = (STOP_EXHAUSTED if size == src.p - 1 else STOP_CAP,)
+                break
+            hs = src.extension_entropies([(i, chosen)])[0]
+            hs[[i, *chosen]] = np.inf
+            best = _lowest(hs)
+            best_h = float(hs[best])
+            if current - best_h <= cfg.epsilon / 2.0 + _slack(current):
+                stop = (STOP_THRESHOLD, best, current - best_h)
+                break
+            runner_up, margin = None, None
+            if size < src.p - 2:
+                hs[best] = np.inf
+                runner_up = _lowest(hs)
+                margin = float(hs[runner_up]) - best_h
+            picks.append(Pick(best, current, best_h, runner_up, margin))
+            chosen.append(best)
+            current = best_h
+        out.append(NeighborhoodTrace(i, tuple(picks), *stop))
+    return out
+
+
+class TestRoundTieRule:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 9), st.sampled_from([0.0, 0.4, 1.0, -3.0, 7.5, 1e3]),
+           st.integers(0, 2**32))
+    def test_each_row_is_lowest_of_that_row(self, steps, p, level, seed):
+        hs = planted_rows(np.random.default_rng(seed), (steps, p), level)
+        got = _lowest_rows(hs)
+        assert got.tolist() == [_lowest(row) for row in hs]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8), st.sampled_from([None, 1, 3]), st.integers(0, 2**32))
+    def test_passes_equal_a_row_by_row_reference(self, p, cap, seed):
+        # Each step lowers H by 0.2 or by 0.001 (against epsilon/2 = 0.05)
+        # from the level of its node, so passes pick, stop on the threshold,
+        # reach the cap or run out; picks, runner-ups and margins all come
+        # from rows with planted ties.
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(1.0, 3.0, size=p)
+        drops = rng.choice([0.2, 0.001], size=(p, p)).cumsum(axis=1)
+        level = (start[:, None] - drops)[:, :, None]
+        src = PlantedSource(start, planted_rows(rng, (p, p, p), level))
+        cfg = LearnerConfig(epsilon=0.1, max_neighborhood=cap)
+        assert _greedy_passes(src, range(p), cfg) == reference_passes(src, range(p), cfg)
 
 
 class TestEmpiricalLearning:

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from functools import cache
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -305,6 +306,30 @@ def sampler_table(name):
 sampler_names = st.sampled_from(sorted(SAMPLER_MODELS))
 
 
+def reference_draw(chains, rows, block_doubles):
+    """:meth:`GibbsChains.draw` as a plain loop over one sweep at a time:
+    each class's comparison written straight into the float spins."""
+    bits = chains._bits
+    p, batch = bits.shape
+    sweeps = chains._burn + rows * chains._thinning
+    block = max(1, min(sweeps, block_doubles // (batch * p)))
+    out, done = [], 0
+    for start in range(0, sweeps, block):
+        size = min(block, sweeps - start)
+        logit = np.empty((size, p, batch))
+        for b, rng in enumerate(chains._rngs):
+            u = rng.random((size, p))
+            with np.errstate(divide="ignore"):
+                logit[:, :, b] = np.log(u) - np.log1p(-u) + chains._offset
+        for t in range(size):
+            for s, w in chains._classes:
+                np.less(logit[t, s], np.dot(w, bits), out=bits[s])
+            done += 1
+            if done > chains._burn and (done - chains._burn) % chains._thinning == 0:
+                out.append(bits.T.astype(np.uint8))
+    return np.stack(out, axis=1)[:, :, chains._column]
+
+
 class TestChromaticGibbs:
     @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
     def test_colouring_is_proper_and_lowest_first(self, name):
@@ -369,6 +394,23 @@ class TestChromaticGibbs:
         whole = GibbsChains(m, cfgs).draw(50)
         monkeypatch.setattr("greedymrf.gibbs._BLOCK_DOUBLES", 1)
         assert np.array_equal(GibbsChains(m, cfgs).draw(50), whole)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["grid:3", "cycle:5", "er-randsign"]),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=8),
+        burn_in=st.integers(0, 30),
+        thinning=st.integers(1, 3),
+        n=st.integers(1, 30),
+        block=st.sampled_from([1, 1 << 13]),
+    )
+    def test_rows_equal_a_float_compare_reference(self, name, seeds, burn_in, thinning, n, block):
+        m = sampler_model(name)
+        cfgs = [GibbsConfig(s, burn_in, thinning) for s in seeds]
+        with mock.patch("greedymrf.gibbs._BLOCK_DOUBLES", block):
+            got = GibbsChains(m, cfgs).draw(n)
+            want = reference_draw(GibbsChains(m, cfgs), n, block)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_setup_holds_one_coupling_matrix(self):
         m = model_from_strings("grid:20", "const:0.3")
