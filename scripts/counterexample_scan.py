@@ -15,7 +15,6 @@ import argparse
 from greedymrf.entropy import ExactSource, conditional_entropy
 from greedymrf.generators import ModelSpec, WeightRule, build
 from greedymrf.learner import LearnerConfig, greedy_neighborhood, prune_neighborhood
-from greedymrf.models import exact_joint
 
 
 def main() -> int:
@@ -28,7 +27,7 @@ def main() -> int:
     threshold = None
     for degree in range(1, args.max_degree + 1):
         model = build(ModelSpec.counterexample(degree, WeightRule.constant(args.theta)))
-        src = ExactSource(exact_joint(model))
+        src = ExactSource.of_model(model)
         hub = degree + 1
         h_nbr = conditional_entropy(src, 0, [1])
         h_hub = conditional_entropy(src, 0, [hub])
@@ -47,7 +46,7 @@ def main() -> int:
     print(f"\nthreshold: D={threshold} at theta={args.theta}")
 
     model = build(ModelSpec.counterexample(threshold, WeightRule.constant(args.theta)))
-    src = ExactSource(exact_joint(model))
+    src = ExactSource.of_model(model)
     cfg = LearnerConfig(epsilon=args.epsilon)
     tr = greedy_neighborhood(src, 0, cfg)
     pruned = prune_neighborhood(src, 0, tr.picked, cfg)

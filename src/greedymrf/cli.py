@@ -25,7 +25,7 @@ from .generators import (
     spec_from_strings,
 )
 from .learner import LearnResult, LearnerConfig, chow_liu, learn_structure, prune_result
-from .models import MarkovGraph, check_enumerable, exact_joint, to_dot, write_edge_list
+from .models import MarkovGraph, check_enumerable, to_dot, write_edge_list
 
 
 def _write_json(doc: dict, path: Path) -> None:
@@ -48,20 +48,23 @@ def _write_outputs(
     return 0
 
 
+def _bits(x: float) -> str:
+    """``x`` at 10 decimals, unsigned when it rounds to 0 (a tie's float noise)."""
+    return f"{x:.10f}".replace("-0.0000000000", "0.0000000000")
+
+
 def _trace_lines(result: LearnResult) -> list[str]:
     lines = []
     for t in result.traces:
         stop = f"node {t.node}: stop={t.stop_reason}"
         if t.rejected is not None:
-            stop += f" rejected={t.rejected} gain={t.rejected_gain:.10f}"
+            stop += f" rejected={t.rejected} gain={_bits(t.rejected_gain)}"
         lines.append(stop)
         for p in t.picks:
-            pick = (
-                f"  pick {p.vertex}: H_before={p.entropy_before:.10f}"
-                f" H_after={p.entropy_after:.10f}"
-            )
+            pick = (f"  pick {p.vertex}: H_before={_bits(p.entropy_before)}"
+                    f" H_after={_bits(p.entropy_after)}")
             if p.runner_up is not None:
-                pick += f" runner_up={p.runner_up} margin={p.margin:.10f}"
+                pick += f" runner_up={p.runner_up} margin={_bits(p.margin)}"
             lines.append(pick)
     return lines
 
@@ -117,12 +120,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     spec = spec_from_strings(args.model, args.theta)
     check_enumerable(model_size(spec))
     model = build(spec)
-    src: DistributionSource = ExactSource(exact_joint(model))
+    src: DistributionSource = ExactSource.of_model(model)
     if args.chow_liu:
         tree = chow_liu(src)
         edges = tree.sorted_edges()
         doc = {"mode": "chow_liu", "num_vars": tree.p, "edges": [list(e) for e in edges]}
-        trace = [f"edge {u} {v}: mutual_information={mutual_information(src, u, v):.10f}"
+        trace = [f"edge {u} {v}: mutual_information={_bits(mutual_information(src, u, v))}"
                  for u, v in edges]
         return _write_outputs(args.out_dir, doc, tree, trace=trace)
     result = _learn(src, args)

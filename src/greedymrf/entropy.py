@@ -2,29 +2,31 @@
 distance bounds, computed uniformly over empirical datasets and exact joint
 tables.
 
-All entropies are base-2 (bits) and come from one row-wise formula,
-:func:`_entropies`. The 0*log(0) convention is enforced by skipping zero
-cells, and conditional entropy is always computed as a difference of joint
-entropies so no 0/0 conditional cell can arise. Datasets of at most 2^15
-rows look their count terms up in a table of the formula's own bits.
+All entropies are base-2 (bits) sums of one term, :func:`_plogp`; zero cells
+add nothing, and conditional entropy is always a difference of joint
+entropies, so no 0/0 conditional cell can arise. Datasets of at most 2^15
+rows look their count terms up in a table of that term's own bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .dataset import _MAX_DENSE_CELLS, Alphabet, CapacityError, DiscreteDataset, extension_counts
-from .models import JointDistribution, marginal
+from .models import IsingModel, JointDistribution, exact_joint
 
 #: Float slack for equality-style checks against exact sources.
 EXACT_TOL = 1e-12
 
 #: Largest row count whose count terms a dataset's source tabulates (256 KiB).
 _TERMS_MAX_ROWS = 1 << 15
+
+#: Cells of one batch, zero clamp or entropy sum of an exact source (16 KiB).
+_PIECE = 1 << 11
 
 
 class DistributionSource:
@@ -164,50 +166,67 @@ class EmpiricalSource(DistributionSource):
 
 
 class ExactSource(DistributionSource):
-    """Exact distribution backed by a dense joint table. Marginals are axis
-    sums of it (:func:`~greedymrf.models.marginal`); a greedy step halves the
-    candidates, sums one half out and recurses into the other, and the other
-    way round, so it reads the full table twice, not once per candidate."""
+    """Exact distribution of a dense table, held as its summed-slot transform: along each
+    variable's axis, slot 0 sums the variable out and slots 1..q-1 keep x_v = j. The marginal
+    over S is the q^|S| cells with slot 0 off S, un-summed along S (slot 0 -= slots 1..q-1)."""
 
-    def __init__(self, joint: JointDistribution):
+    def __init__(self, joint: JointDistribution, _owned: bool = False):
         super().__init__()
-        self.joint = joint
-        self.p = joint.p
-        self.alphabet = joint.alphabet
+        self.p, self.alphabet = joint.p, joint.alphabet
+        table = joint.probs.base if _owned else joint.probs.copy()
+        self._summed = table.reshape((self.alphabet.size,) * self.p)
+        slot_sums(self._summed, self.alphabet.size, self.p, range(self.p), np.add)
+
+    @classmethod
+    def of_model(cls, m: IsingModel) -> ExactSource:
+        """A model's source, which sums the array exact_joint builds in place (``_owned``)."""
+        return cls(exact_joint(m), _owned=True)
+
+    def _view(self, variables: Iterable[int]) -> np.ndarray:
+        # From a list: a tuple grown from a generator parks a p-slot tuple in CPython's free list.
+        return self._summed[tuple([slice(None) if v in variables else 0 for v in range(self.p)])]
 
     def _cells(self, variables: tuple[int, ...]) -> tuple[slice, np.ndarray]:
-        return slice(None), self.joint.dense_marginal(variables)
+        cells = self._view(variables).flatten()
+        slot_sums(cells, self.alphabet.size, len(variables), range(len(variables)), np.subtract)
+        tol = len(variables) * np.finfo(float).eps * self._summed.flat[0]  # un-summing's rounding
+        for part in (cells[at:at + _PIECE] for at in range(0, cells.size, _PIECE)):
+            part[part <= tol] = 0.0
+        return slice(None), cells
 
     def _extension_entropies(self, nodes: list[int], given: list[tuple[int, ...]]) -> np.ndarray:
-        # Each node's table sums are its own, so the batch is a loop.
-        return np.array([self._step(i, own) for i, own in zip(nodes, given)])
-
-    def _step(self, i: int, given: tuple[int, ...]) -> np.ndarray:
-        base = tuple(sorted(given + (i,)))
-        candidates = [k for k in range(self.p) if k not in base]
-        out = np.zeros(self.p)
-        table = self.joint.table  # the marginal over base when no k is left
-        for k, table in _candidate_marginals(table, tuple(range(self.p)), base, candidates):
-            axes = sorted(base + (k,))
-            out[k] = _conditional(table, axes.index(i))
-        if candidates:  # the last table with its k summed out is over base
-            table = table.sum(axis=axes.index(k))
-        out[list(given)] = _conditional(table, base.index(i))
+        # k scores H(C, i, k) - H(C, k), read off i's slot 0 (axis 0) before i is un-summed.
+        q, width = self.alphabet.size, len(given[0]) + 2
+        out = np.array([[conditional_entropy(self, i, own)] * self.p for i, own in zip(nodes, given)])
+        out[range(len(nodes)), nodes] = 0.0
+        pairs = [(row, k, i, own) for row, (i, own) in enumerate(zip(nodes, given))
+                 for k in range(self.p) if k != i and k not in own]
+        for at in range(0, len(pairs), per := max(1, _PIECE // q**width)):
+            rows, ks, _, _ = zip(*pairs[at:at + per])
+            cells = np.empty((len(rows),) + (q,) * width)
+            for m, (_, k, i, own) in enumerate(pairs[at:at + per]):
+                cells[m] = self._view({*own, i, k}).swapaxes(0, sum(v < i for v in own) + (k < i))
+            slot_sums(cells, q, width, range(1, width), np.subtract)
+            h_ck = _piece_entropies(cells.reshape(len(cells), q, -1)[:, 0])
+            slot_sums(cells, q, width, [0], np.subtract)
+            out[rows, ks] = _piece_entropies(cells.reshape(len(cells), -1)) - h_ck
+            del cells  # before the next batch is gathered
         return out
 
 
-def _candidate_marginals(
-    table: np.ndarray, axes: tuple[int, ...], base: tuple[int, ...], candidates: list[int]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, marginal over sorted base + (k,)) for every k of ``candidates``, in
-    order; ``table`` has the sorted ``axes``, which hold base and candidates."""
-    if len(candidates) == 1:
-        yield candidates[0], table
-    elif candidates:
-        half = len(candidates) // 2
-        for part in (candidates[:half], candidates[half:]):
-            keep = tuple(sorted(base + tuple(part)))
-            yield from _candidate_marginals(marginal(table, axes, keep), keep, base, part)
+def slot_sums(cells: np.ndarray, q: int, width: int, axes: Iterable[int], op: np.ufunc) -> None:
+    """Sum (``op`` np.add) or un-sum (np.subtract) slots 1..q-1 into slot 0, in place, along
+    ``axes`` of the ``width``-axis blocks filling ``cells``, by 1-D calls that buffer nothing."""
+    for axis in axes:
+        x = cells.reshape(-1, q, q ** (width - 1 - axis))
+        for line in x if len(x) <= x.shape[2] else x.transpose(2, 1, 0):
+            for j in range(1, q):
+                op(line[0], line[j], out=line[0])
+
+
+def _piece_entropies(mass: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of 2-d ``mass``, summed over column pieces."""
+    return -sum(_plogp(mass[:, at:at + _PIECE]).sum(axis=1) for at in range(0, mass.shape[1], _PIECE))
 
 
 def _sum_out(table: tuple[np.ndarray | slice, np.ndarray], q: int, width: int, axis: int
@@ -247,15 +266,6 @@ def _entropies(mass: np.ndarray, total: float, terms: np.ndarray | None = None) 
     # Float probabilities are used as they are: dividing by 1.0 would only copy them.
     probs = mass if total == 1.0 and mass.dtype.kind == "f" else mass / total
     return -_plogp(probs).sum(axis=-1)
-
-
-def _entropy_of_probs(probs: np.ndarray) -> float:
-    return float(_entropies(probs, 1.0))
-
-
-def _conditional(table: np.ndarray, axis: int) -> float:
-    """H(every axis) - H(every axis but ``axis``) of a probability table."""
-    return _entropy_of_probs(table.ravel()) - _entropy_of_probs(table.sum(axis=axis).ravel())
 
 
 def entropy(src: DistributionSource, variables: Iterable[int]) -> float:
@@ -324,7 +334,7 @@ def check_entropy_l1_bound(
     pm, qm, nvars = _aligned_marginals(p_src, q_src, variables)
     cells = p_src.alphabet.size**nvars
     l1 = float(np.abs(pm - qm).sum())
-    lhs = abs(_entropy_of_probs(pm) - _entropy_of_probs(qm))
+    lhs = abs(float(_entropies(pm, 1.0) - _entropies(qm, 1.0)))
     rhs = 0.0 if l1 == 0.0 else -l1 * math.log2(l1 / cells)
     applicable = l1 <= 0.5
     holds = (not applicable) or (lhs <= rhs + EXACT_TOL)

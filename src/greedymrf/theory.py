@@ -158,12 +158,15 @@ def nondegeneracy_gap(joint: JointDistribution, g: MarkovGraph, i: int) -> float
     The model satisfies the non-degeneracy condition for any epsilon strictly
     below the returned value. An isolated vertex yields +inf (empty minimand).
     """
+    return _node_gap(ExactSource(joint), g, i)
+
+
+def _node_gap(src: ExactSource, g: MarkovGraph, i: int) -> float:
     if not 0 <= i < g.p:
         raise IndexError(f"vertex {i} out of range")
     nbrs = g.neighbors(i)
     if len(nbrs) > GAP_DEGREE_CAP:
         raise CapacityError(f"degree {len(nbrs)} exceeds gap enumeration cap {GAP_DEGREE_CAP}")
-    src = ExactSource(joint)
     best = math.inf
     for size in range(len(nbrs)):
         for sub in combinations(nbrs, size):
@@ -184,8 +187,9 @@ def nondegeneracy_gap(joint: JointDistribution, g: MarkovGraph, i: int) -> float
 
 
 def model_gap(joint: JointDistribution, g: MarkovGraph) -> float:
-    """Non-degeneracy gap minimized over every vertex of the graph."""
-    return min(nondegeneracy_gap(joint, g, i) for i in range(g.p))
+    """Non-degeneracy gap minimized over every vertex, from one exact source."""
+    src = ExactSource(joint)
+    return min(_node_gap(src, g, i) for i in range(g.p))
 
 
 @dataclass(frozen=True)

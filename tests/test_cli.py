@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 import greedymrf
-from greedymrf.cli import main
+from greedymrf.cli import _trace_lines, main
 from greedymrf.entropy import EmpiricalSource
 from greedymrf.experiment import ExperimentSpec, run_experiment
 from greedymrf.generators import MODEL_FAMILIES, WEIGHT_RULES, ModelSpec, WeightRule, build
 from greedymrf.gibbs import GibbsConfig, gibbs_sample
-from greedymrf.models import exact_joint, exact_sample, read_edge_list
+from greedymrf.learner import LearnerConfig, LearnResult, NeighborhoodTrace, Pick
+from greedymrf.models import MarkovGraph, exact_joint, exact_sample, read_edge_list
 from greedymrf.dataset import write_csv
 
 RESULTS_HEADER = "n,epsilon,trials,successes,success_rate,mean_runtime_s"
@@ -259,6 +260,25 @@ class TestOracle:
             assert set(t) == {"node", "stop_reason", "picks"}
             for pick in t["picks"]:
                 assert set(pick) == {"vertex", "entropy_before", "entropy_after"}
+
+    def test_tied_picks_print_an_unsigned_zero_margin(self, tmp_path):
+        # A tie's margin and a zero gain are float noise of either sign; the
+        # trace prints them as 0.0000000000 whatever the sign.
+        picks = (Pick(1, 1.0, 0.75, 3, -1e-17), Pick(2, 0.75, 0.5, 4, -0.0))
+        trace = NeighborhoodTrace(0, picks, "threshold", 5, -2e-17)
+        result = LearnResult((trace,), MarkovGraph(6, [(0, 1), (0, 2)]), (), LearnerConfig(0.01))
+        assert _trace_lines(result) == [
+            "node 0: stop=threshold rejected=5 gain=0.0000000000",
+            "  pick 1: H_before=1.0000000000 H_after=0.7500000000 runner_up=3 margin=0.0000000000",
+            "  pick 2: H_before=0.7500000000 H_after=0.5000000000 runner_up=4 margin=0.0000000000",
+        ]
+        out = tmp_path / "out"  # the grid's centre ties its four neighbours
+        assert main(["oracle", "--model", "grid:3", "--theta", "const:0.5", "--epsilon", "0.001",
+                     "--out-dir", str(out)]) == 0
+        lines = (out / "trace.txt").read_text().splitlines()
+        assert "-0.0000000000" not in "\n".join(lines)
+        centre = next(n for n, line in enumerate(lines) if line.startswith("node 4:"))
+        assert lines[centre + 1].endswith(" runner_up=3 margin=0.0000000000")
 
     def test_tree_matches_chow_liu_mode(self, tmp_path):
         greedy_out = tmp_path / "g"

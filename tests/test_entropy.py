@@ -718,7 +718,8 @@ class TestAxisSums:
         # A slice(None) index means the hook's array is the whole marginal:
         # dense_marginal returns it without filling a second array.
         w = np.random.default_rng(9).random(2**16)
-        src = ExactSource(JointDistribution(16, SPIN_ALPHABET, w / w.sum()))
+        table = w / w.sum()
+        src = ExactSource(JointDistribution(16, SPIN_ALPHABET, table))
         tracemalloc.start()
         try:
             full = src.dense_marginal(range(16))
@@ -726,12 +727,12 @@ class TestAxisSums:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * w.nbytes
-        assert np.array_equal(full, src.joint.probs)
-        assert not np.shares_memory(full, src.joint.probs)
+        assert np.abs(full - table).max() <= EXACT_TOL
+        assert not np.shares_memory(full, table)
         full[0] = 0.0  # writeable, like every other marginal
 
     def test_full_width_marginal_and_entropy_copy_the_table_at_most_once(self):
-        # The hook hands the axis-sum marginal over as it is: no cell codes,
+        # The hook hands the un-summed marginal over as it is: no cell codes,
         # no gathered copy. The entropy adds only its log buffer and the mask
         # of nonzero cells.
         w = np.random.default_rng(8).random(2**16)
@@ -751,10 +752,11 @@ class TestAxisSums:
         (0, ()), (5, (1, 8, 12)), (9, (0, 2, 4, 6)), (15, tuple(range(13))), (0, tuple(range(1, 15))),
     ])
     def test_first_step_allocates_less_than_the_table(self, i, given_vars):
-        # The step reads the table through axis sums; it builds no
+        # The step reads q^(|C|+2) cells per candidate; it builds no
         # per-state columns (p * 2^p bytes) and no copy of the table. When C
-        # holds all but one or two variables the last marginal is (nearly)
-        # the table itself, and its entropy adds only a log buffer.
+        # holds all but one or two variables a candidate's block is half or
+        # all of the table, and its entropy is summed over fixed-size
+        # pieces, so no second block-sized buffer is made.
         bound = 1.0 if len(given_vars) <= 4 else 1.25
         w = np.random.default_rng(7).random(2**16)
         src = ExactSource(JointDistribution(16, SPIN_ALPHABET, w / w.sum()))
@@ -764,7 +766,63 @@ class TestAxisSums:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < bound * src.joint.probs.nbytes
+        assert peak < bound * w.nbytes
+
+
+@st.composite
+def sparse_tables(draw):
+    """(joint, oracle dictionary): q = 2-3 values, p = 2-7 variables, with
+    zero cells, cells many orders of magnitude below the rest, and peaks."""
+    q, p = draw(st.integers(2, 3)), draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(q**p) ** draw(st.sampled_from([1, 4, 32]))
+    w[rng.random(q**p) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    w[rng.random(q**p) < 0.2] *= draw(st.sampled_from([1e-9, 1e-17, 1e-300]))
+    w[rng.integers(q**p)] += 0.5
+    joint = JointDistribution(p, Alphabet(tuple(f"s{k}" for k in range(q))), w / w.sum())
+    return joint, dict(zip(product(range(q), repeat=p), joint.probs.tolist()))
+
+
+class TestSummedSlots:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_tables(), st.data())
+    def test_marginals_and_steps_match_the_oracle(self, drawn, data):
+        # Un-summing subtracts, so a cell that should be zero must still
+        # read exactly 0.0 (check_pinsker tests qm == 0) and none may be
+        # negative.
+        joint, table = drawn
+        p, q = joint.p, joint.alphabet.size
+        src = ExactSource(joint)
+        for variables in (tuple(range(p)), tuple(sorted(data.draw(st.sets(st.integers(0, p - 1)))))):
+            dense = src.dense_marginal(variables)
+            ref = marginal(table, variables)
+            want = np.array([ref.get(key, 0.0) for key in product(range(q), repeat=len(variables))])
+            assert np.abs(dense - want).max() <= EXACT_TOL
+            assert dense.min() >= 0.0
+            assert np.all(dense[want == 0.0] == 0.0)
+        i, given_vars = draw_target_and_given(data, p)
+        hs = step(src, i, given_vars)
+        assert hs[i] == 0.0
+        # Each of a block's q^w cells may be off by about w * eps, which moves
+        # its -x*log2(x) by at most that times log2(1/x), under 64 here.
+        tol = EXACT_TOL + q ** (len(given_vars) + 2) * (len(given_vars) + 2) * 2.0**-52 * 64
+        for k in set(range(p)) - {i}:
+            assert abs(hs[k] - cond_entropy_bits(table, i, set(given_vars) | {k})) <= tol
+
+    def test_a_model_source_holds_one_table(self):
+        # of_model sums the array exact_joint builds in place: building and
+        # transforming never hold a second 2^p array.
+        model = build(ModelSpec.erdos_renyi(18, 0.15, 3, WeightRule.constant_magnitude_random_sign(0.5, 3)))
+        tracemalloc.start()
+        try:
+            src = ExactSource.of_model(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * 2**18
+        want = ExactSource(exact_joint(model))
+        for variables in ((), (3,), (0, 5, 17), tuple(range(18))):
+            assert np.array_equal(src.dense_marginal(variables), want.dense_marginal(variables))
 
 
 def formula_entropies(mass, total):

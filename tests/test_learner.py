@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greedymrf.dataset import SPIN_ALPHABET, Alphabet, DiscreteDataset
-from greedymrf.entropy import DistributionSource, EmpiricalSource, ExactSource
-from greedymrf.generators import ModelSpec, WeightRule, build
+from greedymrf.entropy import DistributionSource, EmpiricalSource, ExactSource, _entropies
+from greedymrf.generators import ModelSpec, WeightRule, build, spec_from_strings
 from greedymrf.learner import (
     STOP_CAP,
     STOP_EXHAUSTED,
@@ -26,7 +26,7 @@ from greedymrf.learner import (
     prune_neighborhood,
     prune_result,
 )
-from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint, exact_sample
+from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint, exact_sample, marginal
 from greedymrf.theory import model_gap
 
 from _oracle import (
@@ -306,7 +306,7 @@ class TestChowLiu:
         class Reordered(ExactSource):
             def _cells(self, variables):
                 drop = tuple(v for v in range(self.p) if v not in variables)
-                dense = self.joint.probs.reshape((2,) * self.p).sum(axis=drop).ravel()
+                dense = joint.probs.reshape((2,) * self.p).sum(axis=drop).ravel()
                 codes = np.flatnonzero(dense)
                 return codes, dense[codes]
 
@@ -455,6 +455,92 @@ def test_permuted_columns_give_the_permuted_graph(p, seed, data):
     _, moved_pruned, moved_graph = decisions(moved, eps)
     assert moved_graph == MarkovGraph(p, [(perm[u], perm[v]) for u, v in graph.edges])
     assert moved_pruned == {perm[i]: tuple(sorted(perm[j] for j in pruned[i])) for i in pruned}
+
+
+class AxisSumSource(DistributionSource):
+    """The exact source before the summed-slot transform, kept as the
+    reference for its decisions: marginals are axis sums of the joint table,
+    and a greedy step halves the candidates, sums one half out and recurses
+    into the other, and the other way round."""
+
+    def __init__(self, joint):
+        super().__init__()
+        self.joint, self.p, self.alphabet = joint, joint.p, joint.alphabet
+
+    def _cells(self, variables):
+        return slice(None), self.joint.dense_marginal(variables)
+
+    def _extension_entropies(self, nodes, given):
+        return np.array([self._step(i, own) for i, own in zip(nodes, given)])
+
+    def _step(self, i, given):
+        base = tuple(sorted(given + (i,)))
+        candidates = [k for k in range(self.p) if k not in base]
+        out = np.zeros(self.p)
+        table = self.joint.table  # the marginal over base when no k is left
+        for k, table in candidate_marginals(table, tuple(range(self.p)), base, candidates):
+            axes = sorted(base + (k,))
+            out[k] = axis_conditional(table, axes.index(i))
+        if candidates:  # the last table with its k summed out is over base
+            table = table.sum(axis=axes.index(k))
+        out[list(given)] = axis_conditional(table, base.index(i))
+        return out
+
+
+def candidate_marginals(table, axes, base, candidates):
+    """(k, marginal over sorted base + (k,)) for every k of ``candidates``, in
+    order; ``table`` has the sorted ``axes``, which hold base and candidates."""
+    if len(candidates) == 1:
+        yield candidates[0], table
+    elif candidates:
+        half = len(candidates) // 2
+        for part in (candidates[:half], candidates[half:]):
+            keep = tuple(sorted(base + tuple(part)))
+            yield from candidate_marginals(marginal(table, axes, keep), keep, base, part)
+
+
+def axis_conditional(table, axis):
+    """H(every axis) - H(every axis but ``axis``) of a probability table."""
+    return float(_entropies(table.ravel(), 1.0) - _entropies(table.sum(axis=axis).ravel(), 1.0))
+
+
+def assert_decisions_match_the_axis_sums(model, eps):
+    joint = exact_joint(model)
+    cfg = LearnerConfig(epsilon=eps)
+    got, want = (prune_result(src, learn_structure(src, cfg))
+                 for src in (ExactSource(joint), AxisSumSource(joint)))
+    assert got.graph == want.graph and got.pruned == want.pruned
+    assert got.asymmetric_pairs == want.asymmetric_pairs
+    for a, b in zip(got.traces, want.traces, strict=True):
+        assert (a.node, a.stop_reason, a.rejected) == (b.node, b.stop_reason, b.rejected)
+        assert [(x.vertex, x.runner_up) for x in a.picks] == [(x.vertex, x.runner_up) for x in b.picks]
+        pairs = [(a.rejected_gain, b.rejected_gain)] + [
+            (getattr(x, f), getattr(y, f))
+            for x, y in zip(a.picks, b.picks) for f in ("entropy_before", "entropy_after", "margin")]
+        for x, y in pairs:
+            assert x is y is None or abs(x - y) <= 1e-12
+
+
+class TestDecisionsMatchAxisSums:
+    """The summed-slot exact source makes the decisions the axis-sum source
+    made, with every entropy within 1e-12: picks, runner-ups, stops,
+    rejected candidates, pruned sets and graphs. The oracle golden digests
+    were re-recorded on this evidence."""
+
+    @pytest.mark.parametrize("model, theta, eps", [
+        ("er:12,0.25,3", "randsign:0.5,3", 0.02),
+        ("grid:3", "const:0.5", 0.001),
+        ("counterexample:4", "const:0.9", 1e-5),
+    ])
+    def test_golden_oracle_models(self, model, theta, eps):
+        assert_decisions_match_the_axis_sums(build(spec_from_strings(model, theta)), eps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 10), st.sampled_from([0.2, 0.35, 0.6]), st.integers(0, 2**16),
+           st.sampled_from([0.3, 0.5, 0.9]), st.booleans(), st.sampled_from([0.001, 0.02, 0.05]))
+    def test_er_models_with_ties(self, p, prob, seed, theta, const, eps):
+        rule = WeightRule.constant(theta) if const else WeightRule.constant_magnitude_random_sign(theta, seed)
+        assert_decisions_match_the_axis_sums(build(ModelSpec.erdos_renyi(p, prob, seed, rule)), eps)
 
 
 class TestNearFlips:
