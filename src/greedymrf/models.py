@@ -1,9 +1,9 @@
 """Markov graphs, factor graphs, zero-field Ising models, and inference backends.
 
-The exact backend enumerates the full joint table (up to the ENUMERATION_CAP
-of 24 binary variables) and takes marginals as axis sums of it; beyond the cap,
-sampling falls back to the Gibbs chains of :mod:`greedymrf.gibbs`. Spins are
-encoded project-wide as alphabet index 0 <-> -1 and 1 <-> +1.
+The exact backend enumerates the full table (p <= ENUMERATION_CAP = 24), queried through
+``entropy.ExactSource``; :func:`marginal` and ``JointDistribution.dense_marginal`` are the
+axis-sum reference kept for tests and the bench span. Larger models sample by the Gibbs
+chains of :mod:`greedymrf.gibbs`. Spins -1/+1 are alphabet index 0/1 project-wide.
 """
 
 from __future__ import annotations

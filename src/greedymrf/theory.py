@@ -1,6 +1,6 @@
 """Closed-form guarantee calculators and empirical measurement of the two
-structural assumptions (non-degeneracy gap, correlation-decay profile) on
-small exact models.
+structural assumptions (non-degeneracy gap, correlation-decay profile) from
+a distribution source, such as the exact source of a small model.
 
 The calculators evaluate their formulas literally. Entropy-flavored constants
 are quoted in bits; where a formula mixes in the natural-log constant ln 2
@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .dataset import CapacityError
-from .entropy import ExactSource, conditional_entropy
-from .models import JointDistribution, MarkovGraph, graph_distance
+from .entropy import DistributionSource, conditional_entropy
+from .models import MarkovGraph, graph_distance
 
 #: Largest node degree for which the full gap enumeration is attempted.
 GAP_DEGREE_CAP = 12
@@ -149,8 +149,9 @@ def all_bound_reports(*, log_base2: bool = True, **inputs: float | None) -> list
     return out
 
 
-def nondegeneracy_gap(joint: JointDistribution, g: MarkovGraph, i: int) -> float:
-    """Smallest conditional-entropy gain any true neighbor provides, in bits.
+def nondegeneracy_gap(src: DistributionSource, g: MarkovGraph, i: int) -> float:
+    """Smallest conditional-entropy gain any true neighbor of i in ``g``
+    provides, in bits, as the source ``src`` gives it.
 
     Minimizes, over sub-neighborhoods A of node i, remaining neighbors j, and
     two-hop vertices l adjacent to j, both gap families
@@ -158,10 +159,6 @@ def nondegeneracy_gap(joint: JointDistribution, g: MarkovGraph, i: int) -> float
     The model satisfies the non-degeneracy condition for any epsilon strictly
     below the returned value. An isolated vertex yields +inf (empty minimand).
     """
-    return _node_gap(ExactSource(joint), g, i)
-
-
-def _node_gap(src: ExactSource, g: MarkovGraph, i: int) -> float:
     if not 0 <= i < g.p:
         raise IndexError(f"vertex {i} out of range")
     nbrs = g.neighbors(i)
@@ -186,10 +183,10 @@ def _node_gap(src: ExactSource, g: MarkovGraph, i: int) -> float:
     return best
 
 
-def model_gap(joint: JointDistribution, g: MarkovGraph) -> float:
-    """Non-degeneracy gap minimized over every vertex, from one exact source."""
-    src = ExactSource(joint)
-    return min(_node_gap(src, g, i) for i in range(g.p))
+def model_gap(src: DistributionSource, g: MarkovGraph) -> float:
+    """Non-degeneracy gap minimized over every vertex of ``g``, from ``src``."""
+    # Widest vertex first, so a degree past the cap fails before any query.
+    return min(nondegeneracy_gap(src, g, i) for i in sorted(range(g.p), key=g.degree, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -208,14 +205,16 @@ class DecayProfile:
 
 
 def decay_profile(
-    joint: JointDistribution, g: MarkovGraph, i: int, max_set_size: int = 2
+    src: DistributionSource, g: MarkovGraph, i: int, max_set_size: int = 2
 ) -> DecayProfile:
-    """Measure max |P(local | x_B) - P(local)| per distance d(i, B).
+    """Measure max |P(local | x_B) - P(local)| per distance d(i, B) in ``g``,
+    from the marginals of the source ``src``.
 
     ``local`` is node i with its one- and two-hop neighborhoods; B ranges over
     nonempty subsets of the remaining vertices up to ``max_set_size``. Since
     the condition quantifies over all sets, bounding |B| makes the reported
-    values a lower bound on the true worst case.
+    values a lower bound on the true worst case. The widest marginal is
+    checked against DECAY_VARS_CAP before the first query.
     """
     if not 0 <= i < g.p:
         raise IndexError(f"vertex {i} out of range")
@@ -223,18 +222,18 @@ def decay_profile(
     two_hop = {w for j in one_hop for w in g.neighbors(j)} - one_hop - {i}
     local = tuple(sorted({i} | one_hop | two_hop))
     rest = [v for v in range(g.p) if v not in local]
-    q = joint.alphabet.size
-    p_local = joint.dense_marginal(local)
+    if len(local) + min(max_set_size, len(rest)) > DECAY_VARS_CAP:
+        raise CapacityError("decay measurement exceeds the variable cap")
+    q = src.alphabet.size
+    p_local = src.dense_marginal(local)
     worst: dict[int, float] = {}
     for size in range(1, max_set_size + 1):
         for b_set in combinations(rest, size):
-            if len(local) + len(b_set) > DECAY_VARS_CAP:
-                raise CapacityError("decay measurement exceeds the variable cap")
             dist = min(graph_distance(g, i, b) for b in b_set)
             if math.isinf(dist):
                 continue
             union = tuple(sorted(local + b_set))
-            m = joint.dense_marginal(union).reshape((q,) * len(union))
+            m = src.dense_marginal(union).reshape((q,) * len(union))
             # Move the B axes to the back so rows index the local assignment.
             b_axes = tuple(union.index(b) for b in b_set)
             l_axes = tuple(union.index(v) for v in local)

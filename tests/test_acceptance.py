@@ -78,7 +78,8 @@ RECOVERY_SPECS = (
 def _exact_setup(spec: ModelSpec):
     model = build(spec)
     joint = exact_joint(model)
-    return model, joint, ExactSource(joint), model_gap(joint, model.graph)
+    src = ExactSource(joint)
+    return model, joint, src, model_gap(src, model.graph)
 
 
 @lru_cache(maxsize=1)
@@ -176,7 +177,7 @@ def test_criterion_04_chow_liu_equivalence():
         model = _random_tree_model(rng, p)
         joint = exact_joint(model)
         src = ExactSource(joint)
-        gap = model_gap(joint, model.graph)
+        gap = model_gap(src, model.graph)
         res = learn_structure(src, LearnerConfig(epsilon=0.5 * gap, symmetrization="AND"))
         assert res.graph == chow_liu(src), f"tree {trees}: greedy != chow-liu"
         assert res.graph == model.graph, f"tree {trees}: wrong tree"

@@ -328,8 +328,9 @@ def test_library_modules_do_not_import_the_cli():
 
 
 def test_package_and_cli_import_only_what_they_run():
-    # The root re-exports nothing, and learn and oracle never load the
-    # experiment harness, the Gibbs sampler or the bound calculators.
+    # The root re-exports nothing, learn and oracle never load the experiment
+    # harness, the Gibbs sampler or the bound calculators, and experiment
+    # never loads the bound calculators either.
     code = (
         "import sys\n"
         "loaded = lambda: sorted(n for n in sys.modules if n.startswith('greedymrf.'))\n"
@@ -337,12 +338,15 @@ def test_package_and_cli_import_only_what_they_run():
         "print(' '.join(loaded()))\n"
         "import greedymrf.cli\n"
         "print(' '.join(loaded()))\n"
+        "import greedymrf.experiment\n"
+        "print(' '.join(loaded()))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    root, cli = (line.split() for line in proc.stdout.split("\n")[:2])
+    root, cli, experiment = (line.split() for line in proc.stdout.split("\n")[:3])
     assert root == [] and "greedymrf.cli" in cli
     assert not {"greedymrf.experiment", "greedymrf.gibbs", "greedymrf.theory"} & set(cli)
+    assert "greedymrf.experiment" in experiment and "greedymrf.theory" not in experiment
 
 
 def test_each_submodule_attribute_is_the_module():

@@ -142,7 +142,7 @@ class TestLearnStructure:
 
     def test_grid3_exact_recovery(self):
         model, src = exact_source(ModelSpec.grid(3, WeightRule.constant(0.5)))
-        gap = model_gap(exact_joint(model), model.graph)
+        gap = model_gap(src, model.graph)
         res = learn_structure(src, LearnerConfig(epsilon=0.9 * gap))
         assert res.graph == model.graph
 
@@ -353,7 +353,7 @@ class TestChowLiu:
             model = random_tree_model(rng, p)
             joint = exact_joint(model)
             src = ExactSource(joint)
-            gap = model_gap(joint, model.graph)
+            gap = model_gap(src, model.graph)
             res = learn_structure(src, LearnerConfig(epsilon=0.9 * gap, symmetrization="AND"))
             assert res.graph == chow_liu(src)
             assert res.graph == model.graph
@@ -368,7 +368,7 @@ class TestSuperNeighborhood:
         ]
         for spec in specs:
             model, src = exact_source(spec)
-            gap = model_gap(exact_joint(model), model.graph)
+            gap = model_gap(src, model.graph)
             cfg = LearnerConfig(epsilon=0.9 * gap)
             for i in range(model.p):
                 tr = greedy_neighborhood(src, i, cfg)
@@ -382,7 +382,7 @@ class TestSuperNeighborhood:
             ModelSpec.complete_dary_tree(2, 3, WeightRule.constant(0.5)),
         ):
             model, src = exact_source(spec)
-            gap = model_gap(exact_joint(model), model.graph)
+            gap = model_gap(src, model.graph)
             cfg = LearnerConfig(epsilon=0.9 * gap)
             for i in range(model.p):
                 nbrs = set(model.graph.neighbors(i))

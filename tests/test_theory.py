@@ -5,10 +5,13 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from greedymrf.dataset import CapacityError
-from greedymrf.generators import ModelSpec, WeightRule, build
-from greedymrf.models import IsingModel, MarkovGraph, exact_joint
+from greedymrf.dataset import Alphabet, CapacityError, DiscreteDataset
+from greedymrf.entropy import EmpiricalSource, ExactSource
+from greedymrf.generators import ModelSpec, WeightRule, build, model_size
+from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint, graph_distance
 from greedymrf.theory import (
     all_bound_reports,
     decay_profile,
@@ -151,7 +154,7 @@ class TestIsingNondegeneracyEpsilon:
 class TestNondegeneracyGap:
     def test_isolated_vertex_is_infinite(self):
         m = IsingModel(MarkovGraph(2, []), {})
-        assert math.isinf(nondegeneracy_gap(exact_joint(m), m.graph, 0))
+        assert math.isinf(nondegeneracy_gap(ExactSource.of_model(m), m.graph, 0))
 
     def test_two_node_closed_form(self):
         # single family: H(X_0) - H(X_0 | X_1) = 1 - H_b(agreement prob)
@@ -159,13 +162,13 @@ class TestNondegeneracyGap:
             m = build(ModelSpec.chain(2, WeightRule.constant(theta)))
             agree = math.exp(theta) / (math.exp(theta) + math.exp(-theta))
             expect = 1.0 - binary_entropy(agree)
-            got = nondegeneracy_gap(exact_joint(m), m.graph, 0)
+            got = nondegeneracy_gap(ExactSource.of_model(m), m.graph, 0)
             assert got == pytest.approx(expect, abs=1e-12)
 
     def test_chain3_matches_enumerated_oracle(self):
         m = build(ModelSpec.chain(3, WeightRule.constant(0.5)))
         table = ising_table(3, {(0, 1): 0.5, (1, 2): 0.5})
-        got = nondegeneracy_gap(exact_joint(m), m.graph, 1)
+        got = nondegeneracy_gap(ExactSource.of_model(m), m.graph, 1)
         assert got > 0
         best = math.inf
         nbrs = (0, 2)
@@ -188,7 +191,7 @@ class TestNondegeneracyGap:
         permuted = IsingModel(
             MarkovGraph(base.p, list(mapped_edges)), mapped_edges
         )
-        jb, jp = exact_joint(base), exact_joint(permuted)
+        jb, jp = ExactSource.of_model(base), ExactSource.of_model(permuted)
         for i in range(base.p):
             a = nondegeneracy_gap(jb, base.graph, i)
             b = nondegeneracy_gap(jp, permuted.graph, perm[i])
@@ -197,25 +200,25 @@ class TestNondegeneracyGap:
     def test_degree_cap(self):
         m = build(ModelSpec.complete_dary_tree(13, 1, WeightRule.constant(0.1)))
         with pytest.raises(CapacityError):
-            nondegeneracy_gap(exact_joint(m), m.graph, 0)
+            nondegeneracy_gap(ExactSource.of_model(m), m.graph, 0)
 
     def test_model_gap_bounds_every_node(self):
         m = build(ModelSpec.cycle(5, WeightRule.constant(0.5)))
-        j = exact_joint(m)
-        g = model_gap(j, m.graph)
-        assert all(nondegeneracy_gap(j, m.graph, i) >= g for i in range(5))
+        src = ExactSource.of_model(m)
+        g = model_gap(src, m.graph)
+        assert all(nondegeneracy_gap(src, m.graph, i) >= g for i in range(5))
 
 
 class TestDecayProfile:
     def test_independent_model_has_zero_influence(self):
         m = IsingModel(MarkovGraph(5, [(0, 1)]), {(0, 1): 0.5})
-        prof = decay_profile(exact_joint(m), m.graph, 0, max_set_size=1)
+        prof = decay_profile(ExactSource.of_model(m), m.graph, 0, max_set_size=1)
         # vertices 2..4 are disconnected from 0: no finite distances at all
         assert prof.by_distance == {}
 
     def test_chain5_profile_decreases(self):
         m = build(ModelSpec.chain(5, WeightRule.constant(0.5)))
-        prof = decay_profile(exact_joint(m), m.graph, 0, max_set_size=1)
+        prof = decay_profile(ExactSource.of_model(m), m.graph, 0, max_set_size=1)
         assert set(prof.by_distance) == {3, 4}
         assert prof.by_distance[4] < prof.by_distance[3]
         assert prof.is_monotone_decreasing()
@@ -223,7 +226,7 @@ class TestDecayProfile:
 
     def test_chain5_value_matches_oracle(self):
         m = build(ModelSpec.chain(5, WeightRule.constant(0.5)))
-        prof = decay_profile(exact_joint(m), m.graph, 0, max_set_size=1)
+        prof = decay_profile(ExactSource.of_model(m), m.graph, 0, max_set_size=1)
         table = ising_table(5, {(k, k + 1): 0.5 for k in range(4)})
         # local block of node 0 is {0,1,2}; B={3} at distance 3, B={4} at 4
         from _oracle import conditional_prob, marginal
@@ -239,25 +242,131 @@ class TestDecayProfile:
 
     def test_tree_profile_monotone(self):
         m = build(ModelSpec.complete_dary_tree(2, 3, WeightRule.constant(0.3)))
-        prof = decay_profile(exact_joint(m), m.graph, 0, max_set_size=1)
+        prof = decay_profile(ExactSource.of_model(m), m.graph, 0, max_set_size=1)
         assert prof.is_monotone_decreasing()
 
     def test_cycle_profile_reports_without_asserting_monotone(self):
         # cyclic models may break monotonicity; the profile reports it rather
         # than hiding it, and values stay in range
         m = build(ModelSpec.cycle(8, WeightRule.constant(0.5)))
-        prof = decay_profile(exact_joint(m), m.graph, 0, max_set_size=2)
+        prof = decay_profile(ExactSource.of_model(m), m.graph, 0, max_set_size=2)
         assert prof.by_distance  # distances 3 and 4 reachable
         assert all(0.0 <= v <= 1.0 for v in prof.by_distance.values())
         assert isinstance(prof.is_monotone_decreasing(), bool)
 
     def test_max_set_size_widens_or_keeps_profile(self):
         m = build(ModelSpec.chain(6, WeightRule.constant(0.5)))
-        j = exact_joint(m)
-        narrow = decay_profile(j, m.graph, 0, max_set_size=1)
-        wide = decay_profile(j, m.graph, 0, max_set_size=2)
+        src = ExactSource.of_model(m)
+        narrow = decay_profile(src, m.graph, 0, max_set_size=1)
+        wide = decay_profile(src, m.graph, 0, max_set_size=2)
         for d, v in narrow.by_distance.items():
             assert wide.by_distance[d] >= v - 1e-15
+
+
+class _CountingSource(ExactSource):
+    """An exact source that counts the marginal tables it reads."""
+
+    calls = 0
+
+    def _cells(self, variables):
+        self.calls += 1
+        return super()._cells(variables)
+
+
+class TestCapacityBeforeWork:
+    def test_model_gap_checks_every_degree_first(self):
+        # the star's centre, the last vertex, is the only one past the cap
+        star = MarkovGraph(14, [(k, 13) for k in range(13)])
+        src = _CountingSource.of_model(IsingModel(star, dict.fromkeys(star.sorted_edges(), 0.1)))
+        with pytest.raises(CapacityError):
+            model_gap(src, star)
+        assert src.calls == 0
+
+    def test_decay_checks_the_widest_marginal_first(self):
+        # node 0's local block is 0, 1..7 and 8..14 (15 variables); 15 and 16
+        # hang off 8 and 9, so single far sets fit the cap of 16 and pairs do not
+        edges = [(0, k) for k in range(1, 8)] + [(k, k + 7) for k in range(1, 8)]
+        g = MarkovGraph(17, edges + [(8, 15), (9, 16)])
+        src = _CountingSource.of_model(IsingModel(g, dict.fromkeys(g.sorted_edges(), 0.1)))
+        with pytest.raises(CapacityError):
+            decay_profile(src, g, 0, max_set_size=2)
+        assert src.calls == 0
+        assert set(decay_profile(src, g, 0, max_set_size=1).by_distance) == {3}
+        assert src.calls > 0
+
+
+def _axis_sum_profile(joint, g, i, max_set_size):
+    """The decay measurement over JointDistribution.dense_marginal: for each
+    far set B and each assignment x_B, P(local | x_B) is the slice of the
+    joint of local and B at x_B, normalised."""
+    q = joint.alphabet.size
+    one_hop = set(g.neighbors(i))
+    local = sorted({i} | one_hop | {w for j in one_hop for w in g.neighbors(j)})
+    p_local = joint.dense_marginal(local)
+    worst = {}
+    for size in range(1, max_set_size + 1):
+        for b_set in combinations([v for v in range(g.p) if v not in local], size):
+            dist = min(graph_distance(g, i, b) for b in b_set)
+            if math.isinf(dist):
+                continue
+            union = sorted(local + list(b_set))
+            table = joint.dense_marginal(union).reshape((q,) * len(union))
+            for xb in product(range(q), repeat=size):
+                at = dict(zip(b_set, xb))
+                block = table[tuple(at.get(v, slice(None)) for v in union)]
+                if block.sum() > 0:
+                    dev = float(np.abs(block.ravel() / block.sum() - p_local).max())
+                    worst[int(dist)] = max(worst.get(int(dist), 0.0), dev)
+    return worst
+
+
+_FAMILIES = st.one_of(
+    st.builds(lambda p, prob, seed: ("er", (p, prob, seed)),
+              st.integers(2, 10), st.floats(0.3, 0.7), st.integers(0, 999)),
+    st.builds(lambda p: ("cycle", (p,)), st.integers(3, 10)),
+    st.builds(lambda d, depth: ("tree", (d, depth)), st.integers(1, 3), st.integers(1, 3)),
+)
+_WEIGHTS = st.one_of(
+    st.builds(lambda t, seed: WeightRule("randsign", (t, seed)),
+              st.floats(0.1, 1.0), st.integers(0, 999)),
+    st.builds(lambda t: WeightRule("const", (t,)), st.floats(-1.0, 1.0).filter(bool)),
+)
+
+
+class TestSourceContract:
+    @settings(max_examples=40, deadline=None)
+    @given(_FAMILIES, _WEIGHTS, st.integers(1, 2), st.data())
+    def test_decay_matches_axis_sums(self, family, weights, max_set_size, data):
+        spec = ModelSpec(family[0], tuple(map(float, family[1])), weights)
+        assume(model_size(spec) <= 10)
+        m = build(spec)
+        i = data.draw(st.integers(0, m.p - 1))
+        got = decay_profile(ExactSource.of_model(m), m.graph, i, max_set_size)
+        want = _axis_sum_profile(exact_joint(m), m.graph, i, max_set_size)
+        assert set(got.by_distance) == set(want)
+        for d, v in want.items():
+            assert got.by_distance[d] == pytest.approx(v, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.sampled_from([2, 3]), st.integers(0, 2**16))
+    def test_exact_and_empirical_sources_agree(self, p, q, seed):
+        # rows list each assignment as often as its weight, so both sources
+        # hold one distribution and must give one gap and one profile
+        weights = np.random.default_rng(seed).integers(0, 4, size=q**p)
+        assume(weights.sum() > 0)
+        alphabet = Alphabet(tuple(map(str, range(q))))
+        exact = ExactSource(JointDistribution(p, alphabet, weights / weights.sum()))
+        rows = np.stack(np.unravel_index(np.repeat(np.arange(q**p), weights), (q,) * p), axis=1)
+        empirical = EmpiricalSource(DiscreteDataset([f"x{k}" for k in range(p)], alphabet, rows))
+        g = MarkovGraph(p, [(k, k + 1) for k in range(p - 1)])
+        for i in range(p):
+            assert nondegeneracy_gap(exact, g, i) == pytest.approx(
+                nondegeneracy_gap(empirical, g, i), abs=1e-12)
+            a = decay_profile(exact, g, i, max_set_size=2).by_distance
+            b = decay_profile(empirical, g, i, max_set_size=2).by_distance
+            assert set(a) == set(b)
+            for d, v in b.items():
+                assert a[d] == pytest.approx(v, abs=1e-12)
 
 
 class TestBoundReports:
