@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from codecs import BOM_UTF8
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
@@ -40,9 +41,12 @@ _PLANE_CELLS = 32
 _PLANE_WORDS = 1 << 15
 # CSV files are read this many bytes at a time and tokenised a block at a
 # time, each block cut at the last line break read. A block's arrays peak at
-# about 20-25 times its bytes for 1-2 byte tokens, so this bounds ingest's
+# about 12 times its bytes for 1-2 byte tokens, so this bounds ingest's
 # transient memory.
 _BLOCK_BYTES = 1 << 16
+# A block's keys that miss the key table are sorted this many tokens at a
+# time: a sort with its inverse holds about 60 bytes a token.
+_MISS_TOKENS = 1 << 12
 # A token of at most this many bytes is keyed exactly by one uint64; a
 # longer one by _LONG_KEY plus its place among its block's long tokens.
 _KEY_BYTES = 7
@@ -51,6 +55,13 @@ _LONG_KEY = (_KEY_BYTES + 1) << 56
 # Ingest's key table: 2^_SLOT_BITS slots, a key's slot the top bits of the
 # key times _HASH (2^64 over the golden ratio); _NO_KEY marks an empty slot.
 _SLOT_BITS, _HASH, _NO_KEY = 12, np.uint64(0x9E3779B97F4A7C15), np.uint64(2**64 - 1)
+# Ingest holds a block's raw-token ids packed at 1, 2 or 4 bits an id, 8, 4
+# or 2 to a byte, the first in the lowest bits. _UNPACKED[bits][b] is byte
+# b's ids, a byte each, as one little-endian word.
+# Built from Python ints: numpy operations at import raised max RSS by about
+# 0.25 MiB.
+_UNPACKED = {bits: np.array([sum((b >> bits * j & (1 << bits) - 1) << 8 * j for j in range(8 // bits))
+                              for b in range(256)], dtype=f"<u{8 // bits}") for bits in (1, 2, 4)}
 
 
 class DatasetError(ValueError):
@@ -462,55 +473,86 @@ class IngestOptions:
 
 
 def _relabel(
-    names: Sequence[str], codes: np.ndarray | list[np.ndarray], tokens: Sequence[str],
+    names: Sequence[str], parts: list[tuple[int, int, np.ndarray]], tokens: Sequence[str],
     rules: tuple[tuple[str, str], ...], alphabet: tuple[str, ...] | None,
-    extra: tuple[str, ...] = (), occur: bool = False, missing: str | None = None,
-    participation: float | None = None,
+    extra: tuple[str, ...] = (), kept: Sequence[int] | None = None,
+    found: Sequence[int] | None = None,
 ) -> DiscreteDataset:
-    """Dataset of ``tokens[codes]`` after ``rules`` (the first rule whose
-    source equals a token wins; its result is not mapped again), indexed in
-    ``alphabet`` or else in the sorted mapped tokens that occur plus
-    ``extra``. Only the distinct tokens that occur (all, if ``occur``) are
-    mapped and indexed. With ``participation``, only the columns where at
-    least that share of cells are not ``missing`` are kept. ``codes`` is a
-    code matrix or a list of its row blocks, emptied as they are written.
+    """Dataset of the codes in ``parts`` as ``tokens`` after ``rules`` (the
+    first rule whose source equals a token wins; its result is not mapped
+    again), indexed in ``alphabet`` or else in the sorted mapped tokens of
+    the codes ``found`` (default: every code) plus ``extra``. Only the
+    ``found`` tokens are mapped and indexed, and only the columns ``kept``
+    (default: all) are written. ``parts`` holds the code matrix's row blocks
+    in order as (rows, bits, codes): the codes packed by :func:`_pack` at
+    ``bits`` a code, or, at 0 bits, a (rows, p) array. Each block is let go
+    once it is written.
     """
-    step = max(1, _BLOCK_BYTES // len(names))
-    parts = ([codes[r : r + step] for r in range(0, len(codes), step)]
-             if isinstance(codes, np.ndarray) else codes)
-    n, kept = sum(map(len, parts)), range(len(names))
-    if participation is not None:
-        if not 0.0 <= participation <= 1.0:
-            raise DatasetError(f"threshold {participation} outside [0, 1]")
-        lost = [k for k, t in enumerate(tokens) if t == missing]
-        absent = sum(((part == k).sum(axis=0) for part in parts for k in lost),
-                     np.zeros(len(names), dtype=np.int64))
-        kept = np.flatnonzero((n - absent) / n >= participation).tolist()
-        if not kept:
-            raise EmptyDatasetError("participation filter removed every column")
-    cols = slice(None) if (whole := len(kept) == len(names)) else kept
+    p = len(names)
+    kept = range(p) if kept is None else kept
+    cols = slice(None) if len(kept) == p else kept
     first = dict(reversed(rules))
-    found: Sequence[int] = range(len(tokens))
-    if not (occur and whole):
-        # Marking seen codes casts no copy of them to intp, as a bincount would.
-        seen = np.zeros(len(tokens), dtype=bool)
-        for part in parts:
-            seen[part[:, cols]] = True
-        found = np.flatnonzero(seen).tolist()
+    found = range(len(tokens)) if found is None else found
     mapped = {k: first.get(tokens[k], tokens[k]) for k in found}
     alph = Alphabet(tuple(sorted({*mapped.values(), *extra})) if alphabet is None else alphabet)
     lut = np.zeros(len(tokens), dtype=np.min_scalar_type(alph.size - 1))
     lut[list(mapped)] = [alph.index_of(token) for token in mapped.values()]
     # The looked-up ids go straight to column order, a block of rows at a
-    # time, each let go once written, so no second full-size array is made.
-    values = np.empty((n, len(kept)), dtype=lut.dtype, order="F")
+    # time, each let go once written, so no second full-size array is made;
+    # packed blocks are unpacked, one at a time, into one reused buffer.
+    values = np.empty((sum(rows for rows, _, _ in parts), len(kept)), dtype=lut.dtype, order="F")
+    buf = np.empty(max((codes.size * (8 // bits) for _, bits, codes in parts if bits), default=0),
+                   dtype=np.uint8)
     at = 0
     parts.reverse()
     while parts:
-        part = parts.pop()[:, cols]
-        values[at : at + len(part)] = lut[part]
-        at += len(part)
+        rows, bits, codes = parts.pop()
+        if bits:
+            codes = _unpack(codes, bits, buf)[: rows * p].reshape(rows, p)
+        values[at : at + rows] = lut[codes[:, cols]]
+        at += rows
     return DiscreteDataset([names[c] for c in kept], alph, values, _owned=True)
+
+
+def _row_blocks(values: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """The unpacked row blocks of a dataset's values, as :func:`_relabel` takes them."""
+    step = max(1, _BLOCK_BYTES // values.shape[1])
+    return [(len(values[r : r + step]), 0, values[r : r + step]) for r in range(0, len(values), step)]
+
+
+def _kept(absent: np.ndarray, rows: int, participation: float) -> list[int]:
+    """The columns where at least a ``participation`` share of the ``rows``
+    cells are not missing, given each column's ``absent`` (missing) cells."""
+    if not 0.0 <= participation <= 1.0:
+        raise DatasetError(f"threshold {participation} outside [0, 1]")
+    kept = np.flatnonzero((rows - absent) / rows >= participation).tolist()
+    if not kept:
+        raise EmptyDatasetError("participation filter removed every column")
+    return kept
+
+
+def _pack(ids: np.ndarray, bits: int) -> np.ndarray:
+    """``ids``, each below 2^bits, flattened and packed 8 // bits to a
+    byte, the first in the lowest bits; the last byte is padded with 0s."""
+    per = 8 // bits
+    cells = np.zeros(-(-ids.size // per) * per, dtype=np.uint8)
+    cells[: ids.size] = ids.ravel()
+    # Id j of a byte is byte j of a little-endian word, shifted down to bit
+    # bits * j by (8 - bits) * j; the word's low byte is the packed byte.
+    words = cells.view(f"<u{per}")
+    packed = words.copy()
+    for j in range(1, per):
+        packed |= words >> (8 - bits) * j
+    return packed.astype(np.uint8)
+
+
+def _unpack(packed: np.ndarray, bits: int, buf: np.ndarray) -> np.ndarray:
+    """The ids of :func:`_pack`, padding included, written to the front of
+    ``buf``: each byte is looked up as the word of its 8 // bits ids."""
+    words = _UNPACKED[bits]
+    out = buf[: packed.size * (8 // bits)].view(words.dtype)
+    np.take(words, packed, out=out, mode="clip")  # clip: an unchecked, unbuffered take
+    return out.view(np.uint8)
 
 
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:
@@ -542,30 +584,39 @@ def _tokens(block: bytes, longs: dict) -> tuple[np.ndarray, np.ndarray, dict[int
     text = data[: len(block)]
     brk = text == ord("\n")
     brk |= text == ord("\r")
-    ends = np.flatnonzero(brk | (text == ord(",")))
-    sizes = np.diff(ends, prepend=-1) - 1
+    sep = text == ord(",")
+    sep |= brk
+    # Positions and sizes take four bytes a token wherever the block allows.
+    small = np.int32 if len(text) < 1 << 31 else np.int64
+    ends = np.flatnonzero(sep).astype(small)
+    del sep
+    sizes = np.diff(ends, prepend=small(-1))
+    sizes -= 1
     longest = sizes.max()
     eol = brk[ends]
+    del brk
     if not sizes.all():
         # An empty token that ends a line is the last field of its row, or,
         # when right after a line break (or the block's start), a blank line.
         kept = (sizes > 0) | ~eol | ~np.concatenate(([True], eol[:-1]))
         ends, sizes, eol = ends[kept], sizes[kept], eol[kept]
+    starts = np.subtract(ends, sizes, out=ends)
     # words[i] is the 8 bytes from text[i] on, an unaligned view that the
     # _KEY_BYTES spare bytes of data keep inside the buffer.
     words = np.ndarray((len(text),), dtype="<u8", buffer=data, strides=(1,))
     keyed = np.minimum(sizes, _KEY_BYTES) if longest > _KEY_BYTES else sizes
-    # In-place steps hold at most four token-long arrays at once.
-    keys = words[ends - sizes]
+    # In-place steps hold at most two token-long uint64 arrays at once; the
+    # key's top byte takes the length, truncated where a long key replaces it.
+    keys = words[starts]
     keys &= _KEY_MASKS[keyed]
-    keys |= (sizes << 56).view(np.uint64)
+    keys.view(np.uint8)[_KEY_BYTES :: 8] = sizes
     here: dict[int, bytes] = {}
     # Long keys are replaced by one sort per length of the text's fixed-width
     # records. The lengths go in a set: a plain np.unique imports numpy.ma.
     for size in set(sizes[sizes > _KEY_BYTES].tolist()) if longest > _KEY_BYTES else ():
         at = np.flatnonzero(sizes == size)
         records = np.ndarray((len(text) - size + 1,), dtype=f"V{size}", buffer=data, strides=(1,))
-        found, inverse = np.unique(records[ends[at] - size], return_inverse=True)
+        found, inverse = np.unique(records[starts[at]], return_inverse=True)
         place = [longs.setdefault(r, len(longs)) + _LONG_KEY for r in found.tolist()]
         keys[at] = np.array(place, dtype=np.uint64)[inverse]
         here.update(zip(place, found.tolist()))
@@ -576,20 +627,25 @@ def _block_ids(block: bytes, p: int, ids: dict[str, int], table: np.ndarray,
                longs: dict[bytes, int], path: str | Path, row: int) -> np.ndarray:
     """Raw-token ids of the body rows in ``block``, one row each, for a file
     whose rows before the block number ``row``. Only keys that miss the
-    (key, id) slots of ``table`` are decoded; new tokens join ``ids`` in the
-    order they first occur, and the first key met in a free slot takes it.
-    Raises :class:`ParseError` at the first row that does not decode or
-    does not hold ``p`` fields.
+    (key, id) slots of ``table`` are decoded, sorted ``_MISS_TOKENS`` tokens
+    at a time; new tokens join ``ids`` in the order they first occur, and
+    the first key met in a free slot takes it. Raises :class:`ParseError` at
+    the first row that does not decode or does not hold ``p`` fields.
     """
     keys, eol, here = _tokens(block, longs)
     if not keys.size:
         return np.zeros((0, p), dtype=np.uint8)
     slot = _slots(keys)
-    raw, miss = table[1, slot], np.flatnonzero(table[0, slot] != keys)
-    del slot  # so a block of misses is sorted without it
+    hit = table[0, slot] == keys
+    # A block adds at most one id a token, so this type holds every id.
+    raw = table[1].astype(np.min_scalar_type(len(ids) + keys.size - 1))[slot]
+    del slot  # so the misses are sorted without it
     bad = None
-    if miss.size:
-        distinct, inverse = np.unique(keys[miss], return_inverse=True)
+    for start in range(0, keys.size, _MISS_TOKENS) if not hit.all() else ():
+        miss = np.flatnonzero(~hit[start : start + _MISS_TOKENS]) + start
+        if not miss.size:
+            continue
+        distinct, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
         tokens: list[str | None] = []
         for key in distinct.tolist():
             text = here[key] if key >> 56 > _KEY_BYTES else key.to_bytes(8, "little")[: key >> 56]
@@ -600,14 +656,14 @@ def _block_ids(block: bytes, p: int, ids: dict[str, int], table: np.ndarray,
         if None in tokens:
             at = miss[np.isin(inverse, [k for k, t in enumerate(tokens) if t is None])][0]
             bad = np.count_nonzero(eol[:at])
-        else:
-            for k in dict.fromkeys(inverse.tolist()):  # one walk of the misses, in order
-                ids.setdefault(tokens[k], len(ids))
-            found = np.array([ids[t] for t in tokens], dtype=np.uint64)
-            raw[miss] = found[inverse]
-            slot, first = np.unique(_slots(distinct), return_index=True)
-            free = table[0, slot] == _NO_KEY
-            table[:, slot[free]] = distinct[first[free]], found[first[free]]
+            break
+        for k in np.argsort(first).tolist():  # the distinct keys in the order they first occur
+            ids.setdefault(tokens[k], len(ids))
+        found = np.array([ids[t] for t in tokens], dtype=raw.dtype)
+        raw[miss] = found[inverse]
+        slot, first = np.unique(_slots(distinct), return_index=True)
+        free = table[0, slot] == _NO_KEY
+        table[:, slot[free]] = distinct[first[free]], found[first[free]]
     # Every row holds p fields when every p-th token, and no other, ends one.
     if keys.size % p or np.count_nonzero(eol) * p != keys.size or not eol[p - 1 :: p].all():
         fields = np.diff(np.flatnonzero(eol), prepend=-1)
@@ -617,12 +673,14 @@ def _block_ids(block: bytes, p: int, ids: dict[str, int], table: np.ndarray,
                              f"fields, expected {p}")
     if bad is not None:
         raise ParseError(f"{path}: body row {row + bad + 1} is not valid UTF-8")
-    return raw.astype(np.min_scalar_type(len(ids) - 1)).reshape(-1, p)
+    return raw.astype(np.min_scalar_type(len(ids) - 1), copy=False).reshape(-1, p)
 
 
 def _slots(keys: np.ndarray) -> np.ndarray:
-    # An int64 index is not cast, as a uint64 one would be.
-    return ((keys * _HASH) >> np.uint64(64 - _SLOT_BITS)).view(np.int64)
+    # Two bytes a slot; a uint16 index is cast a buffer at a time, not copied.
+    hashed = keys * _HASH
+    hashed >>= np.uint64(64 - _SLOT_BITS)
+    return hashed.astype(np.uint16)
 
 
 def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
@@ -640,13 +698,16 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
     ``remap_values(filter_participation(load_csv(path, missing=missing),
     missing, participation), value_map, alphabet)``, relabelled once.
     The file is tokenised a block of about ``_BLOCK_BYTES`` at a time, its
-    keys looked up in a table carried across blocks, so ingest holds each
-    block's raw-token ids, in the smallest unsigned dtype that holds them,
-    and the kept columns' values, not the file's text.
+    keys looked up in a table carried across blocks. Each block's raw-token
+    ids are held packed at w = 1, 2 or 4 bits an id, the fewest that hold
+    every distinct raw token read so far (up to 2, 4 or 16 of them), or past
+    16 tokens in the smallest unsigned dtype; a block keeps the width it was
+    stored at. So ingest holds w/8 byte a cell and the kept columns' values,
+    not the file's text.
     """
     ids: dict[str, int] = {}
     table, longs = np.full((2, 1 << _SLOT_BITS), _NO_KEY), {}
-    parts: list[np.ndarray] = []
+    parts: list[tuple[int, int, np.ndarray]] = []
     names: list[str] | None = None
     rows = 0
     with open(path, "rb") as fh:
@@ -661,20 +722,48 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
                 except UnicodeDecodeError:
                     raise ParseError(f"{path}: header is not valid UTF-8") from None
                 block = block[len(header):]
-            parts.append(_block_ids(block, len(names), ids, table, longs, path, rows))
-            rows += len(parts[-1])
+                # With a participation rule, what the column filter reads is
+                # taken from each block's ids before they are packed: each
+                # column's missing cells, and the ids of the packed blocks
+                # in each column as the bits 1 << id.
+                absent = np.zeros(len(names), dtype=np.int64)
+                held = np.zeros(len(names), dtype=np.uint16)
+                lost: list[int] = []
+            known = len(ids)
+            raw = _block_ids(block, len(names), ids, table, longs, path, rows)
+            bits = next((w for w in (1, 2, 4) if len(ids) <= 1 << w), 0)
+            if participation is not None:
+                lost += [k for k, t in enumerate(islice(ids, known, None), known)
+                         if t.strip() == missing]
+                for k in lost:
+                    absent += (raw == k).sum(axis=0)
+                if bits:
+                    held |= np.bitwise_or.reduce(np.left_shift(1, raw, dtype=np.uint16), axis=0)
+            parts.append((len(raw), bits, _pack(raw, bits) if bits else raw))
+            rows += len(raw)
     if names is None:
         raise ParseError(f"{path}: empty file")
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
     tokens, extra = [t.strip() for t in ids], () if missing is None else (missing,)
+    kept = found = None
     if participation is not None:  # the checks of the raw dataset the filter reads
         Alphabet(tuple(sorted({*tokens, *extra})))
         if len(set(names)) < len(names):
             raise DatasetError("variable names must be unique")
         extra = ()
-    return _relabel(names, parts, tokens, options.value_map, options.alphabet, extra,
-                    occur=True, missing=missing, participation=participation)
+        kept = _kept(absent, rows, participation)
+        if len(kept) < len(names):
+            # The ids that occur in the kept columns: from the bits of the
+            # packed blocks, and by reading the others.
+            seen = np.zeros(len(tokens), dtype=bool)
+            mask = int(np.bitwise_or.reduce(held[kept]))
+            seen[[k for k in range(min(16, len(tokens))) if mask >> k & 1]] = True
+            for _, bits, codes in parts:
+                if not bits:
+                    seen[codes[:, kept]] = True
+            found = np.flatnonzero(seen).tolist()
+    return _relabel(names, parts, tokens, options.value_map, options.alphabet, extra, kept, found)
 
 
 def write_csv(ds: DiscreteDataset, path: str | Path) -> None:
@@ -691,7 +780,12 @@ def remap_values(
     alphabet: tuple[str, ...] | None = None,
 ) -> DiscreteDataset:
     """Apply ordered token->token rules and re-infer (or force) the alphabet."""
-    return _relabel(ds.names, ds.values, ds.alphabet.symbols, rules, alphabet)
+    # Marking seen codes casts no copy of them to intp, as a bincount would.
+    seen = np.zeros(ds.alphabet.size, dtype=bool)
+    for column in ds.values.T:
+        seen[column] = True
+    return _relabel(ds.names, _row_blocks(ds.values), ds.alphabet.symbols, rules, alphabet,
+                    found=np.flatnonzero(seen).tolist())
 
 
 def filter_participation(
@@ -702,5 +796,10 @@ def filter_participation(
     A ``missing_symbol`` outside the alphabet marks no entry missing. Sample
     rows are never dropped; column order is preserved.
     """
-    return _relabel(raw.names, raw.values, raw.alphabet.symbols, (), raw.alphabet.symbols,
-                    missing=missing_symbol, participation=threshold)
+    symbols = raw.alphabet.symbols
+    absent = np.zeros(raw.p, dtype=np.int64)
+    if missing_symbol in symbols:
+        k = symbols.index(missing_symbol)
+        absent[:] = [np.count_nonzero(column == k) for column in raw.values.T]
+    kept = _kept(absent, raw.n, threshold)
+    return _relabel(raw.names, _row_blocks(raw.values), symbols, (), symbols, kept=kept)

@@ -149,6 +149,12 @@ def all_bound_reports(*, log_base2: bool = True, **inputs: float | None) -> list
     return out
 
 
+def _check_sizes(src: DistributionSource, g: MarkovGraph) -> None:
+    # A smaller graph would silently measure the marginal of its first vertices.
+    if g.p != src.p:
+        raise ValueError(f"graph has {g.p} vertices, source has {src.p} variables")
+
+
 def nondegeneracy_gap(src: DistributionSource, g: MarkovGraph, i: int) -> float:
     """Smallest conditional-entropy gain any true neighbor of i in ``g``
     provides, in bits, as the source ``src`` gives it.
@@ -158,7 +164,9 @@ def nondegeneracy_gap(src: DistributionSource, g: MarkovGraph, i: int) -> float:
     H(X_i|X_A) - H(X_i|X_A, X_j) and H(X_i|X_A, X_l) - H(X_i|X_A, X_j, X_l).
     The model satisfies the non-degeneracy condition for any epsilon strictly
     below the returned value. An isolated vertex yields +inf (empty minimand).
+    Raises ValueError before any query when ``g`` and ``src`` differ in size.
     """
+    _check_sizes(src, g)
     if not 0 <= i < g.p:
         raise IndexError(f"vertex {i} out of range")
     nbrs = g.neighbors(i)
@@ -214,8 +222,10 @@ def decay_profile(
     nonempty subsets of the remaining vertices up to ``max_set_size``. Since
     the condition quantifies over all sets, bounding |B| makes the reported
     values a lower bound on the true worst case. The widest marginal is
-    checked against DECAY_VARS_CAP before the first query.
+    checked against DECAY_VARS_CAP, and ``g``'s size against ``src``'s,
+    before the first query.
     """
+    _check_sizes(src, g)
     if not 0 <= i < g.p:
         raise IndexError(f"vertex {i} out of range")
     one_hop = set(g.neighbors(i))

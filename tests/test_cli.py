@@ -133,6 +133,27 @@ class TestLearn:
         ])
         assert rc == 0 and len(calls) == 1
 
+    def test_participation_ingest_is_clean_under_dev_mode(self, tmp_path):
+        # -X dev -W error turns an unclosed file, a deprecated call or any
+        # other warning on the ingest path into a failure or stderr output.
+        rng = np.random.default_rng(5)
+        table = rng.choice(["Yea", "Nay", "Absent"], size=(4000, 6), p=[0.45, 0.45, 0.1])
+        table[:, 5] = rng.choice(["Yea", "Absent"], size=4000)
+        f = tmp_path / "v.csv"
+        f.write_text("\n".join([",".join(f"m{k}" for k in range(6))]
+                               + [",".join(row) for row in table]) + "\n")
+        root = Path(__file__).resolve().parent.parent
+        paths = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "greedymrf", "learn", str(f),
+             "--map", "Yea=+1", "--map", "Nay=-1", "--map", "Absent=-1", "--missing", "Absent",
+             "--participation", "0.75", "--epsilon", "0.1", "--out-dir", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert doc["variable_names"] == [f"m{k}" for k in range(5)]
+
     def test_participation_needs_missing_flag(self, tmp_path):
         _, f = sample_csv(tmp_path, ModelSpec.chain(3, WeightRule.constant(0.5)), 100, 2)
         rc = main(["learn", str(f), "--epsilon", "0.1", "--participation", "0.75",

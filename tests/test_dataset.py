@@ -1,5 +1,6 @@
 """Dataset construction, CSV ingestion, and empirical probability queries."""
 
+import re
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -104,27 +105,35 @@ class TestLoadCsv:
         f.write_bytes(b"\n\nc0,c1\r\na,b\r\n\r\nb,a")
         assert load_csv(f).values.tolist() == [[0, 1], [1, 0]]
 
-    @pytest.mark.parametrize("symbols, participation", [
-        (("Yea", "Nay", "Absent"), None), (("1", "-1"), None),
-        (("democrat", "republican", "abstained"), None),
-        (("Yea", "Nay", "Absent"), 0.9), (("1", "-1"), 0.9),
-        (("democrat", "republican", "abstained"), 0.9),
-    ], ids=["votes", "grid", "party", "votes-kept", "grid-kept", "party-kept"])
+    @pytest.mark.parametrize("symbols, participation, late", [
+        (("Yea", "Nay", "Absent"), None, ()), (("1", "-1"), None, ()),
+        (("democrat", "republican", "abstained"), None, ()),
+        (("Yea", "Nay", "Absent"), 0.9, ()), (("1", "-1"), 0.9, ()),
+        (("democrat", "republican", "abstained"), 0.9, ()),
+        (("Yea", "Nay", "Absent"), None, tuple(f"{k:02d}"[:k % 2 + 1] for k in range(60))),
+    ], ids=["votes", "grid", "party", "votes-kept", "grid-kept", "party-kept", "votes-late"])
     def test_ingest_peak_is_compact_ids_and_a_bounded_block(self, tmp_path, symbols,
-                                                            participation):
-        # The file is tokenised a block at a time into ids of a byte each, so
-        # the peak is a byte per cell (the ids) plus a byte per kept cell
-        # (the dataset's column-major values, which take the looked-up ids
-        # straight, each block of ids let go once written) plus a few
+                                                            participation, late):
+        # The file is tokenised a block at a time into ids of at most a byte
+        # each, so the peak is a byte per cell (the ids) plus a byte per kept
+        # cell (the dataset's column-major values, which take the looked-up
+        # ids straight, each block of ids let go once written) plus a few
         # blocks' arrays, never the file's text or int64 ids. Short tokens
         # put the most tokens, and so the largest arrays, in a block. Holding
         # a C-order lookup and its copy as well read three bytes per cell.
         # Tokens longer than a key are sorted by length in each block, within
         # the same bound. With a participation rule, half the columns miss
-        # half their cells and are dropped before any is relabelled.
+        # half their cells and are dropped before any is relabelled. In the
+        # late case the last blocks bring 1-2 byte tokens that all miss the
+        # key table while nearly every id is held; their misses are sorted
+        # a bounded run of tokens at a time.
         rows, p = 50000, 20
         f = tmp_path / "t.csv"
-        tokens = np.random.default_rng(0).choice(symbols, size=(rows, p))
+        rng = np.random.default_rng(0)
+        tokens = rng.choice(symbols, size=(rows, p))
+        if late:
+            tokens = tokens.astype(object)
+            tokens[-3000:] = rng.choice(late, size=(3000, p))
         kept = p
         if participation is not None:
             tokens[: rows // 2, 1::2] = "?"
@@ -140,6 +149,44 @@ class TestLoadCsv:
             tracemalloc.stop()
         assert ds.p == kept
         assert peak <= rows * p + rows * kept + 16 * dataset._BLOCK_BYTES
+
+    @pytest.mark.parametrize("symbols, late, participation, bits", [
+        (("1", "-1"), (), None, 1),
+        (("Yea", "Nay", "Absent"), (), None, 2), (("Yea", "Nay", "Absent"), (), 0.9, 2),
+        (tuple("abcdefghij"), (), None, 4), (tuple("abcdefghij"), (), 0.9, 4),
+        (("1", "-1"), ("a", "b"), None, 2), (("1", "-1"), tuple("abcdefghijkl"), 0.9, 4),
+    ], ids=["1", "2", "2-kept", "4", "4-kept", "1-late-2", "1-late-4-kept"])
+    def test_ingest_peak_is_packed_ids_and_a_bounded_block(self, tmp_path, symbols, late,
+                                                           participation, bits):
+        # While a file has at most 2, 4 or 16 distinct raw tokens its blocks'
+        # ids are held at 1, 2 or 4 bits a cell, so the peak is bits/8 byte a
+        # cell plus a byte per kept cell plus a few blocks (a missing token is
+        # one more raw token, so a participation case needs 2 bits). In the late cases
+        # new 1-2 byte tokens, all missing the key table, come after most ids
+        # are held; earlier blocks keep their narrower packing.
+        rows, p = 50000, 20
+        f = tmp_path / "t.csv"
+        rng = np.random.default_rng(1)
+        tokens = rng.choice(symbols + ("?",) * (participation is not None), size=(rows, p))
+        if late:
+            tokens[-3000:] = rng.choice(late, size=(3000, p))
+        kept = p
+        if participation is not None:
+            tokens[: rows // 2, 1::2] = "?"
+            tokens[rows // 2 :, 1::2] = rng.choice(symbols, size=(rows - rows // 2, p // 2))
+            tokens[:, ::2] = np.where(tokens[:, ::2] == "?", symbols[0], tokens[:, ::2])
+            kept = p // 2
+        f.write_text("\n".join([",".join(f"v{k}" for k in range(p))]
+                               + [",".join(row) for row in tokens]) + "\n")
+        tracemalloc.start()
+        try:
+            ds = (load_csv(f) if participation is None
+                  else load_csv(f, missing="?", participation=participation))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.p == kept
+        assert peak <= rows * p * bits // 8 + rows * kept + 16 * dataset._BLOCK_BYTES
 
     def test_the_constructor_copies_even_a_column_major_array(self, tmp_path):
         # Only relabelling hands over the array it built; a caller's array
@@ -363,7 +410,8 @@ def line_loop_load_csv(path, options=IngestOptions()):
             codes.extend([ids.setdefault(t, len(ids)) for t in toks])
     if not codes:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return dataset._relabel(names, np.frombuffer(codes, np.int64).reshape(-1, p),
+    codes = np.frombuffer(codes, np.int64).reshape(-1, p)
+    return dataset._relabel(names, [(len(codes), 0, codes)],
                             [t.strip() for t in ids], options.value_map, options.alphabet)
 
 
@@ -483,6 +531,128 @@ class TestParticipationIngestMatchesFilterThenRemap:
         want = classed(lambda: remap_values(filter_participation(
             load_csv(f, missing=missing), missing, threshold), rules, alphabet))
         assert got == want
+
+
+def line_by_line_ingest(path, options=IngestOptions(), missing=None, participation=None):
+    """Reference ingest over the file's bytes a line at a time: the dataset
+    of ``load_csv(path, options, missing, participation)`` or its error,
+    each cell stripped, mapped and indexed on its own."""
+    lines = [ln for ln in re.split(rb"[\r\n]", Path(path).read_bytes()) if ln]
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    try:
+        names = [t.strip() for t in lines[0].decode("utf-8").split(",")]
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: header is not valid UTF-8") from None
+    rows = []
+    for rownum, line in enumerate(lines[1:], start=1):
+        try:
+            toks = [t.strip() for t in line.decode("utf-8").split(",")]
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: body row {rownum} is not valid UTF-8") from None
+        if len(toks) != len(names):
+            raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, "
+                             f"expected {len(names)}")
+        rows.append(toks)
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no data rows")
+    extra = [] if missing is None else [missing]
+    if participation is not None:
+        Alphabet(tuple(sorted({t for row in rows for t in row} | {missing})))
+        if len(set(names)) < len(names):
+            raise DatasetError("variable names must be unique")
+        if not 0.0 <= participation <= 1.0:
+            raise DatasetError(f"threshold {participation} outside [0, 1]")
+        n = len(rows)
+        kept = [c for c in range(len(names))
+                if (n - sum(row[c] == missing for row in rows)) / n >= participation]
+        if not kept:
+            raise EmptyDatasetError("participation filter removed every column")
+        names, rows, extra = [names[c] for c in kept], [[row[c] for c in kept] for row in rows], []
+    rows = [[per_cell_map(t, options.value_map) for t in row] for row in rows]
+    alphabet = options.alphabet
+    if alphabet is None:
+        alphabet = sorted({t for row in rows for t in row} | set(extra))
+    return per_cell_index(names, rows, alphabet)
+
+
+# Raw tokens introduced in a shuffled order: some strip to one token, two
+# are longer than a key, and one is in most files taken as missing.
+GROWING = ("Yea", " Yea", "Nay", "Absent", "", "not voting", "棄権", "abstained-long") + tuple(
+    f"t{k}" for k in range(300))
+
+
+@st.composite
+def growing_files(draw):
+    """Files whose distinct raw tokens pass 2, 4, 16 or 256 partway through
+    (the first half of the cells brings them in), with LF, CRLF and CR line
+    ends, blank lines, and maybe one bad row: ragged or not valid UTF-8.
+    Returns the bytes, the first raw token stripped, and every token stripped."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = int(rng.integers(1, 5))
+    count = int(rng.choice([2, 3, 4, 5, 12, 16, 17, 40, 257]))
+    rows = int(rng.integers(1, 31)) + count // p
+    pool = np.array(GROWING, dtype=object)[rng.permutation(len(GROWING))[:count]]
+    cells = rows * p
+    known = np.minimum(count, 1 + np.arange(cells) * count // max(1, cells // 2))
+    table = pool[(rng.random(cells) * known).astype(np.int64)].reshape(rows, p)
+    # Some columns, the last always and the first never, are mostly the
+    # first raw token, so a rule taking it as missing drops them only.
+    sparse = [False] * (p > 1) + (rng.random(max(0, p - 2)) < 0.5).tolist() + [True]
+    table[:, sparse] = np.where(rng.random((rows, sum(sparse))) < 0.6, pool[0], table[:, sparse])
+    lines = [",".join(f"c{k}" for k in range(p)).encode()] + [",".join(r).encode() for r in table]
+    bad = draw(st.sampled_from(["none"] * 8 + ["ragged", "utf8"]))
+    at = draw(st.integers(1, rows))
+    if bad == "ragged":
+        lines[at] += b",x"
+    elif bad == "utf8":
+        lines[at] = b"\xff" + lines[at]
+    text = b""
+    for line in lines:
+        text += line + draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+        if draw(st.integers(0, 9)) == 0:
+            text += draw(st.sampled_from([b"\n", b"\r\n", b"\n\n"]))
+    return text, pool[0].strip(), sorted({t.strip() for t in pool})
+
+
+class TestPackedIngestMatchesLineByLine:
+    """Blocks held at different widths as the raw tokens pass 2, 4, 16 and
+    256 must give the line-by-line dataset, or its error, with or without a
+    participation rule, value map and forced alphabet."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(file=growing_files(), block=st.sampled_from([1, 16, 64, 1 << 10]), data=st.data())
+    def test_load_csv(self, tmp_path_factory, file, block, data):
+        text, first, stripped = file
+        missing = participation = None
+        if data.draw(st.integers(0, 2)):
+            missing = data.draw(st.sampled_from([first] * 4 + ["Excused"]) | st.sampled_from(stripped))
+            participation = data.draw(st.sampled_from([0.0, 0.5, 0.5, 0.75, 0.75, 1.0])
+                                      | st.floats(0, 1))
+        targets = stripped[:6] + ["+1", "-1"]
+        rule = st.tuples(st.sampled_from(stripped), st.sampled_from(targets))
+        rules = tuple(data.draw(st.lists(rule, max_size=4)))
+        # A forced alphabet holds every mapped token, in any order, or all
+        # but one, which fails unless only dropped columns hold it.
+        alphabet = None
+        if data.draw(st.booleans()):
+            mapped = sorted({per_cell_map(t, rules) for t in stripped} | {"Excused"})
+            alphabet = tuple(data.draw(st.permutations(mapped)))[data.draw(st.integers(0, 1)):]
+        opts = IngestOptions(value_map=rules, alphabet=alphabet)
+        f = tmp_path_factory.mktemp("grow") / "d.csv"
+        f.write_bytes(text)
+
+        def result(fn):
+            try:
+                return fn(f, opts, missing, participation)
+            except ParseError as err:
+                return ParseError, str(err)
+            except DatasetError as err:
+                return type(err)
+
+        with mock.patch.object(dataset, "_BLOCK_BYTES", block):
+            got = result(load_csv)
+        assert got == result(line_by_line_ingest)
 
 
 TOKENS = ("a", "b", "c", "ab", "", "+1", "-1")

@@ -294,6 +294,19 @@ class TestCapacityBeforeWork:
         assert set(decay_profile(src, g, 0, max_set_size=1).by_distance) == {3}
         assert src.calls > 0
 
+    @pytest.mark.parametrize("p", [3, 4, 6])
+    def test_graph_and_source_sizes_are_checked_first(self, p):
+        # a smaller graph would measure the marginal of its first vertices
+        m = build(ModelSpec.chain(5, WeightRule.constant(0.5)))
+        src = _CountingSource.of_model(m)
+        g = MarkovGraph(p, [(k, k + 1) for k in range(p - 1)])
+        for measure in (lambda: model_gap(src, g), lambda: nondegeneracy_gap(src, g, 0),
+                        lambda: decay_profile(src, g, 0, max_set_size=1)):
+            with pytest.raises(ValueError, match=f"graph has {p} vertices, source has 5"):
+                measure()
+        assert src.calls == 0
+        assert model_gap(src, m.graph) > 0
+
 
 def _axis_sum_profile(joint, g, i, max_set_size):
     """The decay measurement over JointDistribution.dense_marginal: for each
