@@ -70,6 +70,19 @@ class TestAlphabet:
             Alphabet(("x", "y")).index_of("w")
 
 
+def ingest_peak(f, tokens, participation):
+    """The dataset a file of ``tokens`` loads to, and the traced peak of loading it."""
+    f.write_text("\n".join([",".join(f"v{k}" for k in range(tokens.shape[1]))]
+                           + [",".join(row) for row in tokens]) + "\n")
+    tracemalloc.start()
+    try:
+        ds = (load_csv(f) if participation is None
+              else load_csv(f, missing="?", participation=participation))
+        return ds, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestLoadCsv:
     def test_missing_token_joins_an_inferred_alphabet(self, tmp_path):
         f = tmp_path / "one.csv"
@@ -138,15 +151,7 @@ class TestLoadCsv:
         if participation is not None:
             tokens[: rows // 2, 1::2] = "?"
             kept = p // 2
-        f.write_text("\n".join([",".join(f"v{k}" for k in range(p))]
-                               + [",".join(row) for row in tokens]) + "\n")
-        tracemalloc.start()
-        try:
-            ds = (load_csv(f) if participation is None
-                  else load_csv(f, missing="?", participation=participation))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ds, peak = ingest_peak(f, tokens, participation)
         assert ds.p == kept
         assert peak <= rows * p + rows * kept + 16 * dataset._BLOCK_BYTES
 
@@ -176,15 +181,7 @@ class TestLoadCsv:
             tokens[rows // 2 :, 1::2] = rng.choice(symbols, size=(rows - rows // 2, p // 2))
             tokens[:, ::2] = np.where(tokens[:, ::2] == "?", symbols[0], tokens[:, ::2])
             kept = p // 2
-        f.write_text("\n".join([",".join(f"v{k}" for k in range(p))]
-                               + [",".join(row) for row in tokens]) + "\n")
-        tracemalloc.start()
-        try:
-            ds = (load_csv(f) if participation is None
-                  else load_csv(f, missing="?", participation=participation))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ds, peak = ingest_peak(f, tokens, participation)
         assert ds.p == kept
         assert peak <= rows * p * bits // 8 + rows * kept + 16 * dataset._BLOCK_BYTES
 
