@@ -41,16 +41,18 @@ _PLANE_CELLS = 32
 _PLANE_WORDS = 1 << 15
 # CSV files are read this many bytes at a time and tokenised a block at a
 # time, each block cut at the last line break read. A block's arrays peak at
-# about 12 times its bytes for 1-2 byte tokens, so this bounds ingest's
-# transient memory.
+# about 11 times its bytes for 1-2 byte tokens, or 14 when thousands of them
+# are new (their ids included), so this bounds ingest's transient memory.
 _BLOCK_BYTES = 1 << 16
 # A block's keys that miss the key table are sorted this many tokens at a
 # time: a sort with its inverse holds about 60 bytes a token.
-_MISS_TOKENS = 1 << 12
+_MISS_TOKENS = 1 << 11
 # A token of at most this many bytes is keyed exactly by one uint64; a
 # longer one by _LONG_KEY plus its place among its block's long tokens.
 _KEY_BYTES = 7
-_KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(_KEY_BYTES + 1)], dtype=np.uint64)
+# A key keeps the first k bytes of its 8: shifted up by _KEY_DROP[k] bits
+# and back down.
+_KEY_DROP = np.array([64 - 8 * k for k in range(_KEY_BYTES + 1)], dtype=np.uint8)
 _LONG_KEY = (_KEY_BYTES + 1) << 56
 # Ingest's key table: 2^_SLOT_BITS slots, a key's slot the top bits of the
 # key times _HASH (2^64 over the golden ratio); _NO_KEY marks an empty slot.
@@ -58,8 +60,6 @@ _SLOT_BITS, _HASH, _NO_KEY = 12, np.uint64(0x9E3779B97F4A7C15), np.uint64(2**64 
 # Ingest holds a block's raw-token ids packed at 1, 2 or 4 bits an id, 8, 4
 # or 2 to a byte, the first in the lowest bits. _UNPACKED[bits][b] is byte
 # b's ids, a byte each, as one little-endian word.
-# Built from Python ints: numpy operations at import raised max RSS by about
-# 0.25 MiB.
 _UNPACKED = {bits: np.array([sum((b >> bits * j & (1 << bits) - 1) << 8 * j for j in range(8 // bits))
                               for b in range(256)], dtype=f"<u{8 // bits}") for bits in (1, 2, 4)}
 
@@ -501,16 +501,13 @@ def _relabel(
     # time, each let go once written, so no second full-size array is made;
     # packed blocks are unpacked, one at a time, into one reused buffer.
     values = np.empty((sum(rows for rows, _, _ in parts), len(kept)), dtype=lut.dtype, order="F")
-    buf = np.empty(max((codes.size * (8 // bits) for _, bits, codes in parts if bits), default=0),
-                   dtype=np.uint8)
+    buf = _unpack_buffer(parts)
     at = 0
     parts.reverse()
     while parts:
-        rows, bits, codes = parts.pop()
-        if bits:
-            codes = _unpack(codes, bits, buf)[: rows * p].reshape(rows, p)
-        values[at : at + rows] = lut[codes[:, cols]]
-        at += rows
+        codes = _unpack(parts.pop(), p, buf)
+        values[at : at + len(codes)] = lut[codes[:, cols]]
+        at += len(codes)
     return DiscreteDataset([names[c] for c in kept], alph, values, _owned=True)
 
 
@@ -546,13 +543,24 @@ def _pack(ids: np.ndarray, bits: int) -> np.ndarray:
     return packed.astype(np.uint8)
 
 
-def _unpack(packed: np.ndarray, bits: int, buf: np.ndarray) -> np.ndarray:
-    """The ids of :func:`_pack`, padding included, written to the front of
-    ``buf``: each byte is looked up as the word of its 8 // bits ids."""
+def _unpack_buffer(parts: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
+    """A buffer that :func:`_unpack` can unpack any of ``parts`` into."""
+    return np.empty(max((codes.size * (8 // bits) for _, bits, codes in parts if bits), default=0),
+                    dtype=np.uint8)
+
+
+def _unpack(part: tuple[int, int, np.ndarray], p: int, buf: np.ndarray) -> np.ndarray:
+    """The (rows, p) codes of a part (rows, bits, codes) as :func:`_relabel`
+    takes it: at 0 bits the codes themselves, else the ids of :func:`_pack`
+    written to the front of ``buf``, each byte looked up as the word of its
+    8 // bits ids."""
+    rows, bits, codes = part
+    if not bits:
+        return codes
     words = _UNPACKED[bits]
-    out = buf[: packed.size * (8 // bits)].view(words.dtype)
-    np.take(words, packed, out=out, mode="clip")  # clip: an unchecked, unbuffered take
-    return out.view(np.uint8)
+    out = buf[: codes.size * (8 // bits)].view(words.dtype)
+    np.take(words, codes, out=out, mode="clip")  # clip: an unchecked, unbuffered take
+    return out.view(np.uint8)[: rows * p].reshape(rows, p)
 
 
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:
@@ -605,10 +613,14 @@ def _tokens(block: bytes, longs: dict) -> tuple[np.ndarray, np.ndarray, dict[int
     # _KEY_BYTES spare bytes of data keep inside the buffer.
     words = np.ndarray((len(text),), dtype="<u8", buffer=data, strides=(1,))
     keyed = np.minimum(sizes, _KEY_BYTES) if longest > _KEY_BYTES else sizes
-    # In-place steps hold at most two token-long uint64 arrays at once; the
-    # key's top byte takes the length, truncated where a long key replaces it.
+    # In-place steps hold one token-long uint64 array, the uint8 shifts cast
+    # a buffer at a time; the key's top byte takes the length, truncated
+    # where a long key replaces it.
+    drop = _KEY_DROP[keyed]
     keys = words[starts]
-    keys &= _KEY_MASKS[keyed]
+    keys <<= drop
+    keys >>= drop
+    del drop
     keys.view(np.uint8)[_KEY_BYTES :: 8] = sizes
     here: dict[int, bytes] = {}
     # Long keys are replaced by one sort per length of the text's fixed-width
@@ -722,12 +734,9 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
                 except UnicodeDecodeError:
                     raise ParseError(f"{path}: header is not valid UTF-8") from None
                 block = block[len(header):]
-                # With a participation rule, what the column filter reads is
-                # taken from each block's ids before they are packed: each
-                # column's missing cells, and the ids of the packed blocks
-                # in each column as the bits 1 << id.
+                # With a participation rule, each column's missing cells
+                # are counted from each block's ids before they are packed.
                 absent = np.zeros(len(names), dtype=np.int64)
-                held = np.zeros(len(names), dtype=np.uint16)
                 lost: list[int] = []
             known = len(ids)
             raw = _block_ids(block, len(names), ids, table, longs, path, rows)
@@ -737,8 +746,6 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
                          if t.strip() == missing]
                 for k in lost:
                     absent += (raw == k).sum(axis=0)
-                if bits:
-                    held |= np.bitwise_or.reduce(np.left_shift(1, raw, dtype=np.uint16), axis=0)
             parts.append((len(raw), bits, _pack(raw, bits) if bits else raw))
             rows += len(raw)
     if names is None:
@@ -754,14 +761,14 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
         extra = ()
         kept = _kept(absent, rows, participation)
         if len(kept) < len(names):
-            # The ids that occur in the kept columns: from the bits of the
-            # packed blocks, and by reading the others.
+            # The ids that occur in the kept columns, read a block at a time
+            # until every id is seen.
             seen = np.zeros(len(tokens), dtype=bool)
-            mask = int(np.bitwise_or.reduce(held[kept]))
-            seen[[k for k in range(min(16, len(tokens))) if mask >> k & 1]] = True
-            for _, bits, codes in parts:
-                if not bits:
-                    seen[codes[:, kept]] = True
+            buf = _unpack_buffer(parts)
+            for part in parts:
+                seen[_unpack(part, len(names), buf)[:, kept]] = True
+                if seen.all():
+                    break
             found = np.flatnonzero(seen).tolist()
     return _relabel(names, parts, tokens, options.value_map, options.alphabet, extra, kept, found)
 

@@ -1,6 +1,8 @@
 """Dataset construction, CSV ingestion, and empirical probability queries."""
 
+import io
 import re
+import string
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -70,10 +72,15 @@ class TestAlphabet:
             Alphabet(("x", "y")).index_of("w")
 
 
+def csv_text(tokens):
+    """A file of a header and the rows of ``tokens``."""
+    return "\n".join([",".join(f"v{k}" for k in range(tokens.shape[1]))]
+                     + [",".join(row) for row in tokens]) + "\n"
+
+
 def ingest_peak(f, tokens, participation):
     """The dataset a file of ``tokens`` loads to, and the traced peak of loading it."""
-    f.write_text("\n".join([",".join(f"v{k}" for k in range(tokens.shape[1]))]
-                           + [",".join(row) for row in tokens]) + "\n")
+    f.write_text(csv_text(tokens))
     tracemalloc.start()
     try:
         ds = (load_csv(f) if participation is None
@@ -119,38 +126,49 @@ class TestLoadCsv:
         assert load_csv(f).values.tolist() == [[0, 1], [1, 0]]
 
     @pytest.mark.parametrize("symbols, participation, late", [
-        (("Yea", "Nay", "Absent"), None, ()), (("1", "-1"), None, ()),
-        (("democrat", "republican", "abstained"), None, ()),
-        (("Yea", "Nay", "Absent"), 0.9, ()), (("1", "-1"), 0.9, ()),
-        (("democrat", "republican", "abstained"), 0.9, ()),
-        (("Yea", "Nay", "Absent"), None, tuple(f"{k:02d}"[:k % 2 + 1] for k in range(60))),
-    ], ids=["votes", "grid", "party", "votes-kept", "grid-kept", "party-kept", "votes-late"])
+        (("Yea", "Nay", "Absent"), None, False), (("1", "-1"), None, False),
+        (("democrat", "republican", "abstained"), None, False),
+        (("Yea", "Nay", "Absent"), 0.9, False), (("1", "-1"), 0.9, False),
+        (("democrat", "republican", "abstained"), 0.9, False),
+        (("Y", "N", "A"), None, True), (("Y", "N", "A"), 0.9, True),
+    ], ids=["votes", "grid", "party", "votes-kept", "grid-kept", "party-kept", "late",
+            "late-kept"])
     def test_ingest_peak_is_compact_ids_and_a_bounded_block(self, tmp_path, symbols,
                                                             participation, late):
-        # The file is tokenised a block at a time into ids of at most a byte
-        # each, so the peak is a byte per cell (the ids) plus a byte per kept
-        # cell (the dataset's column-major values, which take the looked-up
-        # ids straight, each block of ids let go once written) plus a few
-        # blocks' arrays, never the file's text or int64 ids. Short tokens
-        # put the most tokens, and so the largest arrays, in a block. Holding
-        # a C-order lookup and its copy as well read three bytes per cell.
-        # Tokens longer than a key are sorted by length in each block, within
-        # the same bound. With a participation rule, half the columns miss
-        # half their cells and are dropped before any is relabelled. In the
-        # late case the last blocks bring 1-2 byte tokens that all miss the
-        # key table while nearly every id is held; their misses are sorted
-        # a bounded run of tokens at a time.
+        # The first row holds p more short tokens, so from the first block
+        # on the file has more than 16 raw tokens and its ids are held a byte
+        # each, unpacked. So the peak is a byte per cell (the ids) plus a
+        # byte per kept cell (the dataset's column-major values, which take
+        # the looked-up ids straight, each block of ids let go once written)
+        # plus a few blocks' arrays, never the file's text or int64 ids.
+        # Short tokens put the most tokens, and so the largest arrays, in a
+        # block. Holding a C-order lookup and its copy as well read three
+        # bytes per cell. Tokens longer than a key are sorted by length in
+        # each block, within the same bound. With a participation rule, half
+        # the columns miss half their cells and are dropped before any is
+        # relabelled. In the late cases a block in the last 4000 rows starts
+        # the rows of 36 new 1-byte tokens, so every key of that block misses
+        # the key table while nearly every id is held.
         rows, p = 50000, 20
         f = tmp_path / "t.csv"
         rng = np.random.default_rng(0)
-        tokens = rng.choice(symbols, size=(rows, p))
-        if late:
-            tokens = tokens.astype(object)
-            tokens[-3000:] = rng.choice(late, size=(3000, p))
+        tokens = rng.choice(symbols, size=(rows, p)).astype(object)
         kept = p
         if participation is not None:
             tokens[: rows // 2, 1::2] = "?"
             kept = p // 2
+        tokens[0] = [f"x{k}" for k in range(p)]
+        if late:
+            def starts_and_block_ends():
+                text = csv_text(tokens).encode()
+                starts = np.cumsum([text.index(b"\n") + 1] + [len(",".join(r)) + 1 for r in tokens])
+                return starts, np.cumsum([len(b) for b in dataset._blocks(io.BytesIO(text))])
+            starts, ends = starts_and_block_ends()
+            r = int(np.searchsorted(starts, ends[np.searchsorted(ends, starts[rows - 4000])]))
+            # Replacing 1-byte tokens by 1-byte tokens keeps every block's bounds.
+            tokens[r:] = rng.choice(tuple(string.digits + string.ascii_lowercase), size=(rows - r, p))
+            starts, ends = starts_and_block_ends()
+            assert starts[r] in ends
         ds, peak = ingest_peak(f, tokens, participation)
         assert ds.p == kept
         assert peak <= rows * p + rows * kept + 16 * dataset._BLOCK_BYTES
@@ -184,6 +202,31 @@ class TestLoadCsv:
         ds, peak = ingest_peak(f, tokens, participation)
         assert ds.p == kept
         assert peak <= rows * p * bits // 8 + rows * kept + 16 * dataset._BLOCK_BYTES
+
+    @pytest.mark.parametrize("two", [0.0, 0.5, 1.0], ids=["1-byte", "1-2-byte", "2-byte"])
+    def test_block_temporaries_are_bounded_when_every_key_misses(self, two):
+        # A file's first block misses the key table with every key. A block
+        # of 1-2 byte tokens holds the most tokens; 2-byte ones bring
+        # thousands of new ids, whose tokens join the ids too. Neither the
+        # tokeniser's positions and keys nor the sorts of the misses take the
+        # block past 16 times its bytes.
+        chars = np.array(list(string.digits + string.ascii_letters), dtype=object)
+        rng = np.random.default_rng(2)
+        tokens = rng.choice(chars, size=(4000, 20))
+        tokens = np.where(rng.random(tokens.shape) < two, tokens + rng.choice(chars, tokens.shape),
+                          tokens)
+        text = "".join(",".join(row) + "\n" for row in tokens).encode()
+        block = text[: text.rindex(b"\n", 0, dataset._BLOCK_BYTES) + 1]
+        ids, table = {}, np.full((2, 1 << dataset._SLOT_BITS), dataset._NO_KEY)
+        tracemalloc.start()
+        try:
+            raw = dataset._block_ids(block, 20, ids, table, {}, "t.csv", 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raw.shape == (block.count(b"\n"), 20)
+        assert len(ids) > (3000 if two == 1.0 else 60)
+        assert peak <= 16 * dataset._BLOCK_BYTES
 
     def test_the_constructor_copies_even_a_column_major_array(self, tmp_path):
         # Only relabelling hands over the array it built; a caller's array
@@ -650,6 +693,39 @@ class TestPackedIngestMatchesLineByLine:
         with mock.patch.object(dataset, "_BLOCK_BYTES", block):
             got = result(load_csv)
         assert got == result(line_by_line_ingest)
+
+    @pytest.mark.parametrize("block", [1, 16, 64])
+    @pytest.mark.parametrize("ends", [b"\n", b"\r\n\n"], ids=["LF", "CRLF-blank"])
+    @pytest.mark.parametrize("opts", [
+        IngestOptions(), IngestOptions(alphabet=tuple(sorted([f"a{k}" for k in range(6)]
+                                                             + [f"k{k}" for k in range(8, 16)]
+                                                             + ["zk"]))),
+        IngestOptions(value_map=(("k9", "a0"), ("zk", "k8"))),
+    ], ids=["inferred", "forced", "mapped"])
+    def test_dropped_columns_across_widths(self, tmp_path, block, ends, opts):
+        # Column c2 is 60% missing ("?") in the packed blocks and in the
+        # unpacked ones alike, so a threshold of 0.5 drops it only when both
+        # are counted. The first rows bring raw ids 0-15, at 1, 2 and then 4
+        # bits; ids 8-15 (k8-k15) occur only in kept columns of those packed
+        # blocks, d0 only in c2. The first later row passes 16 tokens, so the
+        # blocks from there on are unpacked; of their new tokens zk occurs
+        # only in c0 and zd only in c2. The dataset's alphabet must hold
+        # exactly the kept columns' tokens.
+        early = [("a0", "a0"), ("a1", "a0"), ("a2", "a3"), ("a4", "a5"), ("k8", "k9"),
+                 ("k10", "k11"), ("k12", "k13"), ("k14", "k15")]
+        early += [(f"a{k % 6}", f"a{k * 5 % 6}") for k in range(32)]
+        late = [("zk", "a1")] + [("zk" if k % 7 == 0 else f"a{k % 6}", f"a{k * 5 % 6}")
+                                 for k in range(39)]
+        lines = ["c0,c1,c2"] + [f"{x},{y},{'?' if r % 5 in (1, 2, 3) else 'zd' if r >= 40 else 'd0'}"
+                                for r, (x, y) in enumerate(early + late)]
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"".join(line.encode() + ends for line in lines))
+        with mock.patch.object(dataset, "_BLOCK_BYTES", block):
+            got = load_csv(f, opts, "?", 0.5)
+        want = line_by_line_ingest(f, opts, "?", 0.5)
+        assert got == want
+        assert got.names == ("c0", "c1")
+        assert "zk" in got.alphabet.symbols or opts.value_map
 
 
 TOKENS = ("a", "b", "c", "ab", "", "+1", "-1")
