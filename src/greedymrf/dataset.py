@@ -4,9 +4,10 @@ A dataset is an immutable n x p matrix of alphabet indices plus the alphabet
 itself. All probability estimation elsewhere in the package reduces to
 counting rows of this matrix, so the counting backend lives here too: a count
 of dataset rows is a ``bincount`` over the mixed-radix cell codes built by
-:func:`cell_codes`, or, for a batch of greedy steps with few cells, popcounts
-over the dataset's packed bit planes. Only the queried columns are read, which keeps
-queries feasible when p is large and only the query set is small.
+:func:`cell_codes`, or, for a batch of greedy steps with few cells or a
+query with few cells on a tall dataset, popcounts over the dataset's packed
+bit planes. Only the queried columns are read, which keeps queries feasible
+when p is large and only the query set is small.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ _CHUNK_ELEMENTS = 1 << 18
 # at m=64; n=100000, p=20 took 10.5 against 1.4, 6 and 10.6 ms. The plane
 # time grows with m and the bincount's does not, so they meet near m=64.
 _PLANE_CELLS = 32
+# A joint_counts query whose cells fit the planes is counted by popcounts on
+# datasets of at least this many rows. Bincount against planes, planes
+# built, 2 vCPUs: one binary variable took 8 against 20 us at n=500, 20
+# against 20 us at n=4000 and 336 against 26 us at n=100000; five took 21
+# against 35, 44 against 41 and 650 against 193 us. The plane time barely
+# grows with the rows, so they meet near n=4000 (q=3-6: 4000-6000).
+_PLANE_ROWS = 1 << 12
 # The plane ANDs of a batch of steps go to one buffer of at most this many
 # words (256 KiB), which stays in cache while it is counted: on grid10-sized
 # planes, m=32, 2 vCPUs, 256-512 KiB blocks took 0.60-0.63 ms per step
@@ -50,18 +58,16 @@ _MISS_TOKENS = 1 << 11
 # A token of at most this many bytes is keyed exactly by one uint64; a
 # longer one by _LONG_KEY plus its place among its block's long tokens.
 _KEY_BYTES = 7
-# A key keeps the first k bytes of its 8: shifted up by _KEY_DROP[k] bits
-# and back down.
-_KEY_DROP = np.array([64 - 8 * k for k in range(_KEY_BYTES + 1)], dtype=np.uint8)
 _LONG_KEY = (_KEY_BYTES + 1) << 56
 # Ingest's key table: 2^_SLOT_BITS slots, a key's slot the top bits of the
 # key times _HASH (2^64 over the golden ratio); _NO_KEY marks an empty slot.
 _SLOT_BITS, _HASH, _NO_KEY = 12, np.uint64(0x9E3779B97F4A7C15), np.uint64(2**64 - 1)
 # Ingest holds a block's raw-token ids packed at 1, 2 or 4 bits an id, 8, 4
-# or 2 to a byte, the first in the lowest bits. _UNPACKED[bits][b] is byte
-# b's ids, a byte each, as one little-endian word.
-_UNPACKED = {bits: np.array([sum((b >> bits * j & (1 << bits) - 1) << 8 * j for j in range(8 // bits))
-                              for b in range(256)], dtype=f"<u{8 // bits}") for bits in (1, 2, 4)}
+# or 2 to a byte, the first in the lowest bits. _BYTE_IDS[bits][b] is byte
+# b's 8 // bits ids. Built from Python ints: the same table from numpy
+# shifts raised the peak RSS of an import by about 0.2 MiB.
+_BYTE_IDS = {bits: np.array([[b >> bits * j & (1 << bits) - 1 for j in range(8 // bits)]
+                             for b in range(256)], dtype=np.uint8) for bits in (1, 2, 4)}
 
 
 class DatasetError(ValueError):
@@ -142,8 +148,10 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
 
 
 def _fits_planes(cells: int, q: int, rows: int) -> bool:
-    """Whether a batch of greedy steps of ``cells`` cells each is counted by
-    popcounts over bit planes, given the dataset has them."""
+    """Whether a batch of greedy steps of ``cells`` cells each, or a
+    :meth:`DiscreteDataset.joint_counts` query of ``cells`` cells on a tall
+    dataset, is counted by popcounts over bit planes, given the dataset has
+    them."""
     return cells <= rows and (q - 1) * cells <= _PLANE_CELLS
 
 
@@ -253,7 +261,6 @@ def _plane_counts(
     ands = np.empty(max((q - 1) * m * words, min(chunk * _PLANE_CELLS * words, _PLANE_WORDS)),
                     dtype=np.uint64)
     ones = np.empty(ands.size, dtype=np.uint8)
-    present = _pack_words(np.ones(rows, dtype=bool))
     # (position of the new variable among the cell variables, table) of each
     # step that takes a table of last round. A table holds the x_k >= 1
     # counts of every variable k, (p*(q-1), cells), over a row of the cells'
@@ -276,13 +283,7 @@ def _plane_counts(
             at = np.array([prior[j][0] for j in range(a, b)])
             new = variables[np.arange(b - a), at]
             variables = variables[np.arange(size + 1) != at[:, None]].reshape(b - a, size)
-        # (steps, cell variables, q, words): the value rows of each variable.
-        values = planes[variables]
-        zero = present & ~np.bitwise_or.reduce(values, axis=2, keepdims=True)
-        values = np.concatenate((zero, values), axis=2)
-        cells = values[:, 0]
-        for digit in range(1, values.shape[1]):
-            cells = (cells[:, :, None] & values[:, digit, None]).reshape(b - a, -1, words)
+        cells = _cell_planes(planes, variables, rows)
         if old:  # (steps, x_new - 1, last round's cell)
             cells = (planes[new][:, :, None] & cells[:, None]).reshape(b - a, -1, words)
         joint = np.empty((b - a, p, q, m), dtype=np.int64)
@@ -320,6 +321,24 @@ def _plane_counts(
         joint = joint.reshape(b - a, p, -1)
         yield (slice(a, b), slice(None)), joint, _sum_x_i(joint, q)
         a = b
+
+
+def _cell_planes(planes: np.ndarray, variables: np.ndarray, rows: int) -> np.ndarray:
+    """(steps, q^k, words) rows of the cells of each row of ``variables``, a
+    (steps, k >= 1) array, from a dataset's (p, q-1, words) bit planes, in
+    :func:`cell_codes` order: a cell's rows are the AND of its variables'
+    value rows, plane v-1 for x = v >= 1 and the rows in no plane for x = 0."""
+    words = planes.shape[2]
+    # (steps, k, q, words): the value rows of each variable.
+    values = planes[variables]
+    zero = ~np.bitwise_or.reduce(values, axis=2, keepdims=True)
+    if rows % 64:  # the bits past the last row are in no cell
+        zero[..., -1] &= np.uint64((1 << rows % 64) - 1)
+    values = np.concatenate((zero, values), axis=2)
+    cells = values[:, 0]
+    for digit in range(1, values.shape[1]):
+        cells = (cells[:, :, None] & values[:, digit, None]).reshape(len(values), -1, words)
+    return cells
 
 
 def _sum_x_i(joint: np.ndarray, q: int) -> np.ndarray:
@@ -416,18 +435,26 @@ class DiscreteDataset:
         """Sparse joint counts over ``variables``: (cell codes, row counts).
 
         Codes follow :func:`cell_codes` in the given variable order. Counts
-        are exact integers; they sum to n. Sorts the codes when the cells outnumber the rows.
+        are exact int64 integers; they sum to n. On a dataset of at least
+        ``_PLANE_ROWS`` rows that has bit planes, a query of one or more
+        variables whose cells pass :func:`_fits_planes` is counted by
+        popcounts of its cells' rows (:func:`_cell_planes`); any other is
+        a bincount of its cell codes, sorted when the cells outnumber the rows.
         """
         variables = tuple(variables)
         for v in variables:
             if not 0 <= v < self.p:
                 raise IndexError(f"variable index {v} out of range for p={self.p}")
-        q = self.alphabet.size
-        codes = cell_codes(self.values.T, variables, q)
-        if q ** len(variables) > self.n:
-            return np.unique(codes, return_counts=True)
-        dense = np.bincount(codes)
-        keys = np.nonzero(dense)[0]
+        q, cells = self.alphabet.size, self.alphabet.size ** len(variables)
+        if (variables and self.n >= _PLANE_ROWS and _fits_planes(cells, q, self.n)
+                and (planes := self.bit_planes()) is not None):
+            cell_rows = _cell_planes(planes, np.array([variables]), self.n)[0]
+            dense = np.bitwise_count(cell_rows).sum(axis=-1, dtype=np.int64)
+        elif cells > self.n:
+            return np.unique(cell_codes(self.values.T, variables, q), return_counts=True)
+        else:
+            dense = np.bincount(cell_codes(self.values.T, variables, q))
+        keys = np.flatnonzero(dense)
         return keys, dense[keys]
 
 
@@ -495,18 +522,17 @@ def _relabel(
     found = range(len(tokens)) if found is None else found
     mapped = {k: first.get(tokens[k], tokens[k]) for k in found}
     alph = Alphabet(tuple(sorted({*mapped.values(), *extra})) if alphabet is None else alphabet)
-    lut = np.zeros(len(tokens), dtype=np.min_scalar_type(alph.size - 1))
+    # 16 entries or more, so that every packed id has one.
+    lut = np.zeros(max(len(tokens), 16), dtype=np.min_scalar_type(alph.size - 1))
     lut[list(mapped)] = [alph.index_of(token) for token in mapped.values()]
     # The looked-up ids go straight to column order, a block of rows at a
-    # time, each let go once written, so no second full-size array is made;
-    # packed blocks are unpacked, one at a time, into one reused buffer.
+    # time, each let go once written, so no second full-size array is made.
     values = np.empty((sum(rows for rows, _, _ in parts), len(kept)), dtype=lut.dtype, order="F")
-    buf = _unpack_buffer(parts)
     at = 0
     parts.reverse()
     while parts:
-        codes = _unpack(parts.pop(), p, buf)
-        values[at : at + len(codes)] = lut[codes[:, cols]]
+        codes = _unpack(parts.pop(), p, lut, cols)
+        values[at : at + len(codes)] = codes
         at += len(codes)
     return DiscreteDataset([names[c] for c in kept], alph, values, _owned=True)
 
@@ -529,38 +555,37 @@ def _kept(absent: np.ndarray, rows: int, participation: float) -> list[int]:
 
 
 def _pack(ids: np.ndarray, bits: int) -> np.ndarray:
-    """``ids``, each below 2^bits, flattened and packed 8 // bits to a
+    """``ids``, uint8 each below 2^bits, flattened and packed 8 // bits to a
     byte, the first in the lowest bits; the last byte is padded with 0s."""
     per = 8 // bits
-    cells = np.zeros(-(-ids.size // per) * per, dtype=np.uint8)
-    cells[: ids.size] = ids.ravel()
-    # Id j of a byte is byte j of a little-endian word, shifted down to bit
-    # bits * j by (8 - bits) * j; the word's low byte is the packed byte.
-    words = cells.view(f"<u{per}")
-    packed = words.copy()
-    for j in range(1, per):
+    flat = ids.reshape(-1)
+    whole = flat.size // per * per
+    # Id j of a byte is byte j of a little-endian word of the ids, shifted
+    # down to bit bits * j by (8 - bits) * j; the word's low byte is the
+    # packed byte.
+    words = flat[:whole].view(f"<u{per}")
+    packed = words >> 8 - bits
+    packed |= words
+    for j in range(2, per):
         packed |= words >> (8 - bits) * j
-    return packed.astype(np.uint8)
+    out = np.empty(-(-flat.size // per), dtype=np.uint8)
+    out[: len(packed)] = packed
+    if whole < flat.size:
+        out[-1] = sum(x << bits * j for j, x in enumerate(flat[whole:].tolist()))
+    return out
 
 
-def _unpack_buffer(parts: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
-    """A buffer that :func:`_unpack` can unpack any of ``parts`` into."""
-    return np.empty(max((codes.size * (8 // bits) for _, bits, codes in parts if bits), default=0),
-                    dtype=np.uint8)
-
-
-def _unpack(part: tuple[int, int, np.ndarray], p: int, buf: np.ndarray) -> np.ndarray:
-    """The (rows, p) codes of a part (rows, bits, codes) as :func:`_relabel`
-    takes it: at 0 bits the codes themselves, else the ids of :func:`_pack`
-    written to the front of ``buf``, each byte looked up as the word of its
-    8 // bits ids."""
+def _unpack(part: tuple[int, int, np.ndarray], p: int, lut: np.ndarray,
+            cols: slice | Sequence[int]) -> np.ndarray:
+    """``lut`` (16 entries or more) of the ids in columns ``cols`` of a part
+    (rows, bits, codes) as :func:`_relabel` takes it: unpacked ids are
+    looked up, and each packed byte in a table of its ids' entries."""
     rows, bits, codes = part
     if not bits:
-        return codes
-    words = _UNPACKED[bits]
-    out = buf[: codes.size * (8 // bits)].view(words.dtype)
-    np.take(words, codes, out=out, mode="clip")  # clip: an unchecked, unbuffered take
-    return out.view(np.uint8)[: rows * p].reshape(rows, p)
+        return lut[codes[:, cols]]
+    # clip: an unchecked take; each byte copies its row of the table.
+    ids = lut[_BYTE_IDS[bits]].take(codes, axis=0, mode="clip")
+    return ids.reshape(-1)[: rows * p].reshape(rows, p)[:, cols]
 
 
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:
@@ -591,18 +616,24 @@ def _tokens(block: bytes, longs: dict) -> tuple[np.ndarray, np.ndarray, dict[int
     data = np.frombuffer(block + bytes(_KEY_BYTES), dtype=np.uint8)
     text = data[: len(block)]
     brk = text == ord("\n")
-    brk |= text == ord("\r")
+    if b"\r" in block:
+        brk |= text == ord("\r")
     sep = text == ord(",")
     sep |= brk
     # Positions and sizes take four bytes a token wherever the block allows.
-    small = np.int32 if len(text) < 1 << 31 else np.int64
-    ends = np.flatnonzero(sep).astype(small)
+    # The row ends are gathered by flatnonzero's own intp positions: numpy
+    # casts any other index to intp a buffer at a time, three times slower.
+    at = np.flatnonzero(sep)
     del sep
-    sizes = np.diff(ends, prepend=small(-1))
-    sizes -= 1
-    longest = sizes.max()
-    eol = brk[ends]
+    eol = brk[at]
     del brk
+    ends = at.astype(np.int32 if len(text) < 1 << 31 else np.int64)
+    del at
+    # sizes[t] = ends[t] - ends[t-1] - 1, where ends[-1] is -1.
+    sizes = ends - 1
+    sizes[1:] -= ends[:-1]
+    sizes[:1] = ends[:1]
+    longest = sizes.max()
     if not sizes.all():
         # An empty token that ends a line is the last field of its row, or,
         # when right after a line break (or the block's start), a blank line.
@@ -610,13 +641,15 @@ def _tokens(block: bytes, longs: dict) -> tuple[np.ndarray, np.ndarray, dict[int
         ends, sizes, eol = ends[kept], sizes[kept], eol[kept]
     starts = np.subtract(ends, sizes, out=ends)
     # words[i] is the 8 bytes from text[i] on, an unaligned view that the
-    # _KEY_BYTES spare bytes of data keep inside the buffer.
+    # _KEY_BYTES spare bytes of data keep inside the buffer. It is indexed,
+    # never given to ``take``, which would first copy the whole view at 8
+    # bytes a byte of text.
     words = np.ndarray((len(text),), dtype="<u8", buffer=data, strides=(1,))
-    keyed = np.minimum(sizes, _KEY_BYTES) if longest > _KEY_BYTES else sizes
-    # In-place steps hold one token-long uint64 array, the uint8 shifts cast
-    # a buffer at a time; the key's top byte takes the length, truncated
-    # where a long key replaces it.
-    drop = _KEY_DROP[keyed]
+    # A key keeps the first k = min(size, _KEY_BYTES) bytes of its 8: it is
+    # shifted up by 64 - 8k bits and back down, in place, the uint8 shifts
+    # cast a buffer at a time; its top byte then takes the length,
+    # truncated where a long key replaces it.
+    drop = (64 - 8 * np.minimum(sizes, _KEY_BYTES)).astype(np.uint8)
     keys = words[starts]
     keys <<= drop
     keys >>= drop
@@ -647,8 +680,10 @@ def _block_ids(block: bytes, p: int, ids: dict[str, int], table: np.ndarray,
     keys, eol, here = _tokens(block, longs)
     if not keys.size:
         return np.zeros((0, p), dtype=np.uint8)
+    # Both lookups gather a contiguous row of the table by intp slots; as
+    # table[0, slot] the gather took three times as long.
     slot = _slots(keys)
-    hit = table[0, slot] == keys
+    hit = table[0][slot] == keys
     # A block adds at most one id a token, so this type holds every id.
     raw = table[1].astype(np.min_scalar_type(len(ids) + keys.size - 1))[slot]
     del slot  # so the misses are sorted without it
@@ -674,7 +709,7 @@ def _block_ids(block: bytes, p: int, ids: dict[str, int], table: np.ndarray,
         found = np.array([ids[t] for t in tokens], dtype=raw.dtype)
         raw[miss] = found[inverse]
         slot, first = np.unique(_slots(distinct), return_index=True)
-        free = table[0, slot] == _NO_KEY
+        free = table[0][slot] == _NO_KEY
         table[:, slot[free]] = distinct[first[free]], found[first[free]]
     # Every row holds p fields when every p-th token, and no other, ends one.
     if keys.size % p or np.count_nonzero(eol) * p != keys.size or not eol[p - 1 :: p].all():
@@ -689,10 +724,11 @@ def _block_ids(block: bytes, p: int, ids: dict[str, int], table: np.ndarray,
 
 
 def _slots(keys: np.ndarray) -> np.ndarray:
-    # Two bytes a slot; a uint16 index is cast a buffer at a time, not copied.
+    # The hashes viewed as intp, so the table is gathered with no cast: a
+    # uint16 copy, cast back a buffer at a time, made each gather 3x slower.
     hashed = keys * _HASH
     hashed >>= np.uint64(64 - _SLOT_BITS)
-    return hashed.astype(np.uint16)
+    return hashed.view(np.intp)
 
 
 def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
@@ -764,9 +800,9 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
             # The ids that occur in the kept columns, read a block at a time
             # until every id is seen.
             seen = np.zeros(len(tokens), dtype=bool)
-            buf = _unpack_buffer(parts)
+            same = np.arange(max(len(tokens), 16), dtype=np.min_scalar_type(len(tokens)))
             for part in parts:
-                seen[_unpack(part, len(names), buf)[:, kept]] = True
+                seen[_unpack(part, len(names), same, kept)] = True
                 if seen.all():
                     break
             found = np.flatnonzero(seen).tolist()

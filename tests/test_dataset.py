@@ -327,6 +327,22 @@ class TestLoadCsv:
             expect[row[0], row[2]] += 1
         assert np.array_equal(EmpiricalSource(back).dense_marginal((0, 2)).reshape(300, 300), expect / 500)
 
+    def test_packed_blocks_relabel_into_a_wide_alphabet(self, tmp_path):
+        # The first blocks hold 2 raw tokens, packed at 1 bit, and later
+        # ones about 300 more, so the values need uint16 and each packed
+        # byte is looked up in a uint16 table of its ids' alphabet indices.
+        rng = np.random.default_rng(4)
+        tokens = rng.choice(["a", "b"], size=(600, 3)).astype(object)
+        tokens[200:] = rng.choice([f"t{k:03d}" for k in range(300)], size=(400, 3))
+        f = tmp_path / "wide.csv"
+        f.write_text(csv_text(tokens))
+        with mock.patch.object(dataset, "_BLOCK_BYTES", 256), \
+                mock.patch.object(dataset, "_pack", wraps=dataset._pack) as pack:
+            ds = load_csv(f, IngestOptions(value_map=(("a", "t299"),)))
+        assert pack.called and ds.values.dtype == np.uint16
+        want = np.where(tokens == "a", "t299", tokens)
+        assert np.array(ds.alphabet.symbols, dtype=object)[ds.values].tolist() == want.tolist()
+
 
 class TestRemap:
     def test_rename_reinfers_alphabet(self):
@@ -866,6 +882,34 @@ class TestJointCounts:
             code = code * q + ds.values[:, v]
         dense = np.bincount(code, minlength=q ** len(variables))
         keys, counts = ds.joint_counts(variables)
+        assert keys.dtype == counts.dtype == np.int64
+        assert keys.tolist() == np.flatnonzero(dense).tolist()
+        assert counts.tolist() == dense[dense > 0].tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.integers(2, 4), p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           n=st.sampled_from([1, 65, 1000, dataset._PLANE_ROWS - 1, dataset._PLANE_ROWS,
+                              dataset._PLANE_ROWS + 63, 3 * dataset._PLANE_ROWS]),
+           data=st.data())
+    def test_plane_marginals_equal_the_code_bincount(self, q, p, seed, n, data):
+        # Datasets on both sides of the rows crossover, n mod 64 varying so
+        # the last plane word has padding bits; a copied and a reversed
+        # column leave some cells empty. Queries that pass _fits_planes on a
+        # tall dataset are counted from the planes, every other by codes.
+        rows = np.random.default_rng(seed).integers(0, q, size=(n, p))
+        if p > 2:
+            rows[:, 1], rows[:, 2] = rows[:, 0], q - 1 - rows[:, 0]
+        ds = make_ds(rows, symbols=tuple(f"s{k}" for k in range(q)))
+        variables = data.draw(st.lists(st.integers(0, p - 1), max_size=p, unique=True))
+        code = np.zeros(n, dtype=np.int64)
+        for v in variables:
+            code = code * q + rows[:, v]
+        dense = np.bincount(code, minlength=q ** len(variables))
+        with mock.patch.object(dataset, "_cell_planes", wraps=dataset._cell_planes) as planes:
+            keys, counts = ds.joint_counts(variables)
+        assert planes.called == (bool(variables) and n >= dataset._PLANE_ROWS
+                                 and dataset._fits_planes(q ** len(variables), q, n)
+                                 and ds.bit_planes() is not None)
         assert keys.dtype == counts.dtype == np.int64
         assert keys.tolist() == np.flatnonzero(dense).tolist()
         assert counts.tolist() == dense[dense > 0].tolist()

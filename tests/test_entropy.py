@@ -552,7 +552,7 @@ class TestBitPlaneCounts:
             planes = ds._planes
             built = pack.call_count
             step(src, 3, (1, 2))
-            assert ds._planes is planes and pack.call_count == built + 1
+            assert ds._planes is planes and pack.call_count == built
         assert planes.shape == (9, 1, 16) and not planes.flags.writeable
         assert planes.nbytes <= ds.values.nbytes
         for k in range(9):
@@ -573,6 +573,29 @@ class TestBitPlaneCounts:
             assert ds._planes is None
         if q > 9:
             assert planes is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(2, 4), p=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           n=st.sampled_from([1, 100, dataset._PLANE_ROWS + 1, 40000]), data=st.data())
+    def test_query_entropies_are_bit_identical_on_both_paths(self, q, p, seed, n, data):
+        # The crossover patched to send every query that fits the planes to
+        # them, or none: entropies and prune tables read the same counts, so
+        # they are the same floats, with the term table (n <= 2^15) and without.
+        rows = np.random.default_rng(seed).integers(0, q, size=(n, p))
+        rows[:, 1] = rows[:, 0]
+        variables = tuple(sorted(data.draw(st.lists(st.integers(0, p - 1), max_size=p,
+                                                    unique=True))))
+        i = data.draw(st.integers(0, p - 1))
+        given_vars = data.draw(st.lists(st.sampled_from([v for v in range(p) if v != i]),
+                                        max_size=p - 1, unique=True))
+        got = []
+        for crossover in (0, 1 << 62):
+            src = empirical(rows, q=q)
+            with mock.patch.object(dataset, "_PLANE_ROWS", crossover):
+                got.append((src.entropy_bits(variables), *src.removal_entropies(i, given_vars)))
+        (h, h_i, without), (h_codes, h_i_codes, without_codes) = got
+        assert h == h_codes and h_i == h_i_codes
+        assert without.tobytes() == without_codes.tobytes()
 
 
 class TestCarriedTables:

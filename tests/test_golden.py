@@ -57,6 +57,28 @@ def votes_csv(tmp_path):
             "--missing", "Absent", "--participation", "0.75"]
 
 
+def tall_votes_csv(tmp_path):
+    # 20000 rows x 8 columns: past dataset._PLANE_ROWS, so the starting
+    # entropies and every prune table are counted from bit planes. Seven
+    # members on a chain, each agreeing with the one before with p = 0.8,
+    # and one low-participation column that the filter drops.
+    rng = np.random.default_rng(29)
+    rows, members = 20000, 7
+    spins = np.empty((rows, members), dtype=bool)
+    spins[:, 0] = rng.random(rows) < 0.5
+    for v in range(1, members):
+        spins[:, v] = spins[:, v - 1] ^ (rng.random(rows) < 0.2)
+    codes = np.column_stack((spins, rng.random(rows) < 0.5)).astype(np.intp)
+    codes[rng.random(codes.shape) < 0.05] = 2
+    codes[rng.random(rows) < 0.5, members] = 2
+    tokens = np.array(["Nay", "Yea", "Absent"])[codes]
+    lines = [",".join(f"m{k}" for k in range(members + 1))] + [",".join(row) for row in tokens]
+    (tmp_path / "tall.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["learn", str(tmp_path / "tall.csv"), "--epsilon", "0.01", "--prune",
+            "--map", "Yea=+1", "--map", "Nay=-1", "--map", "Absent=-1",
+            "--missing", "Absent", "--participation", "0.75"]
+
+
 def oracle_er(tmp_path):
     return ["oracle", "--model", "er:12,0.25,3", "--theta", "randsign:0.5,3",
             "--epsilon", "0.02", "--prune"]
@@ -99,6 +121,11 @@ GOLDEN = {
         "graph.dot": "2464ea1573cbb7b817a95da358bf1136cf900aea6535177693594d281ab6a1c6",
         "graph.edges": "5bc63fa8bda28092dd008e8c48f881aef6a873393ff393d1b669983d96273b03",
         "result.json": "9dde074802986352eebb9783ea3dcfa3a2c7fe8d395535a2868985ed6849f31e",
+    },
+    tall_votes_csv: {
+        "graph.dot": "ca3297dc24acea3e2d0d169a62f4ff77390da23331612959807ff712843adf3d",
+        "graph.edges": "d59012f693ad020069f4f431d907bf023f3a52405407774e9bd7b3451e961a7f",
+        "result.json": "f007bf18cdef69adb8c28fd836d8d64ee985c1fb5b880ae0e9ed20de8f214c06",
     },
     oracle_er: {
         "graph.dot": "8dfed6055e54dfdf973e8547848d53f2a5ba66866dd4bc88bd7a6ad26e0c3fe4",
