@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .dataset import DatasetError, DiscreteDataset, IngestOptions, load_csv
+from .dataset import DatasetError, DiscreteDataset, load_csv
 from .entropy import DistributionSource, EmpiricalSource, ExactSource, mutual_information
 from .generators import (
     MODEL_FAMILIES,
@@ -105,8 +105,7 @@ def _ingest(args: argparse.Namespace) -> DiscreteDataset:
     alphabet = tuple(args.alphabet.split(",")) if args.alphabet else None
     if (args.participation is None) != (args.missing is None):
         raise DatasetError("--participation and --missing must be given together")
-    return load_csv(args.input, IngestOptions(value_map=rules, alphabet=alphabet),
-                    args.missing, args.participation)
+    return load_csv(args.input, rules, alphabet, args.missing, args.participation)
 
 
 def cmd_learn(args: argparse.Namespace) -> int:

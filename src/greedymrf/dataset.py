@@ -486,68 +486,34 @@ def empirical_prob(ds: DiscreteDataset, a: Assignment) -> float:
     return int(match.sum()) / ds.n
 
 
-@dataclass(frozen=True)
-class IngestOptions:
-    """CSV ingestion controls.
-
-    ``value_map`` holds ordered token->token rules applied to every cell
-    before alphabet inference. ``alphabet`` forces an explicit alphabet;
-    tokens outside it raise :class:`UnknownTokenError`.
+def _lookup(tokens: Sequence[str], rules: tuple[tuple[str, str], ...],
+            alphabet: tuple[str, ...] | None, found: Sequence[int] | None = None,
+            extra: tuple[str, ...] = ()) -> tuple[Alphabet, np.ndarray]:
+    """The alphabet, and the table from id k to the index of ``tokens[k]``
+    after ``rules`` (the first rule whose source equals a token wins; its
+    result is not mapped again): indices in ``alphabet``, or else in the
+    sorted mapped tokens of the ids ``found`` (default: every id) plus
+    ``extra``. Only the ``found`` tokens are mapped and indexed; the table
+    has 16 entries or more, so that every packed id has one.
     """
-
-    value_map: tuple[tuple[str, str], ...] = ()
-    alphabet: tuple[str, ...] | None = None
-
-
-def _relabel(
-    names: Sequence[str], parts: list[tuple[int, int, np.ndarray]], tokens: Sequence[str],
-    rules: tuple[tuple[str, str], ...], alphabet: tuple[str, ...] | None,
-    extra: tuple[str, ...] = (), kept: Sequence[int] | None = None,
-    found: Sequence[int] | None = None,
-) -> DiscreteDataset:
-    """Dataset of the codes in ``parts`` as ``tokens`` after ``rules`` (the
-    first rule whose source equals a token wins; its result is not mapped
-    again), indexed in ``alphabet`` or else in the sorted mapped tokens of
-    the codes ``found`` (default: every code) plus ``extra``. Only the
-    ``found`` tokens are mapped and indexed, and only the columns ``kept``
-    (default: all) are written. ``parts`` holds the code matrix's row blocks
-    in order as (rows, bits, codes): the codes packed by :func:`_pack` at
-    ``bits`` a code, or, at 0 bits, a (rows, p) array. Each block is let go
-    once it is written.
-    """
-    p = len(names)
-    kept = range(p) if kept is None else kept
-    cols = slice(None) if len(kept) == p else kept
     first = dict(reversed(rules))
     found = range(len(tokens)) if found is None else found
     mapped = {k: first.get(tokens[k], tokens[k]) for k in found}
     alph = Alphabet(tuple(sorted({*mapped.values(), *extra})) if alphabet is None else alphabet)
-    # 16 entries or more, so that every packed id has one.
     lut = np.zeros(max(len(tokens), 16), dtype=np.min_scalar_type(alph.size - 1))
     lut[list(mapped)] = [alph.index_of(token) for token in mapped.values()]
-    # The looked-up ids go straight to column order, a block of rows at a
-    # time, each let go once written, so no second full-size array is made.
-    values = np.empty((sum(rows for rows, _, _ in parts), len(kept)), dtype=lut.dtype, order="F")
-    at = 0
-    parts.reverse()
-    while parts:
-        codes = _unpack(parts.pop(), p, lut, cols)
-        values[at : at + len(codes)] = codes
-        at += len(codes)
-    return DiscreteDataset([names[c] for c in kept], alph, values, _owned=True)
+    return alph, lut
 
 
-def _row_blocks(values: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
-    """The unpacked row blocks of a dataset's values, as :func:`_relabel` takes them."""
-    step = max(1, _BLOCK_BYTES // values.shape[1])
-    return [(len(values[r : r + step]), 0, values[r : r + step]) for r in range(0, len(values), step)]
+def _check_threshold(threshold: float) -> None:
+    """Raise :class:`DatasetError` unless ``threshold`` is a share in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise DatasetError(f"threshold {threshold} outside [0, 1]")
 
 
 def _kept(absent: np.ndarray, rows: int, participation: float) -> list[int]:
     """The columns where at least a ``participation`` share of the ``rows``
     cells are not missing, given each column's ``absent`` (missing) cells."""
-    if not 0.0 <= participation <= 1.0:
-        raise DatasetError(f"threshold {participation} outside [0, 1]")
     kept = np.flatnonzero((rows - absent) / rows >= participation).tolist()
     if not kept:
         raise EmptyDatasetError("participation filter removed every column")
@@ -578,8 +544,10 @@ def _pack(ids: np.ndarray, bits: int) -> np.ndarray:
 def _unpack(part: tuple[int, int, np.ndarray], p: int, lut: np.ndarray,
             cols: slice | Sequence[int]) -> np.ndarray:
     """``lut`` (16 entries or more) of the ids in columns ``cols`` of a part
-    (rows, bits, codes) as :func:`_relabel` takes it: unpacked ids are
-    looked up, and each packed byte in a table of its ids' entries."""
+    (rows, bits, codes) as :func:`load_csv` holds it: the codes packed by
+    :func:`_pack` at ``bits`` an id, or, at 0 bits, a (rows, p) array.
+    Unpacked ids are looked up, and each packed byte in a table of its ids'
+    entries."""
     rows, bits, codes = part
     if not bits:
         return lut[codes[:, cols]]
@@ -731,20 +699,23 @@ def _slots(keys: np.ndarray) -> np.ndarray:
     return hashed.view(np.intp)
 
 
-def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
-             missing: str | None = None, participation: float | None = None
-             ) -> DiscreteDataset:
+def load_csv(path: str | Path, value_map: tuple[tuple[str, str], ...] = (),
+             alphabet: tuple[str, ...] | None = None, missing: str | None = None,
+             participation: float | None = None) -> DiscreteDataset:
     """Load a header-first, comma-separated UTF-8 file into a dataset.
 
-    Cells are stripped, then mapped by ``options.value_map``; the alphabet
-    is their sorted set, plus the ``missing`` token if one is named, unless
-    ``options.alphabet`` is given. No quoting support: cells must not
-    contain commas. One leading UTF-8 byte-order mark is skipped. Rows end
-    at a line break (LF, CRLF or CR); blank lines are skipped. A row that is
-    not valid UTF-8 raises :class:`ParseError`, as does one with a wrong
-    field count. With ``participation``, the result (or error) is that of
-    ``remap_values(filter_participation(load_csv(path, missing=missing),
-    missing, participation), value_map, alphabet)``, relabelled once.
+    Cells are stripped, then mapped by the ordered token->token rules of
+    ``value_map``; the alphabet is their sorted set, plus the ``missing``
+    token if one is named, unless ``alphabet`` is given, in which case a
+    token outside it raises :class:`UnknownTokenError`. No quoting support:
+    cells must not contain commas. One leading UTF-8 byte-order mark is
+    skipped. Rows end at a line break (LF, CRLF or CR); blank lines are
+    skipped. A row that is not valid UTF-8 raises :class:`ParseError`, as
+    does one with a wrong field count. With ``participation``, the result
+    (or error) is that of ``remap_values(filter_participation(load_csv(path,
+    missing=missing), missing, participation), value_map, alphabet)``,
+    relabelled once, except that a ``participation`` outside [0, 1] (or
+    NaN) raises :class:`DatasetError` before the file is read.
     The file is tokenised a block of about ``_BLOCK_BYTES`` at a time, its
     keys looked up in a table carried across blocks. Each block's raw-token
     ids are held packed at w = 1, 2 or 4 bits an id, the fewest that hold
@@ -753,6 +724,8 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
     stored at. So ingest holds w/8 byte a cell and the kept columns' values,
     not the file's text.
     """
+    if participation is not None:
+        _check_threshold(participation)
     ids: dict[str, int] = {}
     table, longs = np.full((2, 1 << _SLOT_BITS), _NO_KEY), {}
     parts: list[tuple[int, int, np.ndarray]] = []
@@ -789,7 +762,7 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
     tokens, extra = [t.strip() for t in ids], () if missing is None else (missing,)
-    kept = found = None
+    kept, found = range(len(names)), None
     if participation is not None:  # the checks of the raw dataset the filter reads
         Alphabet(tuple(sorted({*tokens, *extra})))
         if len(set(names)) < len(names):
@@ -806,7 +779,18 @@ def load_csv(path: str | Path, options: IngestOptions = IngestOptions(),
                 if seen.all():
                     break
             found = np.flatnonzero(seen).tolist()
-    return _relabel(names, parts, tokens, options.value_map, options.alphabet, extra, kept, found)
+    alph, lut = _lookup(tokens, value_map, alphabet, found, extra)
+    # The looked-up ids go straight to column order, a block of rows at a
+    # time, each let go once written, so no second full-size array is made.
+    cols = slice(None) if len(kept) == len(names) else kept
+    values = np.empty((rows, len(kept)), dtype=lut.dtype, order="F")
+    at = 0
+    parts.reverse()
+    while parts:
+        codes = _unpack(parts.pop(), len(names), lut, cols)
+        values[at : at + len(codes)] = codes
+        at += len(codes)
+    return DiscreteDataset([names[c] for c in kept], alph, values, _owned=True)
 
 
 def write_csv(ds: DiscreteDataset, path: str | Path) -> None:
@@ -822,13 +806,18 @@ def remap_values(
     rules: tuple[tuple[str, str], ...],
     alphabet: tuple[str, ...] | None = None,
 ) -> DiscreteDataset:
-    """Apply ordered token->token rules and re-infer (or force) the alphabet."""
+    """Apply ordered token->token rules and re-infer (or force) the alphabet.
+
+    Only the symbols some value uses are mapped and indexed; the values are
+    looked up into one new column-major array.
+    """
     # Marking seen codes casts no copy of them to intp, as a bincount would.
     seen = np.zeros(ds.alphabet.size, dtype=bool)
     for column in ds.values.T:
         seen[column] = True
-    return _relabel(ds.names, _row_blocks(ds.values), ds.alphabet.symbols, rules, alphabet,
-                    found=np.flatnonzero(seen).tolist())
+    alph, lut = _lookup(ds.alphabet.symbols, rules, alphabet, np.flatnonzero(seen).tolist())
+    # An index array's layout is the result's, so this is column-major too.
+    return DiscreteDataset(ds.names, alph, lut[ds.values], _owned=True)
 
 
 def filter_participation(
@@ -839,10 +828,13 @@ def filter_participation(
     A ``missing_symbol`` outside the alphabet marks no entry missing. Sample
     rows are never dropped; column order is preserved.
     """
+    _check_threshold(threshold)
     symbols = raw.alphabet.symbols
     absent = np.zeros(raw.p, dtype=np.int64)
     if missing_symbol in symbols:
         k = symbols.index(missing_symbol)
         absent[:] = [np.count_nonzero(column == k) for column in raw.values.T]
     kept = _kept(absent, raw.n, threshold)
-    return _relabel(raw.names, _row_blocks(raw.values), symbols, (), symbols, kept=kept)
+    # A selection of columns keeps the column-major layout in a new array.
+    return DiscreteDataset([raw.names[c] for c in kept], raw.alphabet, raw.values[:, kept],
+                           _owned=True)

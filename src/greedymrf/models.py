@@ -1,9 +1,9 @@
 """Markov graphs, factor graphs, zero-field Ising models, and inference backends.
 
 The exact backend enumerates the full table (p <= ENUMERATION_CAP = 24), queried through
-``entropy.ExactSource``; :func:`marginal` and ``JointDistribution.dense_marginal`` are the
-axis-sum reference kept for tests and the bench span. Larger models sample by the Gibbs
-chains of :mod:`greedymrf.gibbs`. Spins -1/+1 are alphabet index 0/1 project-wide.
+``entropy.ExactSource``; ``JointDistribution.dense_marginal``, a plain axis sum, is kept for
+tests and the bench span. Larger models sample by the Gibbs chains of :mod:`greedymrf.gibbs`.
+Spins -1/+1 are alphabet index 0/1 project-wide.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -195,26 +194,11 @@ class IsingModel:
         return self.graph.p
 
 
-def marginal(table: np.ndarray, variables: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Sum ``table``, whose axes are the sorted ``variables``, onto the sorted
-    subset ``keep``, shaped (q,) * len(keep). Each run of consecutive kept or
-    summed axes is merged into one dimension, and the summed dimensions are
-    reduced one at a time, largest first, so each pass reads the least."""
-    keep = set(keep)
-    q = table.shape[0] if table.ndim else 1
-    runs = [(kept, q ** len(list(run))) for kept, run in groupby(variables, keep.__contains__)]
-    out = table.reshape([size for _, size in runs])
-    summed = [a for a, (kept, _) in enumerate(runs) if not kept]
-    for axis in sorted(summed, key=lambda a: -runs[a][1]):
-        out = out.sum(axis=axis, keepdims=True)
-    return out.reshape((q,) * len(keep))
-
-
 class JointDistribution:
     """Dense probability table over all |alphabet|^p assignments, the only
     array it holds. Cell index is mixed-radix with variable 0 as the most
     significant digit, so :attr:`table` has one axis per variable and every
-    marginal is a sum over the other axes (:func:`marginal`)."""
+    marginal is a sum over the other axes."""
 
     def __init__(self, p: int, alphabet: Alphabet, probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64).ravel()
@@ -235,12 +219,12 @@ class JointDistribution:
         return self.probs.reshape((self.alphabet.size,) * self.p)
 
     def dense_marginal(self, variables: Sequence[int]) -> np.ndarray:
-        """Exact marginal over sorted ``variables`` (same indexing as the table)."""
-        variables = tuple(sorted(variables))
+        """Exact marginal over ``variables``, a new array indexed as the table in sorted order."""
+        variables = set(variables)
         for v in variables:
             if not 0 <= v < self.p:
                 raise IndexError(f"variable index {v} out of range for p={self.p}")
-        return marginal(self.table, range(self.p), variables).flatten()  # always a copy
+        return self.table.sum(axis=tuple(set(range(self.p)) - variables)).ravel()
 
 
 def check_enumerable(p: int) -> None:

@@ -1,11 +1,13 @@
 """Independent brute-force reference implementations used to pin expected
-values. Pure python + math only, deliberately sharing no code with the
-package: enumeration over explicit state dictionaries instead of packed
-numpy tables.
+values, deliberately sharing no code with the package. All but
+:func:`axis_marginal` are pure python + math: enumeration over explicit
+state dictionaries instead of packed numpy tables.
 """
 
 import math
-from itertools import product
+from itertools import groupby, product
+
+import numpy as np
 
 
 def ising_table(p, theta):
@@ -27,6 +29,22 @@ def marginal(table, variables):
         key = tuple(state[v] for v in variables)
         out[key] = out.get(key, 0.0) + pr
     return out
+
+
+def axis_marginal(table, variables, keep):
+    """Sum the numpy ``table``, whose axes are the sorted ``variables``, onto
+    the sorted subset ``keep``, shaped (q,) * len(keep): the axis-sum
+    reference for dense tables. Each run of consecutive kept or summed axes
+    is merged into one dimension, and the summed dimensions are reduced one
+    at a time, largest first, so each pass reads the least."""
+    keep = set(keep)
+    q = table.shape[0] if table.ndim else 1
+    runs = [(kept, q ** len(list(run))) for kept, run in groupby(variables, keep.__contains__)]
+    out = table.reshape([size for _, size in runs])
+    summed = [a for a, (kept, _) in enumerate(runs) if not kept]
+    for axis in sorted(summed, key=lambda a: -runs[a][1]):
+        out = out.sum(axis=axis, keepdims=True)
+    return out.reshape((q,) * len(keep))
 
 
 def entropy_bits(dist):

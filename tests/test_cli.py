@@ -121,9 +121,9 @@ class TestLearn:
         from greedymrf import dataset
 
         calls = []
-        relabel = dataset._relabel
-        monkeypatch.setattr(dataset, "_relabel",
-                            lambda *a, **k: calls.append(1) or relabel(*a, **k))
+        lookup = dataset._lookup
+        monkeypatch.setattr(dataset, "_lookup",
+                            lambda *a, **k: calls.append(1) or lookup(*a, **k))
         f = tmp_path / "v.csv"
         f.write_text("a,b,c\nYea,Nay,Absent\nNay,Nay,Yea\nYea,Absent,Absent\n")
         rc = main([

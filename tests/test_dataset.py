@@ -4,7 +4,6 @@ import io
 import re
 import string
 import tracemalloc
-from array import array
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -23,7 +22,6 @@ from greedymrf.dataset import (
     DatasetError,
     DiscreteDataset,
     EmptyDatasetError,
-    IngestOptions,
     ParseError,
     UnknownTokenError,
     empirical_prob,
@@ -97,7 +95,7 @@ class TestLoadCsv:
         ds = load_csv(f, missing="Absent")
         assert ds.alphabet.symbols == ("Absent", "Yea")
         assert ds.values.tolist() == [[1, 1], [1, 1]]
-        forced = load_csv(f, IngestOptions(alphabet=("Yea", "Nay")), missing="Absent")
+        forced = load_csv(f, alphabet=("Yea", "Nay"), missing="Absent")
         assert forced.alphabet.symbols == ("Yea", "Nay")
         for missing in (None, "Yea"):
             with pytest.raises(DatasetError):
@@ -283,17 +281,16 @@ class TestLoadCsv:
         f = tmp_path / "t.csv"
         f.write_text("c0\na\nz\n")
         with pytest.raises(UnknownTokenError):
-            load_csv(f, IngestOptions(alphabet=("a", "b")))
+            load_csv(f, alphabet=("a", "b"))
         # The error names the first cell's unknown token.
         f.write_text("c0\na\nzz\ny\n")
         with pytest.raises(UnknownTokenError, match="'zz'"):
-            load_csv(f, IngestOptions(alphabet=("a", "b")))
+            load_csv(f, alphabet=("a", "b"))
 
     def test_voting_map_gives_binary_alphabet(self, tmp_path):
         f = tmp_path / "votes.csv"
         f.write_text("s0,s1\nYea,Nay\nAbsent,Yea\nYea,Yea\n")
-        opts = IngestOptions(value_map=(("Yea", "+1"), ("Nay", "-1"), ("Absent", "-1")))
-        ds = load_csv(f, opts)
+        ds = load_csv(f, (("Yea", "+1"), ("Nay", "-1"), ("Absent", "-1")))
         assert ds.alphabet.symbols == ("+1", "-1")
         assert ds.alphabet.size == 2
         # Yea -> +1 -> index 0 under the sorted inferred alphabet
@@ -311,7 +308,7 @@ class TestLoadCsv:
         f = tmp_path_factory.mktemp("rt") / "d.csv"
         write_csv(ds, f)
         # reload infers the sorted alphabet; pass it explicitly to preserve order
-        assert load_csv(f, IngestOptions(alphabet=ds.alphabet.symbols)) == ds
+        assert load_csv(f, alphabet=ds.alphabet.symbols) == ds
 
     def test_300_symbol_alphabet_round_trips_and_counts(self, tmp_path):
         symbols = tuple(f"t{k:03d}" for k in range(300))
@@ -320,7 +317,7 @@ class TestLoadCsv:
         assert ds.values.dtype == np.uint16
         f = tmp_path / "wide.csv"
         write_csv(ds, f)
-        back = load_csv(f, IngestOptions(alphabet=symbols))
+        back = load_csv(f, alphabet=symbols)
         assert back == ds
         expect = np.zeros((300, 300))
         for row in rows:
@@ -338,10 +335,19 @@ class TestLoadCsv:
         f.write_text(csv_text(tokens))
         with mock.patch.object(dataset, "_BLOCK_BYTES", 256), \
                 mock.patch.object(dataset, "_pack", wraps=dataset._pack) as pack:
-            ds = load_csv(f, IngestOptions(value_map=(("a", "t299"),)))
+            ds = load_csv(f, (("a", "t299"),))
         assert pack.called and ds.values.dtype == np.uint16
         want = np.where(tokens == "a", "t299", tokens)
         assert np.array(ds.alphabet.symbols, dtype=object)[ds.values].tolist() == want.tolist()
+
+    @pytest.mark.parametrize("participation", [1.5, -0.1, float("nan")])
+    def test_bad_participation_is_rejected_before_reading(self, tmp_path, participation):
+        f = tmp_path / "v.csv"
+        f.write_text("a,b\nYea,Absent\nNay,Yea\n")
+        with mock.patch.object(dataset, "_block_ids", wraps=dataset._block_ids) as spy, \
+                pytest.raises(DatasetError, match="outside"):
+            load_csv(f, missing="Absent", participation=participation)
+        assert spy.call_count == 0
 
 
 class TestRemap:
@@ -400,6 +406,26 @@ class TestFilterParticipation:
             filter_participation(ds, "?", 0.5)
 
 
+@pytest.mark.parametrize("relabel", [
+    lambda ds: remap_values(ds, (("a", "c"),)),
+    lambda ds: filter_participation(ds, "?", 0.5),
+], ids=["remap_values", "filter_participation"])
+def test_relabelling_holds_one_values_array(relabel):
+    # Both write the new values straight into one column-major array: no
+    # row blocks, C-order copy or intp ids beside it.
+    values = np.random.default_rng(6).integers(0, 3, size=(200_000, 10), dtype=np.uint8)
+    values[:150_000, ::3] = 2  # columns 0, 3, 6 and 9 are 75% missing
+    ds = make_ds(values, symbols=("a", "b", "?"))
+    tracemalloc.start()
+    try:
+        out = relabel(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.values.flags.f_contiguous and out.n == ds.n
+    assert peak <= 1.1 * out.values.nbytes + 64 * 1024
+
+
 def per_cell_map(token, rules):
     for src, dst in rules:
         if token == src:
@@ -407,7 +433,7 @@ def per_cell_map(token, rules):
     return token
 
 
-def per_cell_load_csv(path, options=IngestOptions()):
+def per_cell_load_csv(path, value_map=(), alphabet=None):
     """Reference ingestion: strip, map and index every cell on its own."""
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln != ""]
     if not lines:
@@ -419,10 +445,10 @@ def per_cell_load_csv(path, options=IngestOptions()):
         if len(toks) != len(names):
             raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, "
                              f"expected {len(names)}")
-        rows.append([per_cell_map(t, options.value_map) for t in toks])
+        rows.append([per_cell_map(t, value_map) for t in toks])
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return per_cell_index(names, rows, options.alphabet)
+    return per_cell_index(names, rows, alphabet)
 
 
 def per_cell_remap(ds, rules, alphabet=None):
@@ -446,29 +472,25 @@ def outcome(fn, *args):
         return type(err), str(err)
 
 
-def line_loop_load_csv(path, options=IngestOptions()):
-    """Reference tokeniser: read the file as text one line at a time, and
-    give each distinct raw token an int64 id."""
-    ids = {}
-    codes = array("q")
+def line_loop_load_csv(path, value_map=(), alphabet=None):
+    """Reference tokeniser: read the file as text one line at a time, then
+    strip, map and index every cell on its own."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
         lines = filter(None, (ln.rstrip("\n") for ln in fh))
         header = next(lines, None)
         if header is None:
             raise ParseError(f"{path}: empty file")
         names = [t.strip() for t in header.split(",")]
-        p = len(names)
         for rownum, line in enumerate(lines, start=1):
             toks = line.split(",")
-            if len(toks) != p:
+            if len(toks) != len(names):
                 raise ParseError(f"{path}: body row {rownum} has {len(toks)} fields, "
-                                 f"expected {p}")
-            codes.extend([ids.setdefault(t, len(ids)) for t in toks])
-    if not codes:
+                                 f"expected {len(names)}")
+            rows.append([per_cell_map(t.strip(), value_map) for t in toks])
+    if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
-    codes = np.frombuffer(codes, np.int64).reshape(-1, p)
-    return dataset._relabel(names, [(len(codes), 0, codes)],
-                            [t.strip() for t in ids], options.value_map, options.alphabet)
+    return per_cell_index(names, rows, alphabet)
 
 
 BREAKS = (b"\n", b"\r", b"\r\n")
@@ -510,10 +532,10 @@ class TestTokeniserMatchesLineLoop:
     def test_load_csv(self, tmp_path_factory, text, block, alphabet):
         f = tmp_path_factory.mktemp("tok") / "d.csv"
         f.write_bytes(text)
-        opts = IngestOptions(alphabet=None if alphabet is None else tuple(alphabet))
+        alphabet = None if alphabet is None else tuple(alphabet)
         with mock.patch.object(dataset, "_BLOCK_BYTES", block):
-            got = outcome(load_csv, f, opts)
-        assert got == outcome(line_loop_load_csv, f, opts)
+            got = outcome(load_csv, f, (), alphabet)
+        assert got == outcome(line_loop_load_csv, f, (), alphabet)
 
     @pytest.mark.parametrize("name", ["votes", "grid", "party"])
     def test_bench_shaped_files(self, tmp_path, name):
@@ -573,7 +595,6 @@ class TestParticipationIngestMatchesFilterThenRemap:
         f.write_bytes(text)
         rules = tuple(rules)
         alphabet = None if alphabet is None else tuple(alphabet)
-        opts = IngestOptions(value_map=rules, alphabet=alphabet)
 
         def classed(fn):
             try:
@@ -583,16 +604,18 @@ class TestParticipationIngestMatchesFilterThenRemap:
 
         with mock.patch.object(dataset, "_BLOCK_BYTES", block), \
                 mock.patch.object(dataset, "_HASH", hash_):
-            got = classed(lambda: load_csv(f, opts, missing, threshold))
+            got = classed(lambda: load_csv(f, rules, alphabet, missing, threshold))
         want = classed(lambda: remap_values(filter_participation(
             load_csv(f, missing=missing), missing, threshold), rules, alphabet))
         assert got == want
 
 
-def line_by_line_ingest(path, options=IngestOptions(), missing=None, participation=None):
+def line_by_line_ingest(path, value_map=(), alphabet=None, missing=None, participation=None):
     """Reference ingest over the file's bytes a line at a time: the dataset
-    of ``load_csv(path, options, missing, participation)`` or its error,
-    each cell stripped, mapped and indexed on its own."""
+    of ``load_csv(path, value_map, alphabet, missing, participation)`` or its
+    error, each cell stripped, mapped and indexed on its own."""
+    if participation is not None and not 0.0 <= participation <= 1.0:
+        raise DatasetError(f"threshold {participation} outside [0, 1]")
     lines = [ln for ln in re.split(rb"[\r\n]", Path(path).read_bytes()) if ln]
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -617,16 +640,13 @@ def line_by_line_ingest(path, options=IngestOptions(), missing=None, participati
         Alphabet(tuple(sorted({t for row in rows for t in row} | {missing})))
         if len(set(names)) < len(names):
             raise DatasetError("variable names must be unique")
-        if not 0.0 <= participation <= 1.0:
-            raise DatasetError(f"threshold {participation} outside [0, 1]")
         n = len(rows)
         kept = [c for c in range(len(names))
                 if (n - sum(row[c] == missing for row in rows)) / n >= participation]
         if not kept:
             raise EmptyDatasetError("participation filter removed every column")
         names, rows, extra = [names[c] for c in kept], [[row[c] for c in kept] for row in rows], []
-    rows = [[per_cell_map(t, options.value_map) for t in row] for row in rows]
-    alphabet = options.alphabet
+    rows = [[per_cell_map(t, value_map) for t in row] for row in rows]
     if alphabet is None:
         alphabet = sorted({t for row in rows for t in row} | set(extra))
     return per_cell_index(names, rows, alphabet)
@@ -694,13 +714,12 @@ class TestPackedIngestMatchesLineByLine:
         if data.draw(st.booleans()):
             mapped = sorted({per_cell_map(t, rules) for t in stripped} | {"Excused"})
             alphabet = tuple(data.draw(st.permutations(mapped)))[data.draw(st.integers(0, 1)):]
-        opts = IngestOptions(value_map=rules, alphabet=alphabet)
         f = tmp_path_factory.mktemp("grow") / "d.csv"
         f.write_bytes(text)
 
         def result(fn):
             try:
-                return fn(f, opts, missing, participation)
+                return fn(f, rules, alphabet, missing, participation)
             except ParseError as err:
                 return ParseError, str(err)
             except DatasetError as err:
@@ -712,13 +731,12 @@ class TestPackedIngestMatchesLineByLine:
 
     @pytest.mark.parametrize("block", [1, 16, 64])
     @pytest.mark.parametrize("ends", [b"\n", b"\r\n\n"], ids=["LF", "CRLF-blank"])
-    @pytest.mark.parametrize("opts", [
-        IngestOptions(), IngestOptions(alphabet=tuple(sorted([f"a{k}" for k in range(6)]
-                                                             + [f"k{k}" for k in range(8, 16)]
-                                                             + ["zk"]))),
-        IngestOptions(value_map=(("k9", "a0"), ("zk", "k8"))),
+    @pytest.mark.parametrize("value_map, alphabet", [
+        ((), None), ((), tuple(sorted([f"a{k}" for k in range(6)] + [f"k{k}" for k in range(8, 16)]
+                                      + ["zk"]))),
+        ((("k9", "a0"), ("zk", "k8")), None),
     ], ids=["inferred", "forced", "mapped"])
-    def test_dropped_columns_across_widths(self, tmp_path, block, ends, opts):
+    def test_dropped_columns_across_widths(self, tmp_path, block, ends, value_map, alphabet):
         # Column c2 is 60% missing ("?") in the packed blocks and in the
         # unpacked ones alike, so a threshold of 0.5 drops it only when both
         # are counted. The first rows bring raw ids 0-15, at 1, 2 and then 4
@@ -737,11 +755,11 @@ class TestPackedIngestMatchesLineByLine:
         f = tmp_path / "d.csv"
         f.write_bytes(b"".join(line.encode() + ends for line in lines))
         with mock.patch.object(dataset, "_BLOCK_BYTES", block):
-            got = load_csv(f, opts, "?", 0.5)
-        want = line_by_line_ingest(f, opts, "?", 0.5)
+            got = load_csv(f, value_map, alphabet, "?", 0.5)
+        want = line_by_line_ingest(f, value_map, alphabet, "?", 0.5)
         assert got == want
         assert got.names == ("c0", "c1")
-        assert "zk" in got.alphabet.symbols or opts.value_map
+        assert "zk" in got.alphabet.symbols or value_map
 
 
 TOKENS = ("a", "b", "c", "ab", "", "+1", "-1")
@@ -768,16 +786,15 @@ class TestRelabelMatchesPerCellReference:
         f = tmp_path_factory.mktemp("relabel") / "d.csv"
         header = ",".join(f"c{k}" for k in range(len(grid[0])))
         f.write_text("\n".join([header] + [",".join(row) for row in grid]) + "\n")
-        opts = IngestOptions(value_map=tuple(rules),
-                             alphabet=None if alphabet is None else tuple(alphabet))
-        assert outcome(load_csv, f, opts) == outcome(per_cell_load_csv, f, opts)
+        rules, alphabet = tuple(rules), None if alphabet is None else tuple(alphabet)
+        assert outcome(load_csv, f, rules, alphabet) == outcome(per_cell_load_csv, f, rules, alphabet)
 
     def test_chained_and_duplicate_rules_apply_first_match_once(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x,y\na,b\nb,c\n")
-        opts = IngestOptions(value_map=(("a", "b"), ("b", "c"), ("a", "c")))
-        ds = load_csv(f, opts)
-        assert ds == per_cell_load_csv(f, opts)
+        rules = (("a", "b"), ("b", "c"), ("a", "c"))
+        ds = load_csv(f, rules)
+        assert ds == per_cell_load_csv(f, rules)
         assert ds.alphabet.symbols == ("b", "c")
         assert ds.values.tolist() == [[0, 1], [1, 1]]
 

@@ -33,9 +33,8 @@ from greedymrf.entropy import (
 from greedymrf.generators import ModelSpec, WeightRule, build
 from greedymrf.learner import LearnerConfig, learn_structure
 from greedymrf.models import JointDistribution, SPIN_ALPHABET, exact_joint
-from greedymrf.models import marginal as axis_marginal
 
-from _oracle import cond_entropy_bits, entropy_bits, ising_table, marginal
+from _oracle import axis_marginal, cond_entropy_bits, entropy_bits, ising_table, marginal
 
 CHAIN3 = ModelSpec.chain(3, WeightRule.constant(0.5))
 

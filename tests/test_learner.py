@@ -26,7 +26,7 @@ from greedymrf.learner import (
     prune_neighborhood,
     prune_result,
 )
-from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint, exact_sample, marginal
+from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint, exact_sample
 from greedymrf.theory import model_gap
 
 from _oracle import (
@@ -35,6 +35,7 @@ from _oracle import (
     ising_table,
     mutual_information_bits,
 )
+from _oracle import axis_marginal as marginal
 from _oracle import prune_neighborhood as oracle_prune
 
 
