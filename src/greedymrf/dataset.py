@@ -17,7 +17,7 @@ from codecs import BOM_UTF8
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,6 +118,13 @@ class Alphabet:
 # Spin convention used by the Ising machinery: index 0 <-> -1, index 1 <-> +1.
 # Tokens are chosen so that sorted-token alphabet inference reproduces them.
 SPIN_ALPHABET = Alphabet(("-1", "1"))
+
+
+def check_indices(indices: Iterable[int], size: int) -> None:
+    """Raise IndexError for the first of ``indices`` outside 0..size-1."""
+    for index in indices:
+        if not 0 <= index < size:
+            raise IndexError(f"index {index} out of range 0..{size - 1}")
 
 
 def cell_codes(digits: np.ndarray, variables: Sequence[int], q: int) -> np.ndarray:
@@ -222,7 +229,7 @@ def extension_counts(
             idx += (np.arange(size) * (q * m))[:, None]
             joint = np.bincount(idx.ravel(), minlength=size * q * m).reshape(size, q * m)
             del idx  # so the next chunk's idx is not made while this one is held
-            marginal = _sum_x_i(joint, q) if starts is None else np.add.reduceat(joint, starts, axis=1)
+            marginal = sum_digit(joint, q) if starts is None else np.add.reduceat(joint, starts, axis=1)
             yield (j, slice(start, start + size)), joint, marginal
 
 
@@ -319,7 +326,7 @@ def _plane_counts(
             kept[a:b, -1] = totals
             carry.update(zip(zip(nodes[a:b].tolist(), map(tuple, given[a:b].tolist())), kept[a:b]))
         joint = joint.reshape(b - a, p, -1)
-        yield (slice(a, b), slice(None)), joint, _sum_x_i(joint, q)
+        yield (slice(a, b), slice(None)), joint, sum_digit(joint, q)
         a = b
 
 
@@ -341,11 +348,13 @@ def _cell_planes(planes: np.ndarray, variables: np.ndarray, rows: int) -> np.nda
     return cells
 
 
-def _sum_x_i(joint: np.ndarray, q: int) -> np.ndarray:
-    """Dense (x_k, given) counts of dense (x_k, given, x_i) counts on the last axis, as
-    the sum of the q strided x_i slices: many times faster than a sum over an axis of q."""
-    by_x = joint.reshape(joint.shape[:-1] + (-1, q))
-    return sum(by_x[..., x] for x in range(q))
+def sum_digit(cells: np.ndarray, q: int, below: int = 1) -> np.ndarray:
+    """Dense cells on the last axis with the base-q digit of place value
+    ``below`` summed out, as the sum of the q strided slices of that digit:
+    many times faster than a sum over an axis of q. The default sums out the
+    last digit, x_i of dense (x_k, given, x_i) counts."""
+    by_x = cells.reshape(cells.shape[:-1] + (-1, q, below))
+    return sum(by_x[..., x, :] for x in range(q)).reshape(cells.shape[:-1] + (-1,))
 
 
 def _take_carried(carried: dict | None, node: int, given: list[int]
@@ -385,6 +394,8 @@ class DiscreteDataset:
             raise DatasetError(f"{len(names)} names for {p} columns")
         if len(set(names)) != len(names):
             raise DatasetError("variable names must be unique")
+        if values.dtype.kind not in "biu":
+            raise DatasetError(f"values must be integer alphabet indices, not {values.dtype}")
         if values.min() < 0 or values.max() >= alphabet.size:
             raise DatasetError("value index outside alphabet range")
         self.names = tuple(str(x) for x in names)
@@ -442,9 +453,7 @@ class DiscreteDataset:
         a bincount of its cell codes, sorted when the cells outnumber the rows.
         """
         variables = tuple(variables)
-        for v in variables:
-            if not 0 <= v < self.p:
-                raise IndexError(f"variable index {v} out of range for p={self.p}")
+        check_indices(variables, self.p)
         q, cells = self.alphabet.size, self.alphabet.size ** len(variables)
         if (variables and self.n >= _PLANE_ROWS and _fits_planes(cells, q, self.n)
                 and (planes := self.bit_planes()) is not None):
@@ -476,9 +485,7 @@ def empirical_prob(ds: DiscreteDataset, a: Assignment) -> float:
     """Fraction of sample rows matching the assignment; 1.0 for the empty one."""
     if not a.vars:
         return 1.0
-    for v in a.vars:
-        if not 0 <= v < ds.p:
-            raise IndexError(f"variable index {v} out of range for p={ds.p}")
+    check_indices(a.vars, ds.p)
     for v, x in zip(a.vars, a.vals):
         if not 0 <= x < ds.alphabet.size:
             raise DatasetError(f"value {x} outside alphabet for variable {v}")

@@ -5,7 +5,8 @@ tables.
 All entropies are base-2 (bits) sums of one term, :func:`_plogp`; zero cells
 add nothing, and conditional entropy is always a difference of joint
 entropies, so no 0/0 conditional cell can arise. Datasets of at most 2^15
-rows look their count terms up in a table of that term's own bits.
+rows look their count terms up in a table of that term's own bits; every
+other entropy is summed over 2^11-cell pieces of its row.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import _MAX_DENSE_CELLS, Alphabet, CapacityError, DiscreteDataset, extension_counts
+from .dataset import (_MAX_DENSE_CELLS, Alphabet, CapacityError, DiscreteDataset, check_indices,
+                      extension_counts, sum_digit)
 from .models import IsingModel, JointDistribution, exact_joint
 
 #: Float slack for equality-style checks against exact sources.
@@ -25,7 +27,8 @@ EXACT_TOL = 1e-12
 #: Largest row count whose count terms a dataset's source tabulates (256 KiB).
 _TERMS_MAX_ROWS = 1 << 15
 
-#: Cells of one batch, zero clamp or entropy sum of an exact source (16 KiB).
+#: Cells of one batch or zero clamp of an exact source, or of a row's piece
+#: of a float entropy sum (16 KiB).
 _PIECE = 1 << 11
 
 
@@ -53,10 +56,16 @@ class DistributionSource:
 
     def check_subset(self, variables: Iterable[int]) -> tuple[int, ...]:
         out = tuple(sorted(set(variables)))
-        for v in out:
-            if not 0 <= v < self.p:
-                raise IndexError(f"variable index {v} out of range for p={self.p}")
+        check_indices(out, self.p)
         return out
+
+    def check_step(self, i: int, given: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(sorted ``given``, sorted given + (i,)), or IndexError for an index
+        out of range and ValueError for i in ``given``."""
+        given = self.check_subset(given)
+        if i in given:
+            raise ValueError(f"target variable {i} appears in the conditioning set")
+        return given, self.check_subset(given + (i,))
 
     def dense_marginal(self, variables: Iterable[int]) -> np.ndarray:
         """Marginal over the sorted variable subset, mixed-radix indexed with
@@ -93,10 +102,7 @@ class DistributionSource:
         """H(X_i | X_given) and, for each j of the sorted ``given``,
         H(X_i | X_given without j), in bits: each an entropy difference of
         marginals summed out of one ``_cells`` table over given + (i,)."""
-        given = self.check_subset(given)
-        if i in given:
-            raise ValueError(f"target variable {i} appears in the conditioning set")
-        both = self.check_subset(given + (i,))
+        given, both = self.check_step(i, given)
         q, at = self.alphabet.size, both.index(i)
         table = self._cells(both)
         rest = _sum_out(table, q, len(both), at)
@@ -123,11 +129,7 @@ class DistributionSource:
         """
         nodes, sets = [], []
         for i, given in steps:
-            given = self.check_subset(given)
-            if not 0 <= i < self.p:
-                raise IndexError(f"variable index {i} out of range for p={self.p}")
-            if i in given:
-                raise ValueError(f"target variable {i} appears in the conditioning set")
+            given, _ = self.check_step(i, given)
             nodes.append(i)
             sets.append(given)
         if len({len(given) for given in sets}) > 1:
@@ -207,9 +209,9 @@ class ExactSource(DistributionSource):
             for m, (_, k, i, own) in enumerate(pairs[at:at + per]):
                 cells[m] = self._view({*own, i, k}).swapaxes(0, sum(v < i for v in own) + (k < i))
             slot_sums(cells, q, width, range(1, width), np.subtract)
-            h_ck = _piece_entropies(cells.reshape(len(cells), q, -1)[:, 0])
+            h_ck = self._entropies(cells.reshape(len(cells), q, -1)[:, 0])
             slot_sums(cells, q, width, [0], np.subtract)
-            out[rows, ks] = _piece_entropies(cells.reshape(len(cells), -1)) - h_ck
+            out[rows, ks] = self._entropies(cells.reshape(len(cells), -1)) - h_ck
             del cells  # before the next batch is gathered
         return out
 
@@ -224,11 +226,6 @@ def slot_sums(cells: np.ndarray, q: int, width: int, axes: Iterable[int], op: np
                 op(line[0], line[j], out=line[0])
 
 
-def _piece_entropies(mass: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each row of 2-d ``mass``, summed over column pieces."""
-    return -sum(_plogp(mass[:, at:at + _PIECE]).sum(axis=1) for at in range(0, mass.shape[1], _PIECE))
-
-
 def _sum_out(table: tuple[np.ndarray | slice, np.ndarray], q: int, width: int, axis: int
              ) -> tuple[np.ndarray | slice, np.ndarray]:
     """A ``_cells`` table over ``width`` sorted variables with the one at
@@ -237,7 +234,7 @@ def _sum_out(table: tuple[np.ndarray | slice, np.ndarray], q: int, width: int, a
     index, mass = table
     below = q ** (width - axis - 1)
     if isinstance(index, slice):
-        return index, mass.reshape(-1, q, below).sum(axis=1).ravel()
+        return index, sum_digit(mass, q, below)
     reduced = index // (q * below) * below + index % below
     if q ** (width - 1) > len(index):  # cells outnumber the occupied ones: sort the codes
         codes, inverse = np.unique(reduced, return_inverse=True)
@@ -260,12 +257,18 @@ def _plogp(probs: np.ndarray) -> np.ndarray:
 def _entropies(mass: np.ndarray, total: float, terms: np.ndarray | None = None) -> np.ndarray:
     """Entropy in bits along the last axis of cell masses summing to ``total``.
     Integer masses look their terms up in ``terms``, ``_plogp`` of c / total
-    for c = 0..total: the formula's bits, summed in the same order."""
+    for c = 0..total: the formula's bits, summed in the same order. Other
+    masses are summed over pieces of ``_PIECE`` cells of each row, so no
+    temporary outgrows a piece; a row of at most ``_PIECE`` cells is one."""
     if terms is not None and mass.dtype.kind in "iu":
         return -terms.take(mass).sum(axis=-1)
     # Float probabilities are used as they are: dividing by 1.0 would only copy them.
-    probs = mass if total == 1.0 and mass.dtype.kind == "f" else mass / total
-    return -_plogp(probs).sum(axis=-1)
+    scaled = total != 1.0 or mass.dtype.kind != "f"
+    h = 0.0
+    for at in range(0, mass.shape[-1], _PIECE):
+        piece = mass[..., at:at + _PIECE]
+        h = h + _plogp(piece / total if scaled else piece).sum(axis=-1)
+    return -h
 
 
 def entropy(src: DistributionSource, variables: Iterable[int]) -> float:
@@ -276,10 +279,7 @@ def entropy(src: DistributionSource, variables: Iterable[int]) -> float:
 
 def conditional_entropy(src: DistributionSource, i: int, given: Iterable[int]) -> float:
     """H(X_i | X_given) in bits, as entropy(given + i) - entropy(given)."""
-    given_t = src.check_subset(given)
-    if i in given_t:
-        raise ValueError(f"target variable {i} appears in the conditioning set")
-    joint_t = src.check_subset(given_t + (i,))
+    given_t, joint_t = src.check_step(i, given)
     return src.entropy_bits(joint_t) - src.entropy_bits(given_t)
 
 

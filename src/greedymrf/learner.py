@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dataset import check_indices
 from .entropy import DistributionSource, conditional_entropy, mutual_information
 from .models import MarkovGraph, union
 
@@ -158,9 +159,7 @@ def _greedy_passes(
     """
     if src.p < 2:
         raise ValueError("need at least two variables")
-    for i in nodes:
-        if not 0 <= i < src.p:
-            raise IndexError(f"vertex {i} out of range for p={src.p}")
+    check_indices(nodes, src.p)
     cap = cfg.max_neighborhood if cfg.max_neighborhood is not None else src.p - 1
     chosen: list[list[int]] = [[] for _ in nodes]
     picks: list[list[Pick]] = [[] for _ in nodes]
@@ -245,9 +244,8 @@ def prune_neighborhood(
     stable.
     """
     kept = sorted(set(candidate_set))
-    for j in kept:
-        if j == i:
-            raise ValueError("candidate set must not contain the node itself")
+    if i in kept:
+        raise ValueError("candidate set must not contain the node itself")
     while kept:
         h_full, without = src.removal_entropies(i, kept)
         slack = _slack(h_full)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Alphabet, CapacityError, DiscreteDataset, SPIN_ALPHABET
+from .dataset import Alphabet, CapacityError, DiscreteDataset, SPIN_ALPHABET, check_indices
 
 ENUMERATION_CAP = 24
 
@@ -128,9 +128,7 @@ def factor_graph(g: MarkovGraph) -> FactorGraph:
 
 def graph_distance(g: MarkovGraph | FactorGraph, u: int, v: int) -> float:
     """BFS hop distance between two vertices; math.inf if disconnected."""
-    n = g.num_vertices
-    if not (0 <= u < n and 0 <= v < n):
-        raise IndexError(f"vertex out of range 0..{n - 1}")
+    check_indices((u, v), g.num_vertices)
     if u == v:
         return 0
     dist = {u: 0}
@@ -221,9 +219,7 @@ class JointDistribution:
     def dense_marginal(self, variables: Sequence[int]) -> np.ndarray:
         """Exact marginal over ``variables``, a new array indexed as the table in sorted order."""
         variables = set(variables)
-        for v in variables:
-            if not 0 <= v < self.p:
-                raise IndexError(f"variable index {v} out of range for p={self.p}")
+        check_indices(variables, self.p)
         return self.table.sum(axis=tuple(set(range(self.p)) - variables)).ravel()
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import CapacityError
+from .dataset import CapacityError, check_indices
 from .entropy import DistributionSource, conditional_entropy
 from .models import MarkovGraph, graph_distance
 
@@ -167,8 +167,7 @@ def nondegeneracy_gap(src: DistributionSource, g: MarkovGraph, i: int) -> float:
     Raises ValueError before any query when ``g`` and ``src`` differ in size.
     """
     _check_sizes(src, g)
-    if not 0 <= i < g.p:
-        raise IndexError(f"vertex {i} out of range")
+    check_indices((i,), g.p)
     nbrs = g.neighbors(i)
     if len(nbrs) > GAP_DEGREE_CAP:
         raise CapacityError(f"degree {len(nbrs)} exceeds gap enumeration cap {GAP_DEGREE_CAP}")
@@ -226,8 +225,7 @@ def decay_profile(
     before the first query.
     """
     _check_sizes(src, g)
-    if not 0 <= i < g.p:
-        raise IndexError(f"vertex {i} out of range")
+    check_indices((i,), g.p)
     one_hop = set(g.neighbors(i))
     two_hop = {w for j in one_hop for w in g.neighbors(j)} - one_hop - {i}
     local = tuple(sorted({i} | one_hop | two_hop))

@@ -88,6 +88,34 @@ def ingest_peak(f, tokens, participation):
         tracemalloc.stop()
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("names, values, error, match", [
+        (["a", "b"], np.array([0, 1]), DatasetError, "2-d"),
+        (["a"], np.zeros((0, 1), dtype=np.int64), EmptyDatasetError, "sample row"),
+        ([], np.zeros((2, 0), dtype=np.int64), EmptyDatasetError, "variable"),
+        (["a"], np.zeros((2, 2), dtype=np.int64), DatasetError, "1 names for 2 columns"),
+        (["a", "a"], np.zeros((2, 2), dtype=np.int64), DatasetError, "unique"),
+        (["a", "b"], np.array([[0, 2]]), DatasetError, "outside alphabet"),
+        (["a", "b"], np.array([[-1, 0]]), DatasetError, "outside alphabet"),
+    ], ids=["1-d", "no-rows", "no-columns", "name-count", "repeated-name", "above", "below"])
+    def test_rejections(self, names, values, error, match):
+        with pytest.raises(error, match=match):
+            DiscreteDataset(names, Alphabet(("x", "y")), values)
+
+    @pytest.mark.parametrize("values", [
+        np.array([[0.5, 1.9]]), np.array([[0.0, 1.0]]), np.array([[np.nan, 1.0]]),
+        np.array([[0, 1]], dtype=object),
+    ], ids=["fractions", "whole-floats", "nan", "object"])
+    def test_non_integer_values_are_rejected(self, values):
+        with pytest.raises(DatasetError, match="integer"):
+            DiscreteDataset(["a", "b"], Alphabet(("x", "y")), values)
+
+    @pytest.mark.parametrize("dtype", ["?", *np.typecodes["AllInteger"]])
+    def test_bool_and_every_integer_dtype_are_accepted(self, dtype):
+        ds = DiscreteDataset(["a", "b"], Alphabet(("x", "y")), np.array([[0, 1], [1, 1]], dtype=dtype))
+        assert ds.values.dtype == np.uint8 and ds.values.tolist() == [[0, 1], [1, 1]]
+
+
 class TestLoadCsv:
     def test_missing_token_joins_an_inferred_alphabet(self, tmp_path):
         f = tmp_path / "one.csv"
@@ -339,6 +367,13 @@ class TestLoadCsv:
         assert pack.called and ds.values.dtype == np.uint16
         want = np.where(tokens == "a", "t299", tokens)
         assert np.array(ds.alphabet.symbols, dtype=object)[ds.values].tolist() == want.tolist()
+
+    @pytest.mark.parametrize("participation", [None, 0.5])
+    def test_repeated_header_name_is_rejected(self, tmp_path, participation):
+        f = tmp_path / "v.csv"
+        f.write_text("a,b,a\nYea,Nay,Yea\nNay,Absent,Yea\n")
+        with pytest.raises(DatasetError, match="unique"):
+            load_csv(f, missing="Absent", participation=participation)
 
     @pytest.mark.parametrize("participation", [1.5, -0.1, float("nan")])
     def test_bad_participation_is_rejected_before_reading(self, tmp_path, participation):

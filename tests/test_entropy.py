@@ -127,6 +127,11 @@ class TestConditionalEntropy:
         with pytest.raises(ValueError):
             conditional_entropy(counts_source(1, 1), 0, [0])
 
+    def test_removal_entropies_reject_the_target_in_the_given_set(self):
+        src = ExactSource(exact_joint(build(CHAIN3)))
+        with pytest.raises(ValueError, match="conditioning set"):
+            src.removal_entropies(1, (0, 1))
+
 
 class TestMutualInformation:
     def test_independent_pair(self):
@@ -755,12 +760,13 @@ class TestAxisSums:
 
     def test_full_width_marginal_and_entropy_copy_the_table_at_most_once(self):
         # The hook hands the un-summed marginal over as it is: no cell codes,
-        # no gathered copy. The entropy adds only its log buffer and the mask
-        # of nonzero cells.
+        # no gathered copy. The entropy is summed over pieces of 2^11 cells,
+        # so its log buffer and mask of nonzero cells are a piece's, not the
+        # table's.
         w = np.random.default_rng(8).random(2**16)
         table_bytes = w.nbytes
         for query, bound in ((lambda s: s.dense_marginal(range(16)), 2.1),
-                             (lambda s: entropy(s, range(16)), 2.25)):
+                             (lambda s: entropy(s, range(16)), 1.1)):
             src = ExactSource(JointDistribution(16, SPIN_ALPHABET, w / w.sum()))
             tracemalloc.start()
             try:

@@ -198,6 +198,11 @@ class TestPrune:
         _, src = exact_source(ModelSpec.chain(3, WeightRule.constant(0.5)))
         assert prune_neighborhood(src, 0, (), LearnerConfig(epsilon=0.05)) == ()
 
+    def test_node_in_its_own_candidate_set_rejected(self):
+        _, src = exact_source(ModelSpec.chain(3, WeightRule.constant(0.5)))
+        with pytest.raises(ValueError, match="node itself"):
+            prune_neighborhood(src, 1, (0, 1, 2), LearnerConfig(epsilon=0.05))
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(3, 7), st.integers(2, 3), st.integers(1, 150), st.integers(0, 2**16),
            st.floats(0.001, 0.6), st.data())

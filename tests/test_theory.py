@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from greedymrf.dataset import Alphabet, CapacityError, DiscreteDataset
-from greedymrf.entropy import EmpiricalSource, ExactSource
+from greedymrf.dataset import Alphabet, Assignment, CapacityError, DiscreteDataset, empirical_prob
+from greedymrf.entropy import EmpiricalSource, ExactSource, conditional_entropy, entropy
 from greedymrf.generators import ModelSpec, WeightRule, build, model_size
-from greedymrf.models import IsingModel, JointDistribution, MarkovGraph, exact_joint, graph_distance
+from greedymrf.learner import LearnerConfig, greedy_neighborhood
+from greedymrf.models import (IsingModel, JointDistribution, MarkovGraph, exact_joint, exact_sample,
+                              graph_distance)
 from greedymrf.theory import (
     all_bound_reports,
     decay_profile,
@@ -447,3 +449,34 @@ class TestBoundReports:
     def test_unknown_input_is_refused(self):
         with pytest.raises(TypeError):
             all_bound_reports(eps=0.5, max_degree=2, alphabet_size=2)
+
+
+# Every public entry that takes a variable or vertex index, called with the
+# index ``v`` on a chain of three: its joint, exact source, sample and graph.
+_INDEXED = {
+    "joint_counts": lambda j, src, ds, g, v: ds.joint_counts((0, v)),
+    "empirical_prob": lambda j, src, ds, g, v: empirical_prob(ds, Assignment((v,), (0,))),
+    "entropy": lambda j, src, ds, g, v: entropy(src, (0, v)),
+    "conditional_entropy/target": lambda j, src, ds, g, v: conditional_entropy(src, v, (1,)),
+    "conditional_entropy/given": lambda j, src, ds, g, v: conditional_entropy(src, 1, (v,)),
+    "extension_entropies/target": lambda j, src, ds, g, v: src.extension_entropies([(v, ())]),
+    "extension_entropies/given": lambda j, src, ds, g, v: src.extension_entropies([(1, (v,))]),
+    "removal_entropies/target": lambda j, src, ds, g, v: src.removal_entropies(v, (1,)),
+    "removal_entropies/given": lambda j, src, ds, g, v: src.removal_entropies(1, (v,)),
+    "greedy_neighborhood": lambda j, src, ds, g, v: greedy_neighborhood(
+        src, v, LearnerConfig(epsilon=0.1)),
+    "dense_marginal": lambda j, src, ds, g, v: j.dense_marginal((0, v)),
+    "graph_distance/u": lambda j, src, ds, g, v: graph_distance(g, v, 0),
+    "graph_distance/v": lambda j, src, ds, g, v: graph_distance(g, 0, v),
+    "nondegeneracy_gap": lambda j, src, ds, g, v: nondegeneracy_gap(src, g, v),
+    "decay_profile": lambda j, src, ds, g, v: decay_profile(src, g, v),
+}
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+@pytest.mark.parametrize("entry", sorted(_INDEXED))
+def test_every_indexed_entry_rejects_an_index_out_of_range(entry, v):
+    model = build(ModelSpec.chain(3, WeightRule.constant(0.5)))
+    joint = exact_joint(model)
+    with pytest.raises(IndexError, match=rf"index {v} out of range 0\.\.2"):
+        _INDEXED[entry](joint, ExactSource(joint), exact_sample(joint, 20, 0), model.graph, v)
