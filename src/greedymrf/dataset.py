@@ -1,4 +1,4 @@
-"""Discrete sample storage, CSV ingestion, and empirical probability queries.
+"""Discrete sample storage, CSV ingestion, row counting, and the one index check.
 
 A dataset is an immutable n x p matrix of alphabet indices plus the alphabet
 itself. All probability estimation elsewhere in the package reduces to
@@ -13,6 +13,7 @@ when p is large and only the query set is small.
 from __future__ import annotations
 
 import math
+import operator
 from codecs import BOM_UTF8
 from dataclasses import dataclass, field
 from itertools import islice
@@ -120,11 +121,21 @@ class Alphabet:
 SPIN_ALPHABET = Alphabet(("-1", "1"))
 
 
-def check_indices(indices: Iterable[int], size: int) -> None:
-    """Raise IndexError for the first of ``indices`` outside 0..size-1."""
-    for index in indices:
+def _as_index(x: int) -> int:
+    """``x`` as an int; TypeError for a non-integer or a bool (numpy reads bools as a mask)."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise TypeError(f"index {x!r} is not an integer")
+    return operator.index(x)
+
+
+def check_indices(indices: Iterable[int], size: int) -> tuple[int, ...]:
+    """``indices`` as ints (:func:`_as_index`), or IndexError for the first
+    outside 0..size-1."""
+    out = tuple(map(_as_index, indices))
+    for index in out:
         if not 0 <= index < size:
             raise IndexError(f"index {index} out of range 0..{size - 1}")
+    return out
 
 
 def cell_codes(digits: np.ndarray, variables: Sequence[int], q: int) -> np.ndarray:
@@ -452,8 +463,7 @@ class DiscreteDataset:
         popcounts of its cells' rows (:func:`_cell_planes`); any other is
         a bincount of its cell codes, sorted when the cells outnumber the rows.
         """
-        variables = tuple(variables)
-        check_indices(variables, self.p)
+        variables = check_indices(variables, self.p)
         q, cells = self.alphabet.size, self.alphabet.size ** len(variables)
         if (variables and self.n >= _PLANE_ROWS and _fits_planes(cells, q, self.n)
                 and (planes := self.bit_planes()) is not None):
@@ -465,32 +475,6 @@ class DiscreteDataset:
             dense = np.bincount(cell_codes(self.values.T, variables, q))
         keys = np.flatnonzero(dense)
         return keys, dense[keys]
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A fixed value for each variable in a sorted, duplicate-free index set."""
-
-    vars: tuple[int, ...]
-    vals: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vars) != len(self.vals):
-            raise DatasetError("vars and vals must have equal length")
-        if list(self.vars) != sorted(set(self.vars)):
-            raise DatasetError("vars must be distinct and sorted ascending")
-
-
-def empirical_prob(ds: DiscreteDataset, a: Assignment) -> float:
-    """Fraction of sample rows matching the assignment; 1.0 for the empty one."""
-    if not a.vars:
-        return 1.0
-    check_indices(a.vars, ds.p)
-    for v, x in zip(a.vars, a.vals):
-        if not 0 <= x < ds.alphabet.size:
-            raise DatasetError(f"value {x} outside alphabet for variable {v}")
-    match = np.all(ds.values[:, list(a.vars)] == np.asarray(a.vals), axis=1)
-    return int(match.sum()) / ds.n
 
 
 def _lookup(tokens: Sequence[str], rules: tuple[tuple[str, str], ...],

@@ -1,6 +1,7 @@
-"""Entropies, conditional entropies, mutual information, and distribution
-distance bounds, computed uniformly over empirical datasets and exact joint
-tables.
+"""Entropies, conditional entropies and mutual information, computed
+uniformly over empirical datasets and exact joint tables by the two
+distribution sources. The distance bounds the paper checks them against
+(entropy-L1 continuity, Pinsker) live in :mod:`greedymrf.theory`.
 
 All entropies are base-2 (bits) sums of one term, :func:`_plogp`; zero cells
 add nothing, and conditional entropy is always a difference of joint
@@ -11,8 +12,6 @@ other entropy is summed over 2^11-cell pieces of its row.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -55,13 +54,13 @@ class DistributionSource:
         self._entropy_cache: dict[tuple[int, ...], float] = {}
 
     def check_subset(self, variables: Iterable[int]) -> tuple[int, ...]:
-        out = tuple(sorted(set(variables)))
-        check_indices(out, self.p)
-        return out
+        return tuple(sorted(set(check_indices(variables, self.p))))
 
     def check_step(self, i: int, given: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(sorted ``given``, sorted given + (i,)), or IndexError for an index
-        out of range and ValueError for i in ``given``."""
+        """(sorted ``given``, sorted given + (i,)), or TypeError for an index
+        that is not an integer, IndexError for one out of range and
+        ValueError for i in ``given``."""
+        (i,) = check_indices((i,), self.p)
         given = self.check_subset(given)
         if i in given:
             raise ValueError(f"target variable {i} appears in the conditioning set")
@@ -288,78 +287,3 @@ def mutual_information(src: DistributionSource, i: int, j: int) -> float:
     if i == j:
         raise ValueError("mutual information needs two distinct variables")
     return entropy(src, (i,)) - conditional_entropy(src, i, (j,))
-
-
-def _aligned_marginals(
-    p_src: DistributionSource, q_src: DistributionSource, variables: Iterable[int]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    if p_src.alphabet.symbols != q_src.alphabet.symbols:
-        raise ValueError("sources must share one alphabet to be compared")
-    a = p_src.check_subset(variables)
-    b = q_src.check_subset(variables)
-    if a != b:
-        raise ValueError("variable subset invalid for one of the sources")
-    return p_src.dense_marginal(a), q_src.dense_marginal(a), len(a)
-
-
-def l1_distance(
-    p_src: DistributionSource, q_src: DistributionSource, variables: Iterable[int]
-) -> float:
-    """Total variational distance sum |P - Q| over the marginal on
-    ``variables``; lies in [0, 2]."""
-    pm, qm, _ = _aligned_marginals(p_src, q_src, variables)
-    return float(np.abs(pm - qm).sum())
-
-
-@dataclass(frozen=True)
-class EntropyL1Report:
-    """Outcome of the entropy-vs-L1 continuity check.
-
-    ``applicable`` is False when the L1 distance exceeds 1/2, outside the
-    bound's validity region; ``holds`` is then vacuously True.
-    """
-
-    lhs: float
-    rhs: float
-    l1: float
-    applicable: bool
-    holds: bool
-
-
-def check_entropy_l1_bound(
-    p_src: DistributionSource, q_src: DistributionSource, variables: Iterable[int]
-) -> EntropyL1Report:
-    """Check |H(P) - H(Q)| <= -||P-Q||_1 log2(||P-Q||_1 / M) on the marginal,
-    where M is the number of cells of the marginal's outcome space."""
-    pm, qm, nvars = _aligned_marginals(p_src, q_src, variables)
-    cells = p_src.alphabet.size**nvars
-    l1 = float(np.abs(pm - qm).sum())
-    lhs = abs(float(_entropies(pm, 1.0) - _entropies(qm, 1.0)))
-    rhs = 0.0 if l1 == 0.0 else -l1 * math.log2(l1 / cells)
-    applicable = l1 <= 0.5
-    holds = (not applicable) or (lhs <= rhs + EXACT_TOL)
-    return EntropyL1Report(lhs=lhs, rhs=rhs, l1=l1, applicable=applicable, holds=holds)
-
-
-@dataclass(frozen=True)
-class PinskerReport:
-    """Outcome of the KL-vs-L1 check; an infinite KL holds vacuously."""
-
-    kl_bits: float
-    l1: float
-    holds: bool
-
-
-def check_pinsker(
-    p_src: DistributionSource, q_src: DistributionSource, variables: Iterable[int]
-) -> PinskerReport:
-    """Check D(P||Q) >= ||P-Q||_1^2 / (2 ln 2) with the KL divergence in bits."""
-    pm, qm, _ = _aligned_marginals(p_src, q_src, variables)
-    l1 = float(np.abs(pm - qm).sum())
-    support = pm > 0
-    if np.any(qm[support] == 0):
-        kl = math.inf
-    else:
-        kl = float(np.dot(pm[support], np.log2(pm[support] / qm[support])))
-    holds = math.isinf(kl) or kl >= l1 * l1 / (2.0 * math.log(2)) - EXACT_TOL
-    return PinskerReport(kl_bits=kl, l1=l1, holds=holds)

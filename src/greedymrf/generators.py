@@ -259,9 +259,3 @@ def spec_from_strings(model_text: str, weight_text: str) -> ModelSpec:
 
 def model_from_strings(model_text: str, weight_text: str) -> IsingModel:
     return build(spec_from_strings(model_text, weight_text))
-
-
-def max_theta_for_tree_decay(degree: int) -> float:
-    """Largest admissible |theta| for the exponential tree-decay regime,
-    ln(2) / (2 * degree)."""
-    return math.log(2.0) / (2.0 * degree)

@@ -159,7 +159,7 @@ def _greedy_passes(
     """
     if src.p < 2:
         raise ValueError("need at least two variables")
-    check_indices(nodes, src.p)
+    nodes = check_indices(nodes, src.p)
     cap = cfg.max_neighborhood if cfg.max_neighborhood is not None else src.p - 1
     chosen: list[list[int]] = [[] for _ in nodes]
     picks: list[list[Pick]] = [[] for _ in nodes]

@@ -1,4 +1,5 @@
-"""Markov graphs, factor graphs, zero-field Ising models, and inference backends.
+"""Markov graphs, zero-field Ising models, inference backends and graph files;
+factor graphs and the tree posterior, which check claims, are in :mod:`greedymrf.theory`.
 
 The exact backend enumerates the full table (p <= ENUMERATION_CAP = 24), queried through
 ``entropy.ExactSource``; ``JointDistribution.dense_marginal``, a plain axis sum, is kept for
@@ -12,11 +13,14 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .dataset import Alphabet, CapacityError, DiscreteDataset, SPIN_ALPHABET, check_indices
+
+if TYPE_CHECKING:
+    from .theory import FactorGraph
 
 ENUMERATION_CAP = 24
 
@@ -72,63 +76,10 @@ class MarkovGraph:
         return f"MarkovGraph(p={self.p}, |E|={len(self.edges)})"
 
 
-class FactorGraph:
-    """Bipartite variable/clique graph of a Markov graph.
-
-    Vertices 0..p-1 are the variables; vertex p+k is the k-th maximal clique.
-    """
-
-    def __init__(self, p: int, cliques: Sequence[frozenset[int]]):
-        self.p = p
-        self.cliques = tuple(cliques)
-        adj: list[list[int]] = [[] for _ in range(p + len(self.cliques))]
-        for k, clique in enumerate(self.cliques):
-            for v in clique:
-                adj[v].append(p + k)
-                adj[p + k].append(v)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-
-    @property
-    def num_vertices(self) -> int:
-        return self.p + len(self.cliques)
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self._adj[u]
-
-    @property
-    def incidences(self) -> frozenset[Edge]:
-        return frozenset(
-            (v, self.p + k) for k, clique in enumerate(self.cliques) for v in clique
-        )
-
-
-def _bron_kerbosch(adj: Sequence[set[int]], r: set[int], p: set[int], x: set[int]) -> Iterator[frozenset[int]]:
-    # Pivoted recursive expansion; fine for the sparse, small graphs used here.
-    if not p and not x:
-        yield frozenset(r)
-        return
-    pivot = max(p | x, key=lambda u: len(adj[u] & p))
-    for v in list(p - adj[pivot]):
-        yield from _bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v])
-        p.remove(v)
-        x.add(v)
-
-
-def maximal_cliques(g: MarkovGraph) -> list[frozenset[int]]:
-    """All maximal cliques, sorted for determinism. Isolated vertices count."""
-    adj = [set(g.neighbors(u)) for u in range(g.p)]
-    found = list(_bron_kerbosch(adj, set(), set(range(g.p)), set()))
-    return sorted(found, key=lambda c: tuple(sorted(c)))
-
-
-def factor_graph(g: MarkovGraph) -> FactorGraph:
-    """Factor graph whose clique vertices are the maximal cliques of ``g``."""
-    return FactorGraph(g.p, maximal_cliques(g))
-
-
 def graph_distance(g: MarkovGraph | FactorGraph, u: int, v: int) -> float:
-    """BFS hop distance between two vertices; math.inf if disconnected."""
-    check_indices((u, v), g.num_vertices)
+    """BFS hop distance between two vertices of any graph with ``num_vertices``
+    and ``neighbors``; math.inf if disconnected."""
+    u, v = check_indices((u, v), g.num_vertices)
     if u == v:
         return 0
     dist = {u: 0}
@@ -145,7 +96,7 @@ def graph_distance(g: MarkovGraph | FactorGraph, u: int, v: int) -> float:
 
 
 def girth(g: MarkovGraph | FactorGraph) -> float:
-    """Length of the shortest cycle; math.inf for forests.
+    """Length of the shortest cycle of a graph as graph_distance takes; math.inf for forests.
 
     Per-vertex BFS with cross-edge detection: every non-tree edge seen from
     root r closes a walk of length d[u]+d[w]+1 that contains a cycle no
@@ -218,8 +169,7 @@ class JointDistribution:
 
     def dense_marginal(self, variables: Sequence[int]) -> np.ndarray:
         """Exact marginal over ``variables``, a new array indexed as the table in sorted order."""
-        variables = set(variables)
-        check_indices(variables, self.p)
+        variables = set(check_indices(variables, self.p))
         return self.table.sum(axis=tuple(set(range(self.p)) - variables)).ravel()
 
 
@@ -282,56 +232,6 @@ def union(parent: list[int], u: int, v: int) -> bool:
     return ru != rv
 
 
-def is_forest(g: MarkovGraph) -> bool:
-    """True iff the graph has no cycle (union-find over the edge set)."""
-    parent = list(range(g.p))
-    return all(union(parent, u, v) for u, v in g.edges)
-
-
-def tree_spin_posterior(m: IsingModel, target: int, evidence: dict[int, int]) -> float:
-    """P(X_target = +1 | evidence) on a tree model via upward message passing.
-
-    ``evidence`` maps vertices to +-1 spins. Exact for forests of any size,
-    which is what makes correlation-decay checks on deep trees feasible; the
-    dense table backend is limited to ENUMERATION_CAP variables. Messages are
-    normalized at every node so deep trees cannot overflow.
-    """
-    g = m.graph
-    if not is_forest(g):
-        raise ValueError("tree_spin_posterior requires an acyclic graph")
-    for v, s in evidence.items():
-        if s not in (-1, 1):
-            raise ValueError(f"evidence spin for vertex {v} must be -1 or +1")
-    if target in evidence:
-        return 1.0 if evidence[target] == 1 else 0.0
-
-    def message(child: int, parent: int) -> tuple[float, float]:
-        # Scaled (mu(parent=-1), mu(parent=+1)) contributed by child's subtree.
-        t = m.theta[_norm_edge(child, parent)]
-        sub = [message(w, child) for w in g.neighbors(child) if w != parent]
-        out = [0.0, 0.0]
-        for pk, sp in ((0, -1), (1, 1)):
-            total = 0.0
-            for sc in ((evidence[child],) if child in evidence else (-1, 1)):
-                val = math.exp(t * sc * sp)
-                for mw in sub:
-                    val *= mw[(sc + 1) >> 1]
-                total += val
-            out[pk] = total
-        z = out[0] + out[1]
-        return (out[0] / z, out[1] / z) if z > 0 else (0.0, 0.0)
-
-    belief = [1.0, 1.0]
-    for w in g.neighbors(target):
-        mw = message(w, target)
-        belief[0] *= mw[0]
-        belief[1] *= mw[1]
-    z = belief[0] + belief[1]
-    if z == 0.0:
-        raise ValueError("evidence has zero probability")
-    return belief[1] / z
-
-
 def write_edge_list(g: MarkovGraph, path: str | Path) -> None:
     """Text format: first line is p, then one 'u v' pair per line, sorted."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -352,7 +252,8 @@ def read_edge_list(path: str | Path) -> MarkovGraph:
 
 def to_dot(g: MarkovGraph, names: Sequence[str] | None = None) -> str:
     """DOT text for external rendering; vertex order is fixed for determinism."""
-    label = (lambda u: f'"{names[u]}"') if names is not None else (lambda u: str(u))
+    label = ((lambda u: '"' + names[u].replace("\\", "\\\\").replace('"', '\\"') + '"')
+             if names is not None else str)
     lines = ["graph G {"]
     for u in range(g.p):
         lines.append(f"  {label(u)};")

@@ -1,6 +1,8 @@
-"""Closed-form guarantee calculators and empirical measurement of the two
+"""Closed-form guarantee calculators, empirical measurement of the two
 structural assumptions (non-degeneracy gap, correlation-decay profile) from
-a distribution source, such as the exact source of a small model.
+a distribution source, such as the exact source of a small model, and every
+other check of the paper's claims: empirical_prob, the entropy-L1 and Pinsker
+bounds, factor graphs, and the tree posterior and decay limit (CLI: bounds only).
 
 The calculators evaluate their formulas literally. Entropy-flavored constants
 are quoted in bits; where a formula mixes in the natural-log constant ln 2
@@ -13,13 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import CapacityError, check_indices
-from .entropy import DistributionSource, conditional_entropy
-from .models import MarkovGraph, graph_distance
+from .dataset import CapacityError, DatasetError, DiscreteDataset, _as_index, check_indices
+from .entropy import EXACT_TOL, DistributionSource, _entropies, conditional_entropy
+from .models import Edge, IsingModel, MarkovGraph, _norm_edge, graph_distance, union
 
 #: Largest node degree for which the full gap enumeration is attempted.
 GAP_DEGREE_CAP = 12
@@ -91,7 +93,7 @@ def ising_guarantee(beta: float, max_degree: int) -> IsingGuarantee:
     magnitude at least beta: the driving epsilon 2^-10 sinh^2(2 beta) and the
     girth above which recovery is guaranteed,
     (2^15 / ln 2) * (D^2 ln 2 - ln sinh(2 beta))."""
-    limit = math.log(2.0) / (2.0 * max_degree) if max_degree > 0 else math.inf
+    limit = max_theta_for_tree_decay(max_degree) if max_degree > 0 else math.inf
     if not 0.0 < beta < limit:
         raise ValueError(
             f"beta must lie in (0, ln(2)/(2*max_degree)) = (0, {limit:.6g}); got {beta}"
@@ -99,6 +101,12 @@ def ising_guarantee(beta: float, max_degree: int) -> IsingGuarantee:
     eps = 2.0**-10 * math.sinh(2.0 * beta) ** 2
     g = 2.0**15 / math.log(2.0) * (max_degree**2 * math.log(2.0) - math.log(math.sinh(2.0 * beta)))
     return IsingGuarantee(epsilon=eps, girth_bound=g)
+
+
+def max_theta_for_tree_decay(degree: int) -> float:
+    """Largest admissible |theta| for the exponential tree-decay regime,
+    ln(2) / (2 * degree)."""
+    return math.log(2.0) / (2.0 * degree)
 
 
 def ising_nondegeneracy_epsilon(beta: float, gamma: float, max_degree: int) -> float:
@@ -149,10 +157,11 @@ def all_bound_reports(*, log_base2: bool = True, **inputs: float | None) -> list
     return out
 
 
-def _check_sizes(src: DistributionSource, g: MarkovGraph) -> None:
+def _check_node(src: DistributionSource, g: MarkovGraph, i: int) -> int:
     # A smaller graph would silently measure the marginal of its first vertices.
     if g.p != src.p:
         raise ValueError(f"graph has {g.p} vertices, source has {src.p} variables")
+    return check_indices((i,), g.p)[0]
 
 
 def nondegeneracy_gap(src: DistributionSource, g: MarkovGraph, i: int) -> float:
@@ -166,8 +175,7 @@ def nondegeneracy_gap(src: DistributionSource, g: MarkovGraph, i: int) -> float:
     below the returned value. An isolated vertex yields +inf (empty minimand).
     Raises ValueError before any query when ``g`` and ``src`` differ in size.
     """
-    _check_sizes(src, g)
-    check_indices((i,), g.p)
+    i = _check_node(src, g, i)
     nbrs = g.neighbors(i)
     if len(nbrs) > GAP_DEGREE_CAP:
         raise CapacityError(f"degree {len(nbrs)} exceeds gap enumeration cap {GAP_DEGREE_CAP}")
@@ -224,8 +232,7 @@ def decay_profile(
     checked against DECAY_VARS_CAP, and ``g``'s size against ``src``'s,
     before the first query.
     """
-    _check_sizes(src, g)
-    check_indices((i,), g.p)
+    i = _check_node(src, g, i)
     one_hop = set(g.neighbors(i))
     two_hop = {w for j in one_hop for w in g.neighbors(j)} - one_hop - {i}
     local = tuple(sorted({i} | one_hop | two_hop))
@@ -253,3 +260,203 @@ def decay_profile(
             key = int(dist)
             worst[key] = max(worst.get(key, 0.0), dev)
     return DecayProfile(node=i, by_distance=worst)
+
+
+@dataclass(frozen=True)
+class Assignment:
+    """A fixed value for each variable in a sorted, duplicate-free index set."""
+
+    vars: tuple[int, ...]
+    vals: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.vars) != len(self.vals):
+            raise DatasetError("vars and vals must have equal length")
+        if list(self.vars) != sorted(set(self.vars)):
+            raise DatasetError("vars must be distinct and sorted ascending")
+
+
+def empirical_prob(ds: DiscreteDataset, a: Assignment) -> float:
+    """Fraction of sample rows matching the assignment; 1.0 for the empty one."""
+    variables, values = check_indices(a.vars, ds.p), tuple(map(_as_index, a.vals))
+    for v, x in zip(variables, values):
+        if not 0 <= x < ds.alphabet.size:
+            raise DatasetError(f"value {x} outside alphabet for variable {v}")
+    match = np.all(ds.values[:, list(variables)] == np.asarray(values), axis=1)
+    return int(match.sum()) / ds.n
+
+
+def _aligned_marginals(
+    p_src: DistributionSource, q_src: DistributionSource, variables: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray, float]:
+    if p_src.alphabet.symbols != q_src.alphabet.symbols:
+        raise ValueError("sources must share one alphabet to be compared")
+    a = p_src.check_subset(variables)
+    b = q_src.check_subset(variables)
+    if a != b:
+        raise ValueError("variable subset invalid for one of the sources")
+    pm, qm = p_src.dense_marginal(a), q_src.dense_marginal(a)
+    return pm, qm, float(np.abs(pm - qm).sum())
+
+
+def l1_distance(
+    p_src: DistributionSource, q_src: DistributionSource, variables: Iterable[int]
+) -> float:
+    """Total variational distance sum |P - Q| over the marginal on
+    ``variables``; lies in [0, 2]."""
+    return _aligned_marginals(p_src, q_src, variables)[2]
+
+
+@dataclass(frozen=True)
+class EntropyL1Report:
+    """Outcome of the entropy-vs-L1 continuity check.
+
+    ``applicable`` is False when the L1 distance exceeds 1/2, outside the
+    bound's validity region; ``holds`` is then vacuously True.
+    """
+
+    lhs: float
+    rhs: float
+    l1: float
+    applicable: bool
+    holds: bool
+
+
+def check_entropy_l1_bound(
+    p_src: DistributionSource, q_src: DistributionSource, variables: Iterable[int]
+) -> EntropyL1Report:
+    """Check |H(P) - H(Q)| <= -||P-Q||_1 log2(||P-Q||_1 / M) on the marginal,
+    where M is the number of cells of the marginal's outcome space."""
+    pm, qm, l1 = _aligned_marginals(p_src, q_src, variables)
+    lhs = abs(float(_entropies(pm, 1.0) - _entropies(qm, 1.0)))
+    rhs = 0.0 if l1 == 0.0 else -l1 * math.log2(l1 / pm.size)
+    applicable = l1 <= 0.5
+    holds = (not applicable) or (lhs <= rhs + EXACT_TOL)
+    return EntropyL1Report(lhs=lhs, rhs=rhs, l1=l1, applicable=applicable, holds=holds)
+
+
+@dataclass(frozen=True)
+class PinskerReport:
+    """Outcome of the KL-vs-L1 check; an infinite KL holds vacuously."""
+
+    kl_bits: float
+    l1: float
+    holds: bool
+
+
+def check_pinsker(
+    p_src: DistributionSource, q_src: DistributionSource, variables: Iterable[int]
+) -> PinskerReport:
+    """Check D(P||Q) >= ||P-Q||_1^2 / (2 ln 2) with the KL divergence in bits."""
+    pm, qm, l1 = _aligned_marginals(p_src, q_src, variables)
+    support = pm > 0
+    if np.any(qm[support] == 0):
+        kl = math.inf
+    else:
+        kl = float(np.dot(pm[support], np.log2(pm[support] / qm[support])))
+    holds = math.isinf(kl) or kl >= l1 * l1 / (2.0 * math.log(2)) - EXACT_TOL
+    return PinskerReport(kl_bits=kl, l1=l1, holds=holds)
+
+
+class FactorGraph:
+    """Bipartite variable/clique graph of a Markov graph.
+
+    Vertices 0..p-1 are the variables; vertex p+k is the k-th maximal clique.
+    """
+
+    def __init__(self, p: int, cliques: Sequence[frozenset[int]]):
+        self.p = p
+        self.cliques = tuple(cliques)
+        adj: list[list[int]] = [[] for _ in range(p + len(self.cliques))]
+        for k, clique in enumerate(self.cliques):
+            for v in clique:
+                adj[v].append(p + k)
+                adj[p + k].append(v)
+        self._adj = tuple(tuple(sorted(a)) for a in adj)
+
+    @property
+    def num_vertices(self) -> int:
+        return self.p + len(self.cliques)
+
+    def neighbors(self, u: int) -> tuple[int, ...]:
+        return self._adj[u]
+
+    @property
+    def incidences(self) -> frozenset[Edge]:
+        return frozenset(
+            (v, self.p + k) for k, clique in enumerate(self.cliques) for v in clique
+        )
+
+
+def _bron_kerbosch(adj: Sequence[set[int]], r: set[int], p: set[int], x: set[int]) -> Iterator[frozenset[int]]:
+    # Pivoted recursive expansion; fine for the sparse, small graphs used here.
+    if not p and not x:
+        yield frozenset(r)
+        return
+    pivot = max(p | x, key=lambda u: len(adj[u] & p))
+    for v in list(p - adj[pivot]):
+        yield from _bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v])
+        p.remove(v)
+        x.add(v)
+
+
+def maximal_cliques(g: MarkovGraph) -> list[frozenset[int]]:
+    """All maximal cliques, sorted for determinism. Isolated vertices count."""
+    adj = [set(g.neighbors(u)) for u in range(g.p)]
+    found = list(_bron_kerbosch(adj, set(), set(range(g.p)), set()))
+    return sorted(found, key=lambda c: tuple(sorted(c)))
+
+
+def factor_graph(g: MarkovGraph) -> FactorGraph:
+    """Factor graph whose clique vertices are the maximal cliques of ``g``."""
+    return FactorGraph(g.p, maximal_cliques(g))
+
+
+def is_forest(g: MarkovGraph) -> bool:
+    """True iff the graph has no cycle (union-find over the edge set)."""
+    parent = list(range(g.p))
+    return all(union(parent, u, v) for u, v in g.edges)
+
+
+def tree_spin_posterior(m: IsingModel, target: int, evidence: dict[int, int]) -> float:
+    """P(X_target = +1 | evidence) on a tree model via upward message passing.
+
+    ``evidence`` maps vertices to +-1 spins. Exact for forests of any size,
+    which is what makes correlation-decay checks on deep trees feasible; the
+    dense table backend is limited to ENUMERATION_CAP variables. Messages are
+    normalized at every node so deep trees cannot overflow.
+    """
+    g = m.graph
+    if not is_forest(g):
+        raise ValueError("tree_spin_posterior requires an acyclic graph")
+    for v, s in evidence.items():
+        if s not in (-1, 1):
+            raise ValueError(f"evidence spin for vertex {v} must be -1 or +1")
+    if target in evidence:
+        return 1.0 if evidence[target] == 1 else 0.0
+
+    def message(child: int, parent: int) -> tuple[float, float]:
+        # Scaled (mu(parent=-1), mu(parent=+1)) contributed by child's subtree.
+        t = m.theta[_norm_edge(child, parent)]
+        sub = [message(w, child) for w in g.neighbors(child) if w != parent]
+        out = [0.0, 0.0]
+        for pk, sp in ((0, -1), (1, 1)):
+            total = 0.0
+            for sc in ((evidence[child],) if child in evidence else (-1, 1)):
+                val = math.exp(t * sc * sp)
+                for mw in sub:
+                    val *= mw[(sc + 1) >> 1]
+                total += val
+            out[pk] = total
+        z = out[0] + out[1]
+        return (out[0] / z, out[1] / z) if z > 0 else (0.0, 0.0)
+
+    belief = [1.0, 1.0]
+    for w in g.neighbors(target):
+        mw = message(w, target)
+        belief[0] *= mw[0]
+        belief[1] *= mw[1]
+    z = belief[0] + belief[1]
+    if z == 0.0:
+        raise ValueError("evidence has zero probability")
+    return belief[1] / z

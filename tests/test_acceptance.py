@@ -17,8 +17,6 @@ from greedymrf.dataset import Alphabet, DiscreteDataset, write_csv
 from greedymrf.entropy import (
     EmpiricalSource,
     ExactSource,
-    check_entropy_l1_bound,
-    check_pinsker,
     conditional_entropy,
 )
 from greedymrf.experiment import ExperimentSpec, run_experiment
@@ -27,7 +25,6 @@ from greedymrf.generators import (
     WeightRule,
     build,
     erdos_renyi_graph,
-    max_theta_for_tree_decay,
 )
 from greedymrf.learner import LearnerConfig, chow_liu, greedy_neighborhood, learn_structure, prune_neighborhood
 from greedymrf.models import (
@@ -36,16 +33,19 @@ from greedymrf.models import (
     MarkovGraph,
     exact_joint,
     exact_sample,
-    factor_graph,
     graph_distance,
-    tree_spin_posterior,
 )
 from greedymrf.theory import (
+    check_entropy_l1_bound,
+    check_pinsker,
     decay_threshold,
+    factor_graph,
     ising_guarantee,
     ising_nondegeneracy_epsilon,
+    max_theta_for_tree_decay,
     model_gap,
     sample_size_bound,
+    tree_spin_posterior,
 )
 
 from _oracle import (

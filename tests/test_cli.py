@@ -21,6 +21,7 @@ from greedymrf.generators import MODEL_FAMILIES, WEIGHT_RULES, ModelSpec, Weight
 from greedymrf.gibbs import GibbsConfig, gibbs_sample
 from greedymrf.learner import LearnerConfig, LearnResult, NeighborhoodTrace, Pick
 from greedymrf.models import MarkovGraph, exact_joint, exact_sample, read_edge_list
+from greedymrf import theory
 from greedymrf.dataset import write_csv
 
 RESULTS_HEADER = "n,epsilon,trials,successes,success_rate,mean_runtime_s"
@@ -226,6 +227,15 @@ class TestLearn:
                    "--out-dir", str(tmp_path)])
         assert rc != 0
 
+    def test_dot_escapes_quotes_and_backslashes_in_names(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = ['a"b,c\\d,e'] + [",".join(map(str, rng.integers(0, 2, size=3))) for _ in range(50)]
+        f = tmp_path / "names.csv"
+        f.write_text("\n".join(rows) + "\n")
+        assert main(["learn", str(f), "--epsilon", "0.1", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "graph.dot").read_text().splitlines()
+        assert lines[1:4] == ['  "a\\"b";', '  "c\\\\d";', '  "e";']
+
     def test_prune_flag_writes_pruned_neighborhoods(self, tmp_path):
         model, f = sample_csv(tmp_path, ModelSpec.chain(3, WeightRule.constant(0.5)), 20000, 3)
         out = tmp_path / "out"
@@ -368,6 +378,43 @@ def test_package_and_cli_import_only_what_they_run():
     assert root == [] and "greedymrf.cli" in cli
     assert not {"greedymrf.experiment", "greedymrf.gibbs", "greedymrf.theory"} & set(cli)
     assert "greedymrf.experiment" in experiment and "greedymrf.theory" not in experiment
+
+
+# The paper's lemma checks that no command runs.
+_LEMMA_CHECKS = (
+    "Assignment", "empirical_prob", "l1_distance", "_aligned_marginals", "EntropyL1Report",
+    "check_entropy_l1_bound", "PinskerReport", "check_pinsker", "FactorGraph", "_bron_kerbosch",
+    "maximal_cliques", "factor_graph", "is_forest", "tree_spin_posterior",
+    "max_theta_for_tree_decay",
+)
+
+
+def test_commands_never_load_the_lemma_checks(tmp_path):
+    _, data = sample_csv(tmp_path, ModelSpec.chain(3, WeightRule.constant(0.5)), 200, 1)
+    oracle = ["oracle", "--model", "chain:4", "--theta", "const:0.5", "--epsilon", "0.05"]
+    runs = [
+        ["learn", str(data), "--epsilon", "0.05"],
+        [*oracle, "--prune"],
+        [*oracle, "--chow-liu"],
+        ["experiment", "--model", "chain:3", "--theta", "const:0.5", "--n", "50",
+         "--epsilon", "0.1", "--trials", "2"],
+    ]
+    code = (
+        "import json, sys\n"
+        "import greedymrf.cli\n"
+        "print('greedymrf.theory' in sys.modules)\n"
+        "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    assert greedymrf.cli.main([*argv, '--out-dir', f'{sys.argv[2]}/{k}']) == 0\n"
+        "    print('greedymrf.theory' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] * 5
+    always = ("cli", "dataset", "entropy", "generators", "learner", "models")
+    for name in _LEMMA_CHECKS:
+        assert getattr(theory, name).__module__ == "greedymrf.theory"
+        assert not any(hasattr(importlib.import_module(f"greedymrf.{m}"), name) for m in always)
 
 
 def test_each_submodule_attribute_is_the_module():

@@ -17,20 +17,19 @@ from hypothesis import strategies as st
 from greedymrf import dataset
 from greedymrf.dataset import (
     Alphabet,
-    Assignment,
     CapacityError,
     DatasetError,
     DiscreteDataset,
     EmptyDatasetError,
     ParseError,
     UnknownTokenError,
-    empirical_prob,
     filter_participation,
     load_csv,
     remap_values,
     write_csv,
 )
 from greedymrf.entropy import EmpiricalSource
+from greedymrf.theory import Assignment, empirical_prob
 
 
 def make_ds(rows, symbols=("a", "b"), names=None):

@@ -23,16 +23,14 @@ from greedymrf.entropy import (
     _entropies,
     _plogp,
     _sum_out,
-    check_entropy_l1_bound,
-    check_pinsker,
     conditional_entropy,
     entropy,
-    l1_distance,
     mutual_information,
 )
 from greedymrf.generators import ModelSpec, WeightRule, build
 from greedymrf.learner import LearnerConfig, learn_structure
 from greedymrf.models import JointDistribution, SPIN_ALPHABET, exact_joint
+from greedymrf.theory import check_entropy_l1_bound, check_pinsker, l1_distance
 
 from _oracle import axis_marginal, cond_entropy_bits, entropy_bits, ising_table, marginal
 

@@ -12,13 +12,13 @@ from greedymrf.generators import (
     ModelSpec,
     WeightRule,
     build,
-    max_theta_for_tree_decay,
     model_from_strings,
     model_size,
     parse_model_string,
     parse_weight_string,
 )
 from greedymrf.models import girth
+from greedymrf.theory import max_theta_for_tree_decay
 
 
 class TestFamilies:

@@ -18,7 +18,6 @@ from greedymrf.generators import (
     build,
     complete_dary_tree_graph,
     erdos_renyi_graph,
-    max_theta_for_tree_decay,
     model_from_strings,
 )
 from greedymrf.gibbs import (
@@ -34,15 +33,18 @@ from greedymrf.models import (
     MarkovGraph,
     exact_joint,
     exact_sample,
-    factor_graph,
     girth,
     graph_distance,
-    is_forest,
-    maximal_cliques,
     read_edge_list,
     to_dot,
-    tree_spin_posterior,
     write_edge_list,
+)
+from greedymrf.theory import (
+    factor_graph,
+    is_forest,
+    max_theta_for_tree_decay,
+    maximal_cliques,
+    tree_spin_posterior,
 )
 
 from _oracle import conditional_prob, ising_table

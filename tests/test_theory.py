@@ -8,16 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from greedymrf.dataset import Alphabet, Assignment, CapacityError, DiscreteDataset, empirical_prob
+from greedymrf.dataset import Alphabet, CapacityError, DiscreteDataset
 from greedymrf.entropy import EmpiricalSource, ExactSource, conditional_entropy, entropy
 from greedymrf.generators import ModelSpec, WeightRule, build, model_size
 from greedymrf.learner import LearnerConfig, greedy_neighborhood
 from greedymrf.models import (IsingModel, JointDistribution, MarkovGraph, exact_joint, exact_sample,
                               graph_distance)
 from greedymrf.theory import (
+    Assignment,
     all_bound_reports,
     decay_profile,
     decay_threshold,
+    empirical_prob,
     ising_guarantee,
     ising_nondegeneracy_epsilon,
     model_gap,
@@ -473,10 +475,34 @@ _INDEXED = {
 }
 
 
-@pytest.mark.parametrize("v", [-1, 3])
-@pytest.mark.parametrize("entry", sorted(_INDEXED))
-def test_every_indexed_entry_rejects_an_index_out_of_range(entry, v):
+def _call_indexed(entry, v):
     model = build(ModelSpec.chain(3, WeightRule.constant(0.5)))
     joint = exact_joint(model)
-    with pytest.raises(IndexError, match=rf"index {v} out of range 0\.\.2"):
-        _INDEXED[entry](joint, ExactSource(joint), exact_sample(joint, 20, 0), model.graph, v)
+    return _INDEXED[entry](joint, ExactSource(joint), exact_sample(joint, 20, 0), model.graph, v)
+
+
+@pytest.mark.parametrize("v, error, message", [
+    (-1, IndexError, r"index -1 out of range 0\.\.2"),
+    (3, IndexError, r"index 3 out of range 0\.\.2"),
+    (0.5, TypeError, r"index 0\.5 is not an integer"),
+    (1.0, TypeError, r"index 1\.0 is not an integer"),
+    (np.float64(0), TypeError, r"index np\.float64\(0\.0\) is not an integer"),
+    ("0", TypeError, r"index '0' is not an integer"),
+    # numpy would read a bool index as a mask
+    (True, TypeError, r"index True is not an integer"),
+], ids=["-1", "3", "0.5", "1.0", "np.float64(0)", "'0'", "True"])
+@pytest.mark.parametrize("entry", sorted(_INDEXED))
+def test_every_indexed_entry_rejects_an_index_out_of_range(entry, v, error, message):
+    with pytest.raises(error, match=message):
+        _call_indexed(entry, v)
+
+
+@pytest.mark.parametrize("entry", sorted(_INDEXED))
+def test_every_indexed_entry_takes_a_numpy_integer_as_the_int(entry):
+    def outcome(v):
+        try:
+            return repr(_call_indexed(entry, v))
+        except ValueError as exc:  # target 1 in its own conditioning set (1,)
+            return repr(exc)
+
+    assert outcome(np.int64(1)) == outcome(1)
