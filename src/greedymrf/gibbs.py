@@ -1,6 +1,8 @@
 """Single-site Gibbs sampling of zero-field Ising models, for models past the
-exact enumeration cap: chains advanced one colour class at a time across a
-batch, and the Gelman-Rubin check of whether they mixed."""
+exact enumeration cap: chains advanced one colour class at a time, with time
+segments of every chain run side by side as lanes of one batch, each from its
+chain's exact state found by a bounding-chain lead-in; and the Gelman-Rubin
+check of whether they mixed."""
 
 from __future__ import annotations
 
@@ -70,11 +72,27 @@ def greedy_colouring(g: MarkovGraph) -> list[int]:
     return colour
 
 
-# Uniforms are drawn at most this many doubles (64 KiB) at a time, or one
-# sweep of every chain where that is more. On a 5x5 grid with 4 chains (2
-# vCPUs) blocks of 2^16 doubles ran no faster and added about 0.6 MiB to the
-# peak memory of the whole experiment.
+# Thresholds are made in blocks of at most this many doubles (64 KiB) per
+# buffer, or one sweep of every lane where that is more. On a 5x5 grid with
+# 4 chains (2 vCPUs) blocks of 2^16 doubles ran no faster and added about
+# 0.6 MiB to the peak memory of the whole experiment.
 _BLOCK_DOUBLES = 1 << 13
+# A draw runs at most _LANES (chain, time segment) lanes side by side, and
+# finds each segment's start state by a lead-in of _LEAD_IN sweeps (see
+# GibbsChains.draw). On a 5x5 grid with 4 chains (2 vCPUs), 32 lanes drew
+# 9% faster than 16 and 64 slower; over 60 seed sets (960 lanes) a lead-in
+# of 128 sweeps left 5 lanes' bounds apart, one of 256 none.
+_LANES = 16
+_LEAD_IN = 256
+
+
+def _stream(state: dict, doubles: int) -> np.random.Generator:
+    """A generator ``doubles`` doubles past the PCG64 ``state``: ``random()``
+    takes one 64-bit step per double."""
+    bits = np.random.PCG64(0)
+    bits.state = state
+    bits.advance(doubles)
+    return np.random.Generator(bits)
 
 
 class GibbsChains:
@@ -85,14 +103,18 @@ class GibbsChains:
 
     A sweep updates the classes of :func:`greedy_colouring` in turn, lowest
     colour first. No two sites of a class are adjacent, so a whole class is
-    one update across every chain: its local fields are ``W[class] @ spins``
+    one update across every lane: its local fields are ``W[class] @ spins``
     with W from :func:`coupling_matrix` and the spins held site-major,
-    (sites, chains), so that each class's rows of W, fields, thresholds and
+    (sites, lanes), so that each class's rows of W, fields, thresholds and
     spins are contiguous blocks. Chain b starts from
     ``default_rng(cfgs[b].seed).integers(0, 2, size=p)``; the same generator
     then gives one uniform per site update, sweep after sweep, sites in class
     order. A chain's rows therefore depend on its own config only, not on the
     batch, and several :meth:`draw` calls give the rows of one call.
+
+    :meth:`draw` runs time segments of the chains as lanes of one batch, each
+    from its chain's exact state, so it leaves the rows, spins and generator
+    positions of the sweeps run one after another.
     """
 
     def __init__(self, m: IsingModel, cfgs: Sequence[GibbsConfig]):
@@ -103,11 +125,17 @@ class GibbsChains:
         order = sorted(range(m.p), key=lambda v: (colour[v], v))
         self._column = sorted(range(m.p), key=order.__getitem__)  # site -> position in order
         w = coupling_matrix(m, self._column)
-        # A column sum of |2W| is the largest field a site sees; W is symmetric,
-        # so its rows are its columns, each summed without a p x p copy.
+        # A row sum of |2W| is the largest field a site sees; W is symmetric,
+        # so each row is summed without a p x p copy.
         with np.errstate(over="ignore"):
-            if not all(np.isfinite(2.0 * np.abs(col).sum()) for col in w):
-                raise ValueError("model energy is not finite: an edge weight is too large")
+            mass = np.array([2.0 * np.abs(row).sum() for row in w])
+        if not np.isfinite(mass).all():
+            raise ValueError("model energy is not finite: an edge weight is too large")
+        # A dot of p terms rounds, in any order, to within p * 2^-53 of its
+        # terms' magnitudes; a lead-in widens its bounds by 8 (p + 2) times
+        # that, for the rounding of the field, its bounds and their widening.
+        # Shaped (sites, lower and upper bound, 1).
+        self._slack = 2.0**-50 * (m.p + 2) * mass[:, None, None] * [[-1.0], [1.0]]
         # With bits b = (x + 1) / 2, the field x @ W is b @ 2W - sum(W); the
         # kernel keeps bits and moves sum(W) onto the threshold.
         self._offset = w.sum(axis=0)
@@ -122,49 +150,136 @@ class GibbsChains:
         burn_in, self._thinning = cfgs[0].burn_in, cfgs[0].thinning
         self._burn = 1000 * m.p if burn_in is None else burn_in
 
-    def draw(self, rows: int) -> np.ndarray:
-        """The next ``rows`` samples of every chain as alphabet indices (0 for
-        spin -1, 1 for +1), shaped (chains, rows, p). The first call runs the
-        burn-in first; each row follows ``thinning`` further sweeps."""
-        bits = self._bits
-        p, chains = bits.shape
-        sweeps = self._burn + rows * self._thinning
-        block = max(1, min(sweeps, _BLOCK_DOUBLES // (chains * p)))
+    def _run(self, bits: np.ndarray, streams: list, sweeps: int,
+             rows: np.ndarray | None = None) -> None:
+        """Advance the lanes ``bits``, (sites, lanes), by ``sweeps`` sweeps,
+        lane l's uniforms drawn from ``streams[l]``. With ``rows``, (lanes,
+        rows, p), store the spins after every ``thinning``-th sweep. ``bits``
+        twice as wide as ``streams`` is a bounding chain per lane: all lanes'
+        lower spins, then their upper spins, each field widened into a bound
+        on the rounded field of any spins between them."""
+        if not (sweeps and streams):
+            return
+        p, width = bits.shape
+        lanes = len(streams)
+        pairs = width // lanes
+        block = max(1, min(sweeps, _BLOCK_DOUBLES // (lanes * p)))
         # A site turns +1 when u < sigmoid(h), that is when log(u) - log1p(-u) < h.
-        # Each chain's thresholds are made in its own block, then laid out
-        # (sweep, site, chain) beside the other chains'.
-        logit = np.empty((block, p, chains))
-        uniforms, scratch = np.empty((block, p)), np.empty((block, p))
+        # A block's thresholds are made lane-major, with log1p(-u) held in
+        # the threshold buffer, then laid out (sweep, site, lane).
+        uniforms, logit = np.empty(block * p * lanes), np.empty((block, p, lanes))
         # Comparing into bools and copying them is faster than comparing into
         # floats; the ``dot`` method skips ``np.dot``'s dispatch, same product.
-        new = np.empty((p, chains), dtype=bool)
-        steps = [(logit[:, s], w.dot, np.empty((w.shape[0], chains)), new[s], bits[s])
-                 for s, w in self._classes]
-        out = np.empty((chains, rows, p), dtype=np.uint8)
-        row, take_at = 0, self._burn + self._thinning
+        new = np.empty((p, pairs, lanes), dtype=bool)
+        spins = bits.reshape(p, pairs, lanes)
+        lo, hi = spins[:, 0], spins[:, -1]
+        steps = []
+        for s, w in self._classes:
+            field = np.empty((w.shape[0], width))
+            widen = None
+            if pairs == 2:
+                # Exactly, x @ W lies within lo @ W and hi @ W widened by the
+                # negative couplings to sites where lo < hi.
+                row, col = np.nonzero(w < 0)
+                widen = (self._slack[s], row, col, w[row, col, None])
+            steps.append((logit[:, s, None], w.dot, field, field.reshape(-1, pairs, lanes),
+                          widen, new[s], spins[s]))
         less = np.less
         for start in range(0, sweeps, block):
             size = min(block, sweeps - start)
-            u, v = uniforms[:size], scratch[:size]
+            u = uniforms[:lanes * size * p].reshape(lanes, size, p)
+            v = logit.reshape(-1)[:lanes * size * p].reshape(lanes, size, p)
+            for rng, lane in zip(streams, u):
+                rng.random(out=lane)
             with np.errstate(divide="ignore"):  # u = 0 gives -inf: always +1
-                for b, rng in enumerate(self._rngs):
-                    rng.random(out=u)
-                    np.log1p(np.negative(u, out=v), out=v)
-                    np.log(u, out=u)
-                    u -= v
-                    u += self._offset
-                    logit[:size, :, b] = u
+                np.log1p(np.negative(u, out=v), out=v)
+                np.log(u, out=u)
+            u -= v
+            u += self._offset
+            logit[:size] = u.transpose(1, 2, 0)
             for t in range(size):
-                for threshold, dot, field, class_new, class_bits in steps:
+                for threshold, dot, field, fields, widen, class_new, class_spins in steps:
                     dot(bits, field)
-                    less(threshold[t], field, class_new)
-                    class_bits[...] = class_new
-                if start + t + 1 == take_at:
-                    out[:, row] = bits.T
-                    row += 1
-                    take_at += self._thinning
+                    if widen is not None:
+                        slack, row, col, weight = widen
+                        fields += slack
+                        if len(row):
+                            shift = np.zeros((len(field), lanes))
+                            np.add.at(shift, row, weight * (lo[col] - hi[col]))
+                            fields[:, 0] -= shift
+                            fields[:, 1] += shift
+                    less(threshold[t], fields, class_new)
+                    class_spins[...] = class_new
+                if rows is not None and (start + t + 1) % self._thinning == 0:
+                    rows[:, (start + t + 1) // self._thinning - 1] = bits.T
+
+    def draw(self, rows: int) -> np.ndarray:
+        """The next ``rows`` samples of every chain as alphabet indices (0 for
+        spin -1, 1 for +1), shaped (chains, rows, p). The first call runs the
+        burn-in first; each row follows ``thinning`` further sweeps.
+
+        Each chain's rows are cut into equal time segments, the last one
+        padded, and each (chain, segment) lane gets a lead-in: the
+        ``_LEAD_IN`` sweeps before the segment, run from all spins -1 and all
+        +1 at once on the chain's own uniforms. That is a bounding chain
+        (Huber 2004): its lower and upper spins hold between them the path of
+        every state the lead-in could start from, for the rounded fields too.
+        Where they meet at the segment start, every entry state, the true one
+        included, ends in that state (the coupling of Propp & Wilson 1996),
+        so the segment runs from its chain's exact state. A lane whose bounds
+        did not meet runs after its predecessor, from that lane's end state,
+        and a first segment from its chain's true start, burn-in and all. A
+        lane's uniforms come from a copy of its chain's generator moved to its
+        first sweep by ``bit_generator.advance``; the generators end advanced
+        past the whole draw (which drops PCG64's buffered uint32, which
+        ``random()`` never reads)."""
+        p, chains = self._bits.shape
+        thinning, burn = self._thinning, self._burn
+        # A segment shorter than a lead-in would cost more sweeps than it saves.
+        segments = max(1, min(_LANES // chains, rows, rows * thinning // _LEAD_IN))
+        length = -(-rows // segments)  # rows per segment
+        segments = -(-rows // length) if rows else 1
+        lanes = range(chains * segments)  # lane l is segment l % segments of chain l // segments
+        begin = [burn + l % segments * length * thinning for l in lanes]
+        states = [rng.bit_generator.state for rng in self._rngs]
+        streams, start = [None] * len(lanes), [None] * len(lanes)
+        lead = [l for l in lanes if begin[l] > _LEAD_IN]
+        lead_streams = [_stream(states[l // segments], (begin[l] - _LEAD_IN) * p) for l in lead]
+        bounds = np.zeros((p, 2 * len(lead)))
+        bounds[:, len(lead):] = 1.0
+        self._run(bounds, lead_streams, _LEAD_IN)
+        for j, l in enumerate(lead):
+            if (bounds[:, j] == bounds[:, len(lead) + j]).all():
+                start[l], streams[l] = bounds[:, j], lead_streams[j]
+        cold = [l for l in lanes[::segments] if start[l] is None]
+        bits = np.ascontiguousarray(self._bits[:, [l // segments for l in cold]])
+        for l in cold:
+            streams[l] = _stream(states[l // segments], 0)
+        self._run(bits, [streams[l] for l in cold], burn)
+        for j, l in enumerate(cold):
+            start[l] = bits[:, j]
+        out = np.empty((chains, segments * length, p), dtype=np.uint8)
+        by_lane = out.reshape(len(lanes), length, p)
+        ready = [l for l in lanes if start[l] is not None] if length else []
+        while ready:
+            bits = np.array([start[l] for l in ready]).T.copy()
+            got = by_lane if len(ready) == len(lanes) else np.empty((len(ready), length, p),
+                                                                    dtype=np.uint8)
+            self._run(bits, [streams[l] for l in ready], length * thinning, got)
+            following = []
+            for j, l in enumerate(ready):
+                if got is not by_lane:
+                    by_lane[l] = got[j]
+                if (l + 1) % segments and start[l + 1] is None:
+                    start[l + 1], streams[l + 1] = bits[:, j], streams[l]
+                    following.append(l + 1)
+            ready = following
+        for rng in self._rngs:
+            rng.bit_generator.advance((burn + rows * thinning) * p)
+        last = out[:, rows - 1] if rows else np.array(start)
+        self._bits = np.ascontiguousarray(last.T, dtype=np.float64)
         self._burn = 0
-        return out[:, :, self._column]
+        return out[:, :rows][:, :, self._column]
 
 
 def gibbs_sample(m: IsingModel, n: int, cfg: GibbsConfig) -> DiscreteDataset:

@@ -270,6 +270,8 @@ class Assignment:
     vals: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vars", tuple(map(_as_index, self.vars)))
+        object.__setattr__(self, "vals", tuple(map(_as_index, self.vals)))
         if len(self.vars) != len(self.vals):
             raise DatasetError("vars and vals must have equal length")
         if list(self.vars) != sorted(set(self.vars)):
@@ -278,7 +280,7 @@ class Assignment:
 
 def empirical_prob(ds: DiscreteDataset, a: Assignment) -> float:
     """Fraction of sample rows matching the assignment; 1.0 for the empty one."""
-    variables, values = check_indices(a.vars, ds.p), tuple(map(_as_index, a.vals))
+    variables, values = check_indices(a.vars, ds.p), a.vals
     for v, x in zip(variables, values):
         if not 0 <= x < ds.alphabet.size:
             raise DatasetError(f"value {x} outside alphabet for variable {v}")
@@ -291,10 +293,8 @@ def _aligned_marginals(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     if p_src.alphabet.symbols != q_src.alphabet.symbols:
         raise ValueError("sources must share one alphabet to be compared")
-    a = p_src.check_subset(variables)
-    b = q_src.check_subset(variables)
-    if a != b:
-        raise ValueError("variable subset invalid for one of the sources")
+    # Read once: ``variables`` may be a one-pass iterator.
+    a = q_src.check_subset(p_src.check_subset(variables))
     pm, qm = p_src.dense_marginal(a), q_src.dense_marginal(a)
     return pm, qm, float(np.abs(pm - qm).sum())
 

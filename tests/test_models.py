@@ -329,7 +329,9 @@ def reference_draw(chains, rows, block_doubles):
             done += 1
             if done > chains._burn and (done - chains._burn) % chains._thinning == 0:
                 out.append(bits.T.astype(np.uint8))
-    return np.stack(out, axis=1)[:, :, chains._column]
+    chains._burn = 0
+    rows = np.stack(out, axis=1) if out else np.empty((batch, 0, p), dtype=np.uint8)
+    return rows[:, :, chains._column]
 
 
 class TestChromaticGibbs:
@@ -397,22 +399,83 @@ class TestChromaticGibbs:
         monkeypatch.setattr("greedymrf.gibbs._BLOCK_DOUBLES", 1)
         assert np.array_equal(GibbsChains(m, cfgs).draw(50), whole)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
-        name=st.sampled_from(["grid:3", "cycle:5", "er-randsign"]),
+        name=st.sampled_from(["grid:3", "cycle:5", "er-randsign", "er-uniform", "complete:5"]),
         seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=8),
-        burn_in=st.integers(0, 30),
+        burn_in=st.integers(0, 2000),
         thinning=st.integers(1, 3),
-        n=st.integers(1, 30),
+        n=st.integers(1, 200),
         block=st.sampled_from([1, 1 << 13]),
+        lead_in=st.sampled_from([1, 4, 32]),
+        lanes=st.sampled_from([1, 6, 16]),
     )
-    def test_rows_equal_a_float_compare_reference(self, name, seeds, burn_in, thinning, n, block):
+    def test_rows_equal_a_float_compare_reference(self, name, seeds, burn_in, thinning, n, block,
+                                                  lead_in, lanes):
+        # Small lead-ins and lane budgets give lanes that meet, lanes that do
+        # not, and first segments that fall back to the chain's true start.
         m = sampler_model(name)
         cfgs = [GibbsConfig(s, burn_in, thinning) for s in seeds]
-        with mock.patch("greedymrf.gibbs._BLOCK_DOUBLES", block):
+        with mock.patch.multiple("greedymrf.gibbs", _BLOCK_DOUBLES=block, _LEAD_IN=lead_in,
+                                 _LANES=lanes):
             got = GibbsChains(m, cfgs).draw(n)
             want = reference_draw(GibbsChains(m, cfgs), n, block)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_a_lane_whose_lead_in_does_not_meet_runs_after_its_predecessor(self):
+        m = sampler_model("complete:5")
+        cfgs = [GibbsConfig(seed, burn_in=300, thinning=2) for seed in (0, 1)]
+        met, run = [], GibbsChains._run
+
+        def spy(self, bits, streams, sweeps, rows=None):
+            run(self, bits, streams, sweeps, rows)
+            if streams and bits.shape[1] == 2 * len(streams):  # a lead-in
+                lo, hi = np.hsplit(bits, 2)
+                met.extend((lo == hi).all(axis=0))
+
+        with mock.patch("greedymrf.gibbs._LEAD_IN", 1), mock.patch.object(GibbsChains, "_run", spy):
+            got = GibbsChains(m, cfgs).draw(120)
+        assert len(met) == 16 and not all(met)
+        assert np.array_equal(got, reference_draw(GibbsChains(m, cfgs), 120, 1 << 13))
+
+    def test_bench_configuration_rows_equal_the_reference(self):
+        m = model_from_strings("grid:5", "const:0.5")
+        cfgs = [GibbsConfig(12 ^ t) for t in range(4)]
+        got = GibbsChains(m, cfgs).draw(1600)
+        assert np.array_equal(got, reference_draw(GibbsChains(m, cfgs), 1600, 1 << 13))
+
+    @pytest.mark.parametrize("name", ["grid:3", "er-randsign"])
+    def test_a_draw_leaves_the_reference_spins_and_stream_positions(self, name):
+        m = sampler_model(name)
+        cfgs = [GibbsConfig(seed, burn_in=700, thinning=2) for seed in (3, 4, 5)]
+        chains, reference = GibbsChains(m, cfgs), GibbsChains(m, cfgs)
+        with mock.patch("greedymrf.gibbs._LEAD_IN", 16):
+            for n in (150, 0, 37, 400):
+                assert np.array_equal(chains.draw(n), reference_draw(reference, n, 1 << 13))
+                assert np.array_equal(chains._bits, reference._bits)
+                assert chains._bits.flags.c_contiguous and chains._bits.dtype == np.float64
+                assert ([r.bit_generator.state["state"] for r in chains._rngs]
+                        == [r.bit_generator.state["state"] for r in reference._rngs])
+
+    @pytest.mark.parametrize("block", [1 << 12, 1 << 13, 1 << 14])
+    def test_draw_peak_memory_on_the_bench_configuration(self, block):
+        m = model_from_strings("grid:5", "const:0.5")
+        cfgs = [GibbsConfig(12 ^ t) for t in range(4)]
+        GibbsChains(m, cfgs).draw(16)  # first-call imports stay untraced
+        with mock.patch("greedymrf.gibbs._BLOCK_DOUBLES", block):
+            chains = GibbsChains(m, cfgs)
+            tracemalloc.start()
+            try:
+                rows = chains.draw(1600)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # The rows with two threshold buffers of at most ``block`` doubles, or
+        # the rows and their returned site-order copy; 96 KiB covers numpy's
+        # 64 KiB cast buffer and small arrays. The one-lane loop this replaced
+        # peaked at 414 KiB with 2^13-double blocks.
+        assert peak <= max(2 * rows.nbytes, rows.nbytes + 2 * 8 * block) + 96 * 1024
+        assert block != 1 << 13 or peak <= 414 * 1024
 
     def test_setup_holds_one_coupling_matrix(self):
         m = model_from_strings("grid:20", "const:0.3")

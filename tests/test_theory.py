@@ -17,11 +17,14 @@ from greedymrf.models import (IsingModel, JointDistribution, MarkovGraph, exact_
 from greedymrf.theory import (
     Assignment,
     all_bound_reports,
+    check_entropy_l1_bound,
+    check_pinsker,
     decay_profile,
     decay_threshold,
     empirical_prob,
     ising_guarantee,
     ising_nondegeneracy_epsilon,
+    l1_distance,
     model_gap,
     nondegeneracy_gap,
     sample_size_bound,
@@ -506,3 +509,16 @@ def test_every_indexed_entry_takes_a_numpy_integer_as_the_int(entry):
             return repr(exc)
 
     assert outcome(np.int64(1)) == outcome(1)
+
+
+@pytest.mark.parametrize("check", [l1_distance, check_entropy_l1_bound, check_pinsker])
+def test_marginal_comparisons_read_a_one_pass_variable_iterator_once(check):
+    joint = exact_joint(build(ModelSpec.chain(3, WeightRule.constant(0.5))))
+    p_src, q_src = ExactSource(joint), EmpiricalSource(exact_sample(joint, 50, 1))
+    assert check(p_src, q_src, (v for v in [0, 1])) == check(p_src, q_src, [0, 1])
+
+
+@pytest.mark.parametrize("vars_, vals", [((0, "0"), (0, 0)), ((0, 1), (0, 0.5))])
+def test_assignment_rejects_a_non_integer_before_comparing_indices(vars_, vals):
+    with pytest.raises(TypeError, match=r"index ('0'|0\.5) is not an integer"):
+        Assignment(vars_, vals)
